@@ -39,6 +39,7 @@ from .spectral import (
     ShellTensor,
     Spectrum,
     TorusGrid,
+    cut_table,
     grid_l2,
     iter_prefix_slabs,
     plan_prefix_blocks,
@@ -79,18 +80,6 @@ class MaximalReport:
             raise LacsumError("argmax tracking was disabled for this sweep")
         row = int(self.argmax_ids[tuple(point)])
         return tuple(int(v) for v in self.index_table[row])
-
-
-def _cut_table(family: LacunaryFamily, bandwidth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Distinct clamped cut values with their smallest originating terms."""
-    clamped: list[int] = []
-    originals: list[int] = []
-    for t in family.terms:
-        c = min(t, bandwidth)
-        if not clamped or c != clamped[-1]:
-            clamped.append(c)
-            originals.append(t)
-    return tuple(clamped), tuple(originals)
 
 
 @dataclass(frozen=True)
@@ -135,113 +124,74 @@ def sweep_space(
             raise LacsumError(f"cap schedule must be nondecreasing, got {levels}")
 
     lac_pos = sample.lacunary_positions
-    cut_pairs = [
-        _cut_table(fam, spectrum.bandwidth[p]) for fam, p in zip(space.families, lac_pos)
-    ]
-    cut_clamped = [p[0] for p in cut_pairs]
-    cut_originals = [p[1] for p in cut_pairs]
-    plan = plan_prefix_blocks(spectrum, grid, lac_pos, cut_clamped)
+    cuts = [cut_table(fam, spectrum.bandwidth[p]) for fam, p in zip(space.families, lac_pos)]
+    cut_originals = [originals for _, originals in cuts]
+    plan = plan_prefix_blocks(spectrum, grid, lac_pos, [clamped for clamped, _ in cuts])
 
-    free_bw = [spectrum.bandwidth[p] for p in free_pos]
-    limits = [tuple(min(c, b) for c, b in zip(level, free_bw)) for level in levels]
-    top = limits[-1]
-    combo_shape = plan.combo_shape
+    limits = [tuple(min(c, b) for c, b in zip(level, plan.free_limits)) for level in levels]
+    # one free axis sweeps as two: the stream's phantom second axis has cap 0
+    phantom = (0,) * (2 - len(free_pos))
+    caps = [lim + phantom for lim in limits]
+    top = caps[-1]
+    strides = tuple(t + 1 for t in top)
     lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
 
-    # 1/W tables per (weight, cut combo) on the clamped free ranges; None
-    # marks the unit weight so the sweep can skip the multiply.
-    inv_tables: list[list[np.ndarray | None]] = []
-    free_mesh_axes = [np.arange(t + 1) for t in top]
-    mesh = np.meshgrid(*free_mesh_axes, indexing="ij")
-    for w in weights:
-        per_combo: list[np.ndarray | None] = []
-        for combo in np.ndindex(*combo_shape):
-            if w.kind == "unit":
-                per_combo.append(None)
-                continue
-            nu = np.zeros(tuple(t + 1 for t in top) + (sample.dimension,), dtype=int)
-            for p, axis_vals, c in zip(lac_pos, cut_originals, combo):
-                nu[..., p] = axis_vals[c]
-            for p, m in zip(free_pos, mesh):
-                nu[..., p] = m
-            per_combo.append(1.0 / w.fn(nu))
-        inv_tables.append(per_combo)
+    # every index the sweep visits, shape (*combo, ma, mb, N); argmax row ids
+    # count through it in C order, and zip leaves the phantom axis out
+    perm = lac_pos + free_pos
+    mesh = np.meshgrid(*cut_originals, *(np.arange(n) for n in strides), indexing="ij")
+    index_grid = np.zeros(mesh[0].shape + (sample.dimension,), dtype=int)
+    for p, m in zip(perm, mesh):
+        index_grid[..., p] = m
+    # 1/W per (combo, ma, mb); None marks the unit weight so the sweep can
+    # skip the multiply
+    inv_tables = [
+        None if w.kind == "unit" else (1.0 / w.fn(index_grid)).reshape((-1,) + strides)
+        for w in weights
+    ]
 
-    perm = tuple(lac_pos) + tuple(free_pos)
     grid_perm_shape = tuple(grid.resolution[a] for a in perm)
     nw, nl = len(weights), len(levels)
-    m2 = np.zeros((nw, nl) + grid_perm_shape)
-    strides = tuple(t + 1 for t in top)
-    ids = np.zeros((nw, nl) + grid_perm_shape, dtype=np.int64) if record_argmax else None
-    two_free = len(free_pos) == 2
+    # the phantom axis has one grid point, matching the slab's (xa, xb)
+    m2 = np.zeros((nw, nl) + grid_perm_shape + (1,) * len(phantom))
+    ids = np.zeros(m2.shape, dtype=np.int64) if record_argmax else None
 
+    # One reduction for every shape: each cap level (ra, rb) folds the max
+    # over ma <= ra of every slab with mb <= rb into its running maximum. On
+    # ties argmax keeps the first index in stream order (combo, mb, ma).
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
-        if two_free and mb > top[1]:
+        if mb > top[1]:
             continue  # beyond every cap level on the second free axis
         combo_flat, lac_flat = row // lac_size, row % lac_size
         lac_coords = np.unravel_index(lac_flat, plan.lac_grid_shape) if lac_pos else ()
         view = slab[: top[0] + 1]
         sq = view.real**2 + view.imag**2
-        for wi in range(nw):
-            inv = inv_tables[wi][combo_flat]
-            if two_free:
-                q = sq if inv is None else sq * inv[:, mb][:, None, None]
+        for wi, inv in enumerate(inv_tables):
+            q = sq if inv is None else sq * inv[combo_flat, :, mb, None, None]
+            for li, (ra, rb) in enumerate(caps):
+                if mb > rb:
+                    continue
+                sub = q[: ra + 1]
+                cand = sub.max(axis=0)
+                dest = (wi, li) + lac_coords
                 if ids is None:
-                    # one cumulative-max pass serves every cap level at once
-                    cm = np.maximum.accumulate(q, axis=0)
-                    for li, (ra, rb) in enumerate(limits):
-                        if mb <= rb:
-                            dest = (wi, li) + lac_coords
-                            np.maximum(m2[dest], cm[ra], out=m2[dest])
+                    np.maximum(m2[dest], cand, out=m2[dest])
                 else:
-                    for li, (ra, rb) in enumerate(limits):
-                        if mb > rb:
-                            continue
-                        sub = q[: ra + 1]
-                        cand = sub.max(axis=0)
-                        arg = sub.argmax(axis=0)
-                        rid = (combo_flat * strides[0] + arg) * strides[1] + mb
-                        dest = (wi, li) + lac_coords
-                        better = cand > m2[dest]
-                        m2[dest][better] = cand[better]
-                        ids[dest][better] = rid[better]
-            else:
-                q = sq if inv is None else sq * inv[:, None]
-                for li, lim in enumerate(limits):
-                    (ra,) = lim
-                    sub = q[: ra + 1]
-                    dest = (wi, li) + lac_coords
-                    if ids is None:
-                        np.maximum(m2[dest], sub.max(axis=0), out=m2[dest])
-                    else:
-                        cand = sub.max(axis=0)
-                        arg = sub.argmax(axis=0)
-                        rid = combo_flat * strides[0] + arg
-                        better = cand > m2[dest]
-                        m2[dest][better] = cand[better]
-                        ids[dest][better] = rid[better]
+                    rid = (combo_flat * strides[0] + sub.argmax(axis=0)) * strides[1] + mb
+                    better = cand > m2[dest]
+                    m2[dest][better] = cand[better]
+                    ids[dest][better] = rid[better]
 
-    inverse = tuple(2 + perm.index(a) for a in range(sample.dimension))
-    m_values = np.sqrt(np.transpose(m2, (0, 1) + inverse))
+    inverse = (0, 1) + tuple(2 + perm.index(a) for a in range(sample.dimension))
+    shape = (nw, nl) + grid_perm_shape
+    m_values = np.sqrt(np.transpose(m2.reshape(shape), inverse))
     if ids is not None:
-        ids = np.transpose(ids, (0, 1) + inverse)
-    table = None
-    if record_argmax:
-        rows = []
-        for combo in np.ndindex(*combo_shape):
-            for ms in np.ndindex(*strides):
-                idx = [0] * sample.dimension
-                for p, axis_vals, c in zip(lac_pos, cut_originals, combo):
-                    idx[p] = axis_vals[c]
-                for p, m in zip(free_pos, ms):
-                    idx[p] = m
-                rows.append(idx)
-        table = np.asarray(rows, dtype=int)
+        ids = np.transpose(ids.reshape(shape), inverse)
     return SweepResult(
         grid=grid,
         m_values=m_values,
         argmax_ids=ids,
-        index_table=table,
+        index_table=index_grid.reshape(-1, sample.dimension) if record_argmax else None,
         cut_originals=tuple(cut_originals),
         free_limits=tuple(limits),
     )

@@ -22,7 +22,6 @@ from .spectral import GridFunction, Spectrum, TorusGrid
 
 SPECTRUM_SCHEMA = "lacsum.spectrum/1"
 GRIDFUNCTION_SCHEMA = "lacsum.gridfunction/1"
-REPORT_SCHEMA = "lacsum.report/1"
 
 
 def jsonify(obj: Any) -> Any:
@@ -46,10 +45,28 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def _unpairs(pairs, shape) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise LacsumError("coefficient payload must be a list of [re, im] pairs")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("expected a list of [re, im] pairs")
+        return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise LacsumError(f"bad payload for shape {shape}: {exc}") from exc
+
+
+def _open(doc: Any, schema: str, size_key: str, payload_key: str) -> tuple[tuple[int, ...], Any]:
+    """Schema-checked ``(sizes, payload)`` of a spectrum or grid-function document."""
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        found = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
+        raise LacsumError(f"not a {schema} document: schema={found!r}")
+    sizes = doc.get(size_key)
+    if payload_key not in doc or not (
+        isinstance(sizes, list) and all(type(v) is int and v >= 0 for v in sizes)
+    ):
+        raise LacsumError(
+            f"{schema} document needs {size_key!r} (nonnegative integers) and {payload_key!r}"
+        )
+    return tuple(sizes), doc[payload_key]
 
 
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
@@ -62,11 +79,8 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
 
 
 def spectrum_from_dict(doc: dict) -> Spectrum:
-    if doc.get("schema") != SPECTRUM_SCHEMA:
-        raise LacsumError(f"not a spectrum document: schema={doc.get('schema')!r}")
-    bw = tuple(int(b) for b in doc["B"])
-    shape = tuple(2 * b + 1 for b in bw)
-    return Spectrum(bw, _unpairs(doc["coefficients"], shape))
+    bw, payload = _open(doc, SPECTRUM_SCHEMA, "B", "coefficients")
+    return Spectrum(bw, _unpairs(payload, tuple(2 * b + 1 for b in bw)))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:
@@ -79,10 +93,9 @@ def gridfunction_to_dict(f: GridFunction) -> dict:
 
 
 def gridfunction_from_dict(doc: dict) -> GridFunction:
-    if doc.get("schema") != GRIDFUNCTION_SCHEMA:
-        raise LacsumError(f"not a grid-function document: schema={doc.get('schema')!r}")
-    grid = TorusGrid(tuple(int(x) for x in doc["L"]))
-    return GridFunction(grid, _unpairs(doc["values"], grid.resolution))
+    res, payload = _open(doc, GRIDFUNCTION_SCHEMA, "L", "values")
+    grid = TorusGrid(res)
+    return GridFunction(grid, _unpairs(payload, grid.resolution))
 
 
 def dumps(doc: dict) -> str:

@@ -13,8 +13,8 @@ Rectangular partial sums are served by two engines:
   direct-evaluation fallback used as the test oracle);
 * ``ShellTensor`` groups coefficients into shells ``(|nu_1|, ..., |nu_N|)``
   and stores their cumulative prefix sums per grid point, after which any
-  box sum is a single lookup. ``plan_prefix_blocks``/``iter_prefix_blocks``
-  stream the same prefix idea through memory-bounded blocks for sweeps that
+  box sum is a single lookup. ``plan_prefix_blocks``/``iter_prefix_slabs``
+  stream the same prefix idea through memory-bounded slabs for sweeps that
   cut the lacunary axes down to a few values while keeping the full prefix
   range on one or two free axes; this is what makes the all-index maximal
   and convergence sweeps tractable.
@@ -492,7 +492,6 @@ class PrefixBlockPlan:
     C order, combos outermost.
     """
 
-    dimension: int
     cut_axes: tuple[int, ...]
     cut_values: tuple[tuple[int, ...], ...]
     free_axes: tuple[int, ...]
@@ -504,10 +503,25 @@ class PrefixBlockPlan:
     def rows(self) -> int:
         return int(np.prod(self.combo_shape, dtype=int) * np.prod(self.lac_grid_shape, dtype=int))
 
-    def decode_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split flat row ids into (combo flat id, cut-axes grid flat id)."""
-        lac = int(np.prod(self.lac_grid_shape, dtype=int))
-        return rows // lac, rows % lac
+
+def cut_table(
+    family: LacunaryFamily, bandwidth: int, min_term: int = 0
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Distinct clamped cut values with their smallest originating terms.
+
+    Terms below ``min_term`` are skipped; terms clamping to the same value
+    merge onto the smallest of them.
+    """
+    clamped: list[int] = []
+    originals: list[int] = []
+    for t in family.terms:
+        if t < min_term:
+            continue
+        c = min(t, bandwidth)
+        if not clamped or c != clamped[-1]:
+            clamped.append(c)
+            originals.append(t)
+    return tuple(clamped), tuple(originals)
 
 
 def plan_prefix_blocks(
@@ -544,7 +558,6 @@ def plan_prefix_blocks(
             raise LacsumError(f"cut values must be strictly increasing, got {v}")
         values.append(v)
     return PrefixBlockPlan(
-        dimension=dim,
         cut_axes=cut,
         cut_values=tuple(values),
         free_axes=free,
@@ -566,53 +579,45 @@ def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np
     k = len(plan.cut_axes)
     perm = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2)) + tuple(range(2 * k, arr.ndim))
     arr = np.ascontiguousarray(np.transpose(arr, perm))
-    free_bw = [spectrum.bandwidth[a] for a in plan.free_axes]
-    return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in free_bw))
+    return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in plan.free_limits))
 
 
 def iter_prefix_slabs(
     spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan
-) -> Iterator[tuple[int, int | None, np.ndarray]]:
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """Stream partial-sum prefixes for the planned sweep, one slab at a time.
 
-    With two free axes, yields ``(row, mb, slab)`` for every row and every
-    prefix value ``mb`` of the second free axis in increasing order, where
-    ``slab[ma, xa, xb]`` is the rectangular partial sum with the row's
-    cut-value combo on the cut axes and ``(ma, mb)`` on the free axes. The
-    slab buffer is grown in place between yields (a running prefix), so
-    consumers must reduce it before advancing. With one free axis, yields
-    ``(row, None, prefix)`` once per row with ``prefix[ma, xa]``.
+    Yields ``(row, mb, slab)`` for every row and every prefix value ``mb`` of
+    the second free axis in increasing order, where ``slab[ma, xa, xb]`` is
+    the rectangular partial sum with the row's cut-value combo on the cut
+    axes and ``(ma, mb)`` on the free axes. A plan with one free axis streams
+    a phantom second axis of bandwidth 0 on a 1-point grid, so ``mb`` is
+    always 0 and ``xb`` has length 1. The slab buffer is grown in place
+    between yields (a running prefix), so consumers must reduce it before
+    advancing.
 
     Keeping the slab at ``(B_a + 1) * L_a * L_b`` entries instead of
     materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)`` block is what
     keeps the sweep cache-resident at grid scale.
     """
     arr = _cut_stage(spectrum, grid, plan)
-    pos_a = plan.free_axes[0]
-    ba = spectrum.bandwidth[pos_a]
-    epa, ena = _phase_pair_cached(ba, grid.resolution[pos_a])
-    if len(plan.free_axes) == 1:
-        for row in range(plan.rows):
-            w = _shell_expand(arr[row], 0, epa, ena)
-            np.cumsum(w, axis=0, out=w)
-            yield row, None, w
-        return
-    pos_b = plan.free_axes[1]
-    bb = spectrum.bandwidth[pos_b]
-    epb, enb = _phase_pair_cached(bb, grid.resolution[pos_b])
-    la, lb = grid.resolution[pos_a], grid.resolution[pos_b]
+    free = [(spectrum.bandwidth[a], grid.resolution[a]) for a in plan.free_axes]
+    if len(free) == 1:
+        arr = arr[..., None]
+        free.append((0, 1))
+    (ba, la), (bb, lb) = free
+    epa, ena = _phase_pair_cached(ba, la)
+    epb, enb = _phase_pair_cached(bb, lb)
     slab = np.empty((ba + 1, la, lb), dtype=complex)
     tmp = np.empty_like(slab)
     for row in range(plan.rows):
         w = _shell_expand(arr[row], 0, epa, ena)  # (ma, xa, nu_b)
         np.cumsum(w, axis=0, out=w)
-        slab[:] = 0.0
-        for mb in range(bb + 1):
-            if mb == 0:
-                slab += w[..., bb, None]
-            else:
-                np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
-                slab += tmp
-                np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
-                slab += tmp
+        np.copyto(slab, w[..., bb, None])
+        yield row, 0, slab
+        for mb in range(1, bb + 1):
+            np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
+            slab += tmp
+            np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
+            slab += tmp
             yield row, mb, slab

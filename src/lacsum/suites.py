@@ -39,6 +39,7 @@ from .spectral import (
     Spectrum,
     TorusGrid,
     _axis_matrix,
+    cut_table,
     grid_l2,
     iter_prefix_slabs,
     plan_prefix_blocks,
@@ -114,20 +115,41 @@ class ExperimentConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _coerce(name: str, raw: str):
-    text = raw.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if "," in text:
-        parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        return tuple(_coerce(name, p) for p in parts)
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
+def _cast(kind: str, value):
+    if kind == "bool":
+        text = str(value).strip().lower()
+        if text not in ("true", "false"):
+            raise ValueError(f"not a boolean: {value!r}")
+        return text == "true"
+    return {"int": int, "float": float, "str": str}[kind](value)
+
+
+def _coerce(name: str, value):
+    """Cast a config value to the declared type of field ``name``.
+
+    Config-file strings split on commas into tuple items. A scalar for a
+    tuple-only field becomes a 1-tuple; a field declared as scalar or tuple
+    (``bandwidth``, ``grid``) keeps a scalar.
+    """
+    declared = _FIELD_TYPES[name]
+    kinds = declared.split(" | ")
+    if value is None and "None" in kinds:
+        return None
+    if isinstance(value, str) and "," in value:
+        value = [p for p in (s.strip() for s in value.split(",")) if p]
+    many = isinstance(value, (list, tuple))
+    for kind in kinds:
+        tupled = kind.startswith("tuple[")
+        if kind == "None" or (many and not tupled):
             continue
-    return text
+        try:
+            if tupled:
+                item = kind[len("tuple[") : kind.index(",")]
+                return tuple(_cast(item, v) for v in (value if many else [value]))
+            return _cast(kind, value)
+        except (TypeError, ValueError):
+            pass
+    raise LacsumError(f"config key {name!r} expects {declared}, got {value!r}")
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -135,11 +157,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     for key, value in mapping.items():
         if key not in _FIELD_TYPES:
             raise LacsumError(f"unknown config key {key!r}")
-        known[key] = _coerce(key, value) if isinstance(value, str) else value
-    try:
-        return ExperimentConfig(**known)
-    except TypeError as exc:
-        raise LacsumError(f"bad config: {exc}") from exc
+        known[key] = _coerce(key, value)
+    return ExperimentConfig(**known)
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -457,51 +476,37 @@ def sup_error_table(
 
     Returns the original lacunary terms used per axis (terms below
     ``min_term`` are skipped, terms clamping to the same bandwidth value are
-    merged onto their smallest representative) and an array indexed by
-    ``(term combo..., m_a, m_b)`` over the full free prefix ranges.
+    merged onto their smallest representative) and an array indexed by the
+    term combo and then ``m_a`` (and ``m_b``) over the full free prefix ranges.
     """
-    sample = space.sample
-    lac_pos = sample.lacunary_positions
-    free_pos = sample.free_positions
-    if len(free_pos) not in (1, 2):
-        raise LacsumError("sup-error table needs 1 or 2 free axes")
-    cut_clamped: list[tuple[int, ...]] = []
-    cut_originals: list[tuple[int, ...]] = []
-    for fam, p in zip(space.families, lac_pos):
-        clamped, originals = [], []
-        for term in fam.terms:
-            if term < min_term:
-                continue
-            c = min(term, spectrum.bandwidth[p])
-            if not clamped or c != clamped[-1]:
-                clamped.append(c)
-                originals.append(term)
+    lac_pos = space.sample.lacunary_positions
+    free_pos = space.sample.free_positions
+    cuts = [
+        cut_table(fam, spectrum.bandwidth[p], min_term) for fam, p in zip(space.families, lac_pos)
+    ]
+    for (clamped, _), p in zip(cuts, lac_pos):
         if not clamped:
             raise LacsumError(f"no lacunary terms >= {min_term} on axis {p + 1}")
-        cut_clamped.append(tuple(clamped))
-        cut_originals.append(tuple(originals))
-    plan = plan_prefix_blocks(spectrum, grid, lac_pos, cut_clamped)
+    plan = plan_prefix_blocks(spectrum, grid, lac_pos, [clamped for clamped, _ in cuts])
 
     f = synthesize(spectrum, grid).values
-    perm = tuple(lac_pos) + tuple(free_pos)
+    perm = lac_pos + free_pos
     lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
-    free_res = tuple(grid.resolution[a] for a in free_pos)
+    # one free axis streams with a phantom second axis of one grid point
+    phantom = (1,) * (2 - len(free_pos))
+    free_res = tuple(grid.resolution[a] for a in free_pos) + phantom
     f_perm = np.ascontiguousarray(np.transpose(f, perm)).reshape((lac_size,) + free_res)
 
-    table = np.zeros(plan.combo_shape + tuple(b + 1 for b in plan.free_limits))
-    flat_table = table.reshape((-1,) + tuple(b + 1 for b in plan.free_limits))
+    prefix_shape = tuple(b + 1 for b in plan.free_limits)
+    table = np.zeros(plan.combo_shape + prefix_shape)
+    flat_table = table.reshape((-1,) + prefix_shape + phantom)
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         combo_flat, lac_flat = row // lac_size, row % lac_size
-        if mb is not None:
-            diff = slab - f_perm[lac_flat][None, :, :]
-            cand = (diff.real**2 + diff.imag**2).max(axis=(1, 2))
-            col = flat_table[combo_flat][:, mb]
-            np.maximum(col, cand, out=col)
-        else:
-            diff = slab - f_perm[lac_flat][None, :]
-            cand = (diff.real**2 + diff.imag**2).max(axis=1)
-            np.maximum(flat_table[combo_flat], cand, out=flat_table[combo_flat])
-    return tuple(cut_originals), np.sqrt(table)
+        diff = slab - f_perm[lac_flat]
+        cand = (diff.real**2 + diff.imag**2).max(axis=(1, 2))
+        col = flat_table[combo_flat][:, mb]
+        np.maximum(col, cand, out=col)
+    return tuple(originals for _, originals in cuts), np.sqrt(table)
 
 
 def coefficient_tail(spectrum: Spectrum, level: int) -> float:

@@ -126,6 +126,39 @@ def test_report_reemit(tmp_path):
     assert len(lines) == 1 + 3  # header + trials x cap levels
 
 
+def test_scalar_config_for_tuple_fields(tmp_path, capsys):
+    conv = tmp_path / "c.cfg"
+    conv.write_text(
+        "jk = 1\nlambda_count = 3\nbandwidth = 4,5,5\ngrid = 16,20,20\nlevels = 2,4\n"
+        "free_cap = 5\ntrials = 1\nbeta = 3.0\n"
+    )
+    assert run(["converge", "--config", str(conv), "--out", str(tmp_path / "c.json")]) == 0
+    maxi = tmp_path / "m.cfg"
+    maxi.write_text(
+        "cap_schedule = 6\nlambda_count = 3\nbandwidth = 4,6,6\ngrid = 16,24,24\ntrials = 1\n"
+    )
+    assert run(["maximal-suite", "--config", str(maxi), "--out", str(tmp_path / "m.json")]) == 0
+    assert load_json(tmp_path / "m.json")["config"]["cap_schedule"] == [6]
+    capsys.readouterr()
+    maxi.write_text("cap_schedule = 6, wide\n")
+    assert run(["maximal-suite", "--config", str(maxi)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'cap_schedule'") and err.count("\n") == 1
+
+
+def test_malformed_spectrum_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", "2", "--B", "2", "--out", str(spec)]) == 0
+    doc = load_json(spec)
+    bad = tmp_path / "bad.json"
+    for broken in ({k: v for k, v in doc.items() if k != "B"}, dict(doc, B="2"),
+                   dict(doc, coefficients=doc["coefficients"][:-1])):
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run(["partial-sum", "--spec", str(bad), "--n", "1", "1"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_usage_error_exit_code(tmp_path):
     # unknown config key -> config error -> exit 2
     other = tmp_path / "unknown.cfg"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacsum import (
     DegenerateInputError,
@@ -10,6 +12,7 @@ from lacsum import (
     TorusGrid,
     diagonal_maximal,
     enumerate_jk_indices,
+    gather_max,
     level_set_measure,
     make_lacunary,
     min_pair_weight,
@@ -17,6 +20,7 @@ from lacsum import (
     product_weight,
     single_free_maximal,
     single_mode_spectrum,
+    sweep_space,
     synthesize,
     unit_weight,
     weak_type_table,
@@ -117,6 +121,42 @@ def test_monotone_under_space_enlargement():
     for bigger in (big_caps, big_terms):
         m_big = weighted_maximal(s, bigger, w, GRID, record_argmax=False).values
         assert np.all(m_big >= m_small)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    jk=st.sampled_from([(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]),
+    bandwidth=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3),
+    q=st.sampled_from([1.5, 2.0, 3.0]),
+    counts=st.tuples(*[st.integers(min_value=1, max_value=4)] * 2),
+    raw_levels=st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=6)] * 2), min_size=2, max_size=3
+    ),
+    record_argmax=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_sweep_levels_match_gather(jk, bandwidth, q, counts, raw_levels, record_argmax, seed):
+    # caps up to 6 over bandwidths up to 4: levels often coincide after clamping
+    sample = SampleJk(3, jk)
+    families = tuple(make_lacunary(q, c) for c in counts[: sample.k])
+    n_free = len(sample.free_axes)
+    per_axis = [sorted(caps) for caps in zip(*raw_levels)][:n_free]
+    levels = [tuple(caps) for caps in zip(*per_axis)]
+    s = random_spectrum(np.random.default_rng(seed), bandwidth)
+    grid = TorusGrid((4, 6, 4))
+    weights = [product_weight(sample), unit_weight(3)]
+    space = JkIndexSpace(sample, families, levels[-1])
+    sweep = sweep_space(s, grid, space, weights, levels, record_argmax=record_argmax)
+    assert sweep.m_values.shape == (2, len(levels)) + grid.resolution
+    assert (sweep.argmax_ids is None) == (not record_argmax)
+    for li, caps in enumerate(levels):
+        indices = list(enumerate_jk_indices(JkIndexSpace(sample, families, caps)))
+        for wi, w in enumerate(weights):
+            values, ids, reps = gather_max(s, grid, indices, w)
+            assert np.max(np.abs(sweep.m_values[wi, li] - values)) < 1e-10
+            if record_argmax:
+                chosen = sweep.index_table[sweep.argmax_ids[wi, li]]
+                assert np.array_equal(chosen, reps[ids])
 
 
 def test_single_free_maximal_dominates_function():

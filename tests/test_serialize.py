@@ -42,6 +42,38 @@ def test_schema_mismatch():
         gridfunction_from_dict({"schema": "other"})
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"B": None},
+        {"coefficients": None},
+        {"B": "2"},
+        {"B": [2.0, 1]},
+        {"B": [-1, 1]},
+        {"coefficients": [[0.0, 1.0]]},
+        {"coefficients": [["re", "im"]] * 15},
+        {"coefficients": 3},
+    ],
+)
+def test_spectrum_document_validation(change):
+    doc = spectrum_to_dict(Spectrum((2, 1), np.zeros((5, 3), dtype=complex)))
+    doc.update(change)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    with pytest.raises(LacsumError):
+        spectrum_from_dict(doc)
+
+
+def test_gridfunction_document_validation():
+    doc = gridfunction_to_dict(GridFunction(TorusGrid((4,)), np.zeros(4, dtype=complex)))
+    for key in ("L", "values"):
+        with pytest.raises(LacsumError, match="needs 'L'"):
+            gridfunction_from_dict({k: v for k, v in doc.items() if k != key})
+    with pytest.raises(LacsumError):
+        gridfunction_from_dict(dict(doc, L=[4, "x"]))
+    with pytest.raises(LacsumError):
+        gridfunction_from_dict([doc])
+
+
 def test_dumps_deterministic_and_sorted():
     doc = {"b": 1, "a": [np.float64(0.5), np.int64(2)]}
     out = dumps(doc)

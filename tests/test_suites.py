@@ -253,6 +253,20 @@ def test_config_from_mapping_coercion():
     assert cfg.normalize is False
 
 
+def test_config_coercion_follows_declared_types():
+    cfg = config_from_mapping(
+        {"jk": "1", "cap_schedule": "8", "levels": 4, "mode": "2", "block_ratios": "2",
+         "bandwidth": "16", "grid": "16, 20, 20", "q": "2", "dimension": None}
+    )
+    assert cfg.jk == (1,) and cfg.cap_schedule == (8,) and cfg.levels == (4,)
+    assert cfg.mode == (2,) and cfg.block_ratios == (2.0,)
+    assert cfg.bandwidth == 16 and cfg.grid == (16, 20, 20)
+    assert isinstance(cfg.q, float) and cfg.dimension is None
+    for bad in ({"trials": "many"}, {"normalize": "1"}, {"jk": "1.5"}, {"q": "1, 2"}):
+        with pytest.raises(LacsumError, match="expects"):
+            config_from_mapping(bad)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(LacsumError):
         config_from_mapping({"nope": "1"})
