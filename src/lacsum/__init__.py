@@ -23,12 +23,7 @@ from .spectral import (
     Spectrum,
     TorusGrid,
     analyze,
-    build_shell_tensor,
-    cesaro_mean,
-    dirichlet_kernel,
-    fejer_kernel,
     grid_l2,
-    grid_linf,
     partial_sum,
     restrict,
     single_mode_spectrum,
@@ -42,16 +37,13 @@ from .weyl import (
     full_product_weight,
     min_pair_weight,
     product_weight,
-    table_weight,
     unit_weight,
     weighted_energy,
 )
 from .maximal import (
     MaximalReport,
-    diagonal_maximal,
     gather_max,
     level_set_measure,
-    single_free_maximal,
     sweep_space,
     weak_type_table,
     weighted_maximal,
@@ -65,7 +57,6 @@ from .seqcalc import (
     build_slow_sequence,
     difference,
     dyadic_square_anchor,
-    iterated_prefix_sum,
     telescope_split,
 )
 from .decomp import (
@@ -74,8 +65,6 @@ from .decomp import (
     coefficient_transfer,
     decompose_free_pair,
     min_log_inverse,
-    min_log_inverse_diffs,
-    summed_partial_sums,
 )
 from .suites import (
     ExperimentConfig,

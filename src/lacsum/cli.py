@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands: gen, partial-sum, maximal, decompose, converge, verify, report.
-Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or config
-error.
+Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage, config or
+input error.
 """
 
 from __future__ import annotations
@@ -286,6 +286,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.target == "abel":
+        bounds = (("--nu", args.nu, 1), ("--n", args.n, 2), ("--trials", args.trials, 0))
+        for flag, value, low in bounds:
+            if value < low:
+                raise LacsumError(f"{flag} must be >= {low}, got {value}")
         rng = np.random.default_rng(args.seed if args.seed is not None else 7)
         worst = 0.0
         for _ in range(args.trials):

@@ -1,6 +1,6 @@
 """Two-free-axis machinery: the reciprocal log-min weight, its difference
-calculus, the four-term Abel decomposition of a partial sum, and summed
-partial sums over free-axis boxes.
+calculus, coefficient transfer, and the four-term Abel decomposition of a
+partial sum.
 
 The weight ``w(t, q) = 1 / log(min(|t|, |q|) + 2)`` couples the two free
 components. Its mixed difference vanishes off the diagonal on nonnegative
@@ -19,15 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LacsumError
-from .lattice import Index, JkIndexSpace, check_index
-from .spectral import (
-    GridFunction,
-    ShellTensor,
-    Spectrum,
-    TorusGrid,
-    grid_l2,
-    partial_sum,
-)
+from .lattice import Index, check_index
+from .spectral import ShellTensor, Spectrum, TorusGrid, grid_l2, partial_sum
 
 
 def min_log_inverse(t: int | np.ndarray, q: int | np.ndarray) -> float | np.ndarray:
@@ -35,19 +28,6 @@ def min_log_inverse(t: int | np.ndarray, q: int | np.ndarray) -> float | np.ndar
     m = np.minimum(np.abs(np.asarray(t)), np.abs(np.asarray(q)))
     out = 1.0 / np.log(m + 2.0)
     return float(out) if out.ndim == 0 else out
-
-
-def min_log_inverse_diffs(t: int, q: int) -> dict[str, float]:
-    """First difference in q and the mixed second difference at (t, q).
-
-    ``dq = w(t,q) - w(t,q+1)`` and
-    ``dtdq = w(t,q) - w(t+1,q) - w(t,q+1) + w(t+1,q+1)``; on nonnegative
-    indices the mixed difference is zero whenever ``t != q``.
-    """
-    w = min_log_inverse
-    dq = w(t, q) - w(t, q + 1)
-    dtdq = w(t, q) - w(t + 1, q) - w(t, q + 1) + w(t + 1, q + 1)
-    return {"dq": float(dq), "dtdq": float(dtdq)}
 
 
 def diagonal_drop(s: int) -> float:
@@ -211,42 +191,3 @@ def decompose_free_pair(
         engine=engine,
     )
 
-
-def summed_partial_sums(
-    spectrum: Spectrum,
-    space: JkIndexSpace,
-    index: Sequence[int],
-    averaged_axes: Sequence[int],
-    caps: Sequence[int],
-    grid: TorusGrid,
-) -> GridFunction:
-    """Sum of partial sums over boxes of free components.
-
-    The components of ``index`` on ``averaged_axes`` (1-based, free axes of
-    the space) are swept over ``0..cap`` and the partial sums accumulated;
-    along each averaged axis this equals ``cap + 1`` times the Cesaro mean
-    of that axis' partial-sum sequence.
-    """
-    idx = check_index(index, spectrum.dimension)
-    axes = tuple(int(x) for x in averaged_axes)
-    free = set(space.sample.free_axes)
-    if any(x not in free for x in axes):
-        raise LacsumError(f"averaged axes {axes} must be free axes of the space")
-    if len(set(axes)) != len(axes):
-        raise LacsumError("averaged axes must be distinct")
-    if len(caps) != len(axes):
-        raise LacsumError("one cap per averaged axis required")
-    if any(int(p) < 0 for p in caps):
-        raise LacsumError("caps must be nonnegative")
-
-    lookup_many, _ = _sum_engine(spectrum, grid)
-    positions = [x - 1 for x in axes]
-    ranges = [range(int(p) + 1) for p in caps]
-    rows = []
-    for combo in np.ndindex(*[len(r) for r in ranges]):
-        full = list(idx)
-        for pos, r, c in zip(positions, ranges, combo):
-            full[pos] = r[c]
-        rows.append(full)
-    values = lookup_many(rows).sum(axis=0)
-    return GridFunction(grid, values)

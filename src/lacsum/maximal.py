@@ -15,8 +15,7 @@ Two engines compute the same numbers:
   is what makes grid-scale sweeps affordable;
 * the gather engine materializes a ``ShellTensor`` and looks up an explicit
   index list; it covers shapes the blocked engine does not (three or more
-  free axes, non-monotone weights, diagonal index families) and doubles as
-  the oracle in tests.
+  free axes, non-monotone weights) and doubles as the oracle in tests.
 
 Both clamp indices at the spectrum bandwidth first: a partial sum does not
 change past the last coefficient, and any admissible weight is
@@ -26,14 +25,13 @@ at its smallest member.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, LacsumError
-from .lattice import Index, JkIndexSpace, LacunaryFamily, check_index, enumerate_jk_indices
+from .lattice import Index, JkIndexSpace, check_index, enumerate_jk_indices
 from .spectral import (
     GridFunction,
     ShellTensor,
@@ -75,7 +73,14 @@ class MaximalReport:
     engine: str = "blocked"
 
     def argmax_index(self, point: Sequence[int]) -> Index:
-        """Enumerated index achieving the maximum at one grid point."""
+        """An enumerated index attaining the maximum at one grid point.
+
+        When several indices tie, the engines keep different ones: the
+        blocked engine the first in stream order (cut combo, then the second
+        free axis, then the first), the gather engine the first in
+        enumeration order (cut combo, then the first free axis, then the
+        second). Values agree; the index is engine-dependent on ties.
+        """
         if self.argmax_ids is None or self.index_table is None:
             raise LacsumError("argmax tracking was disabled for this sweep")
         row = int(self.argmax_ids[tuple(point)])
@@ -313,55 +318,6 @@ def weighted_maximal(
     return _report_from(
         spectrum, grid, space_summary(space), weight.description, values, ids, reps, "gather"
     )
-
-
-def single_free_maximal(
-    spectrum: Spectrum, space: JkIndexSpace, grid: TorusGrid, record_argmax: bool = True
-) -> MaximalReport:
-    """Unweighted maximal sweep for spaces with exactly one free axis."""
-    if len(space.sample.free_axes) != 1:
-        raise LacsumError(
-            f"expected exactly one free axis, got {len(space.sample.free_axes)}"
-        )
-    return weighted_maximal(
-        spectrum, space, unit_weight(spectrum.dimension), grid, record_argmax=record_argmax
-    )
-
-
-def diagonal_maximal(
-    spectrum: Spectrum,
-    families: Sequence[LacunaryFamily],
-    grid: TorusGrid,
-    diag_cap: int,
-    record_argmax: bool = True,
-) -> MaximalReport:
-    """Unweighted maximum with the trailing axes tied to one diagonal value.
-
-    The leading ``len(families)`` axes run over their family terms; every
-    remaining axis carries the same value ``n0 <= diag_cap``.
-    """
-    dim = spectrum.dimension
-    lead = len(families)
-    if not 1 <= lead < dim:
-        raise LacsumError("need between 1 and N-1 leading lacunary axes")
-    if diag_cap < 0:
-        raise LacsumError("diagonal cap must be >= 0")
-    indices = [
-        terms + (n0,) * (dim - lead)
-        for terms in itertools.product(*(f.terms for f in families))
-        for n0 in range(diag_cap + 1)
-    ]
-    values, ids, reps = gather_max(spectrum, grid, indices, None, record_argmax)
-    summary = {
-        "dimension": dim,
-        "lacunary_axes": list(range(1, lead + 1)),
-        "diagonal_axes": list(range(lead + 1, dim + 1)),
-        "ratios": [f.q for f in families],
-        "terms": [list(f.terms) for f in families],
-        "diag_cap": diag_cap,
-        "index_count": len(indices),
-    }
-    return _report_from(spectrum, grid, summary, "W == 1 (diagonal)", values, ids, reps, "gather")
 
 
 # ---------------------------------------------------------------------------

@@ -234,33 +234,6 @@ def _iterated_scaled(a: np.ndarray, regimes: Sequence[int], values: np.ndarray, 
     return float(arr[tuple(kappa)])
 
 
-def iterated_prefix_sum(a: np.ndarray, regimes: Sequence[int], b, kappa: Sequence[int]) -> float:
-    """Evaluate the regime-selected iterated sum of ``a`` at ``kappa``.
-
-    Per coordinate: regime 0 sums once, regime 1 twice, and regime 2 averages
-    the double sums against second differences of ``b``, normalized by
-    ``D2 b_kappa`` (an exactly zero normalizer is an error).
-    """
-    arr = np.asarray(a, dtype=float)
-    regs = tuple(int(r) for r in regimes)
-    if arr.ndim != len(regs):
-        raise LacsumError("one regime per coordinate required")
-    if any(r not in REGIMES for r in regs):
-        raise LacsumError(f"regimes must be in {REGIMES}, got {regs}")
-    kap = check_index(kappa, arr.ndim)
-    values = _values_of(b)
-    scale = 1.0
-    for r, k in zip(regs, kap):
-        if r == 2:
-            d2k = difference(values, 2, k)
-            if d2k == 0.0:
-                raise DegenerateInputError(
-                    f"second difference vanishes at {k}; regime-2 average undefined"
-                )
-            scale *= d2k
-    return _iterated_scaled(arr, regs, values, kap) / scale
-
-
 @dataclass(frozen=True)
 class AbelCheck:
     lhs: float

@@ -23,10 +23,9 @@ Rectangular partial sums are served by two engines:
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .errors import AliasingError, LacsumError
 from .lattice import Index, LacunaryFamily, check_index
 
 log = logging.getLogger(__name__)
-
-_SINGULARITY_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,11 +147,6 @@ def grid_l2(values: np.ndarray | GridFunction) -> float:
     return float(np.sqrt(np.mean(np.abs(v) ** 2)))
 
 
-def grid_linf(values: np.ndarray | GridFunction) -> float:
-    v = values.values if isinstance(values, GridFunction) else values
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
 def _sign_profile(b: int) -> np.ndarray:
     # (-1)**nu for nu = -b..b
     nus = np.arange(-b, b + 1)
@@ -254,62 +246,6 @@ def partial_sum(spectrum: Spectrum, n: Sequence[int], grid: TorusGrid, method: s
 
 
 # ---------------------------------------------------------------------------
-# classical kernels and Cesaro means
-
-
-def _cosine_series(points: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
-    # 1 + 2 sum_k w_k cos(k u), the safe evaluation near sin(u/2) = 0
-    if n == 0:
-        return np.ones_like(points)
-    ks = np.arange(1, n + 1)
-    w = np.ones(n) if weights is None else weights
-    return 1.0 + 2.0 * (w * np.cos(np.multiply.outer(points, ks))).sum(axis=-1)
-
-
-def dirichlet_kernel(n: int, u: float | np.ndarray) -> float | np.ndarray:
-    """D_n(u) = sum_{|k|<=n} exp(iku) = sin((n+1/2)u)/sin(u/2), D_n(0) = 2n+1."""
-    if n < 0:
-        raise LacsumError("kernel order must be >= 0")
-    scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    s = np.sin(arr / 2.0)
-    near = np.abs(s) < _SINGULARITY_EPS
-    safe = np.where(near, 1.0, s)
-    out = np.sin((n + 0.5) * arr) / safe
-    if np.any(near):
-        out[near] = _cosine_series(arr[near], n)
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
-
-
-def fejer_kernel(n: int, u: float | np.ndarray) -> float | np.ndarray:
-    """K_n(u) = (1/(n+1)) sum_{r<=n} D_r(u); nonnegative, K_n(0) = n+1."""
-    if n < 0:
-        raise LacsumError("kernel order must be >= 0")
-    scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    s = np.sin(arr / 2.0)
-    near = np.abs(s) < _SINGULARITY_EPS
-    safe = np.where(near, 1.0, s)
-    top = np.sin((n + 1) * arr / 2.0)
-    out = (top * top) / ((n + 1) * safe * safe)
-    if np.any(near):
-        weights = 1.0 - np.arange(1, n + 1) / (n + 1.0) if n else None
-        out[near] = _cosine_series(arr[near], n, weights)
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
-
-
-def cesaro_mean(partial_sums: Callable[[int], complex | np.ndarray], n: int):
-    """Average of the first n+1 partial sums, ``(1/(n+1)) sum_{r=0}^{n} S_r``."""
-    if n < 0:
-        raise LacsumError("Cesaro order must be >= 0")
-    total = partial_sums(0)
-    total = np.array(total, dtype=complex) if isinstance(total, np.ndarray) else complex(total)
-    for r in range(1, n + 1):
-        total = total + partial_sums(r)
-    return total / (n + 1)
-
-
-# ---------------------------------------------------------------------------
 # lacunary block split
 
 
@@ -356,10 +292,6 @@ def split_lacunary_blocks(
 @functools.lru_cache(maxsize=64)
 def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     coords = -np.pi + 2.0 * np.pi * np.arange(length) / length
-    return _phase_pair_from_coords(b, coords)
-
-
-def _phase_pair_from_coords(b: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shells = np.arange(b + 1)
     ep = np.exp(1j * np.outer(shells, coords))
     en = np.exp(-1j * np.outer(shells, coords))
@@ -386,13 +318,11 @@ def _shell_expand(arr: np.ndarray, axis: int, ep: np.ndarray, en: np.ndarray) ->
 class ShellTensor:
     """Cumulative shell sums giving O(1) rectangular partial-sum queries.
 
-    After an ``O(prod(2B_j + 1))`` pass per point, ``query(n)`` returns
-    ``S_n`` at every precomputed point by a single lookup, and individual
-    shell contributions are recovered by inclusion-exclusion over the
-    prefix corners.
+    After an ``O(prod(2B_j + 1))`` pass per grid point, ``query(n)`` returns
+    ``S_n`` at every grid point by a single lookup.
     """
 
-    def __init__(self, spectrum: Spectrum, prefix: np.ndarray, grid: TorusGrid | None):
+    def __init__(self, spectrum: Spectrum, prefix: np.ndarray, grid: TorusGrid):
         self.spectrum = spectrum
         self.grid = grid
         self._prefix = _freeze(prefix)
@@ -410,74 +340,30 @@ class ShellTensor:
                 f"shell tensor would take {need} bytes (> {max_bytes}); "
                 "use the blocked prefix sweep for sizes like this"
             )
-        pairs = [_phase_pair_cached(b, L) for b, L in zip(spectrum.bandwidth, grid.resolution)]
-        return cls(spectrum, cls._build(spectrum, pairs), grid)
-
-    @classmethod
-    def from_point(cls, spectrum: Spectrum, point: Sequence[float]) -> "ShellTensor":
-        if len(point) != spectrum.dimension:
-            raise LacsumError("point and spectrum dimension mismatch")
-        pairs = [
-            _phase_pair_from_coords(b, np.asarray([float(x)]))
-            for b, x in zip(spectrum.bandwidth, point)
-        ]
-        prefix = cls._build(spectrum, pairs)
-        return cls(spectrum, prefix.reshape(prefix.shape[: spectrum.dimension]), None)
-
-    @staticmethod
-    def _build(spectrum: Spectrum, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         dim = spectrum.dimension
         arr = spectrum.coeffs
         # expand each coefficient axis into an adjacent (shell, coord) pair
-        for p in range(dim):
-            ep, en = pairs[p]
+        for p, (b, L) in enumerate(zip(spectrum.bandwidth, grid.resolution)):
+            ep, en = _phase_pair_cached(b, L)
             arr = _shell_expand(arr, 2 * p, ep, en)
         perm = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
         arr = np.ascontiguousarray(np.transpose(arr, perm))
         for p in range(dim):
             np.cumsum(arr, axis=p, out=arr)
-        return arr
+        return cls(spectrum, arr, grid)
 
     def _clamped(self, n: Sequence[int]) -> Index:
         clamped, _ = clamp_index(n, self.spectrum.bandwidth)
         return clamped
 
-    def query(self, n: Sequence[int]) -> complex | np.ndarray:
-        """Partial sum ``S_n`` at every stored point (scalar for a point tensor)."""
-        idx = self._clamped(n)
-        out = self._prefix[idx]
-        return complex(out) if self.grid is None else out
+    def query(self, n: Sequence[int]) -> np.ndarray:
+        """Partial sum ``S_n`` at every grid point."""
+        return self._prefix[self._clamped(n)]
 
     def partial_sums(self, indices: Sequence[Sequence[int]]) -> np.ndarray:
-        """Stack of partial sums for many indices: shape ``(K, *grid)`` or ``(K,)``."""
+        """Stack of partial sums for many indices, shape ``(K, *grid)``."""
         idx = np.asarray([self._clamped(n) for n in indices])
-        gathered = self._prefix[tuple(idx[:, p] for p in range(self.spectrum.dimension))]
-        return gathered
-
-    def shell(self, shell_index: Sequence[int]) -> complex | np.ndarray:
-        """One shell contribution, by inclusion-exclusion over prefix corners."""
-        idx = check_index(shell_index, self.spectrum.dimension)
-        if any(i > b for i, b in zip(idx, self.spectrum.bandwidth)):
-            raise LacsumError(f"shell {idx} outside bandwidth {self.spectrum.bandwidth}")
-        total = None
-        for eps in itertools.product((0, 1), repeat=self.spectrum.dimension):
-            corner = tuple(i - e for i, e in zip(idx, eps))
-            if any(c < 0 for c in corner):
-                continue
-            term = self._prefix[corner]
-            sign = -1.0 if sum(eps) % 2 else 1.0
-            total = sign * term if total is None else total + sign * term
-        if total is None:  # pragma: no cover - unreachable, corner (0,..,0) always valid
-            raise LacsumError("empty inclusion-exclusion")
-        return complex(total) if self.grid is None else total
-
-
-def build_shell_tensor(spectrum: Spectrum, target: TorusGrid | Sequence[float]) -> ShellTensor:
-    """Build a shell tensor over a full grid or a single point."""
-    if isinstance(target, TorusGrid):
-        return ShellTensor.from_grid(spectrum, target)
-    return ShellTensor.from_point(spectrum, target)
-
+        return self._prefix[tuple(idx[:, p] for p in range(self.spectrum.dimension))]
 
 # ---------------------------------------------------------------------------
 # blocked prefix sweep

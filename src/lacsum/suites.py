@@ -271,6 +271,10 @@ def gen_test_function(
         bw = (int(bandwidth),) * dimension
     else:
         bw = tuple(int(b) for b in bandwidth)
+    if not bw:
+        raise LacsumError("a test spectrum needs dimension >= 1")
+    if any(b < 0 for b in bw):
+        raise LacsumError(f"bandwidths must be nonnegative, got {bw}")
     gen = rng if rng is not None else np.random.default_rng(seed)
     shape = tuple(2 * b + 1 for b in bw)
 

@@ -9,7 +9,7 @@ one-dimensional factor ``log(|.| + 2)`` only on selected axes:
 * ``min_pair_weight``: ``log^2(min(|nu_i|, |nu_j|) + 2)`` over the two free
   axes of a two-free-axis sample;
 * ``full_product_weight``: the factor on every axis;
-* ``unit_weight`` / ``table_weight`` for unweighted sweeps and tests.
+* ``unit_weight`` for unweighted sweeps.
 
 ``check_weyl_conditions`` verifies positivity, evenness and coordinatewise
 monotonicity exhaustively on a finite box, returning the first violating
@@ -129,31 +129,6 @@ def unit_weight(dimension: int | None = None) -> WeylWeight:
     return WeylWeight(
         kind="unit", description="W == 1", dimension=dimension, monotone=True, fn=fn
     )
-
-
-def table_weight(table: np.ndarray, description: str = "custom table") -> WeylWeight:
-    """Weight read from a table indexed by the absolute components."""
-    tab = np.asarray(table, dtype=float)
-    dim = tab.ndim
-
-    def fn(nu: np.ndarray) -> np.ndarray:
-        a = np.abs(nu)
-        if a.size and int(a.max()) >= min(tab.shape):
-            raise LacsumError(f"table weight only covers |nu_j| < {min(tab.shape)}")
-        return tab[tuple(a[..., p] for p in range(dim))]
-
-    return WeylWeight(
-        kind="table", description=description, dimension=dim, monotone=False, fn=fn
-    )
-
-
-def custom_weight(
-    fn: Callable[[np.ndarray], np.ndarray],
-    dimension: int | None = None,
-    description: str = "custom",
-    monotone: bool = False,
-) -> WeylWeight:
-    return WeylWeight("custom", description, dimension, monotone, fn)
 
 
 WEIGHT_KINDS = ("product", "minpair", "full", "unit")

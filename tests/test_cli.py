@@ -159,6 +159,23 @@ def test_malformed_spectrum_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "abel", "--n", "1"],
+        ["verify", "abel", "--nu", "0"],
+        ["verify", "abel", "--trials", "-1"],
+        ["gen", "--B", "-1"],
+        ["gen", "--N", "0"],
+    ],
+)
+def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_usage_error_exit_code(tmp_path):
     # unknown config key -> config error -> exit 2
     other = tmp_path / "unknown.cfg"

@@ -2,22 +2,16 @@ import numpy as np
 import pytest
 
 from lacsum import (
-    JkIndexSpace,
     LacsumError,
     SampleJk,
     Spectrum,
     TorusGrid,
     apply_pair_weight,
-    cesaro_mean,
     coefficient_transfer,
     decompose_free_pair,
-    make_lacunary,
     min_log_inverse,
-    min_log_inverse_diffs,
     min_pair_weight,
-    partial_sum,
     single_mode_spectrum,
-    summed_partial_sums,
     weighted_energy,
     zero_spectrum,
 )
@@ -34,13 +28,6 @@ def test_weight_values():
     assert min_log_inverse(0, 0) == pytest.approx(1.0 / np.log(2.0), abs=1e-12)
     assert min_log_inverse(5, 100) == min_log_inverse(5, 7) == pytest.approx(1.0 / np.log(7.0))
     assert min_log_inverse(3, -9) == min_log_inverse(-9, 3)
-
-
-def test_difference_values():
-    d = min_log_inverse_diffs(3, 5)
-    assert d["dq"] == pytest.approx(0.0, abs=1e-15)
-    d = min_log_inverse_diffs(5, 3)
-    assert d["dq"] == pytest.approx(1.0 / np.log(5.0) - 1.0 / np.log(6.0), abs=1e-14)
 
 
 def test_mixed_difference_vanishes_off_diagonal():
@@ -124,76 +111,3 @@ def test_decompose_dimension_guard():
     with pytest.raises(LacsumError):
         decompose_free_pair(zero_spectrum((3, 3)), (1, 1), (1, 2), TorusGrid((8, 8)))
 
-
-# ---------------------------------------------------------------------------
-# summed partial sums over free boxes
-
-
-def space_j1():
-    sample = SampleJk(3, (1,))
-    return JkIndexSpace(sample, (make_lacunary(2.0, 3),), (6, 6))
-
-
-def test_summed_cap_zero_is_single_partial_sum():
-    rng = np.random.default_rng(6)
-    s = random_spectrum(rng, (3, 3, 3))
-    space = space_j1()
-    q = summed_partial_sums(s, space, (2, 5, 3), (2,), (0,), GRID)
-    direct = partial_sum(s, (2, 0, 3), GRID)
-    assert np.max(np.abs(q.values - direct.values)) < 1e-12
-
-
-def test_summed_excluded_mode_is_zero():
-    s = single_mode_spectrum((3, 3, 3), (2, 1, 1))
-    space = space_j1()
-    q = summed_partial_sums(s, space, (1, 3, 3), (2,), (3,), GRID)
-    assert np.max(np.abs(q.values)) < 1e-14
-
-
-def test_summed_matches_brute_force_and_cesaro():
-    rng = np.random.default_rng(7)
-    s = random_spectrum(rng, (3, 3, 3))
-    space = space_j1()
-    index, p = (2, 0, 3), 3
-    q = summed_partial_sums(s, space, index, (2,), (p,), GRID)
-    acc = np.zeros(GRID.resolution, dtype=complex)
-    for m in range(p + 1):
-        acc += partial_sum(s, (2, m, 3), GRID).values
-    assert np.max(np.abs(q.values - acc)) < 1e-12
-    # equals (p+1) times the Cesaro mean of the axis-2 partial-sum sequence
-    cesaro = cesaro_mean(lambda r: partial_sum(s, (2, r, 3), GRID).values, p)
-    assert np.max(np.abs(q.values - (p + 1) * cesaro)) < 1e-12
-
-
-def test_summed_matches_attenuation_multiplier():
-    # summing the box over one free axis multiplies each mode by
-    # max(0, p + 1 - |nu|); independent coefficient-side oracle
-    rng = np.random.default_rng(8)
-    s = random_spectrum(rng, (3, 3, 3))
-    space = space_j1()
-    index, p = (4, 0, 2), 2
-    q = summed_partial_sums(s, space, index, (2,), (p,), GRID)
-    weights = np.maximum(0.0, p + 1 - np.abs(np.arange(-3, 4)))
-    scaled = s.coeffs * weights[None, :, None]
-    expected = partial_sum(Spectrum(s.bandwidth, scaled), (4, 3, 2), GRID).values
-    assert np.max(np.abs(q.values - expected)) < 1e-12
-
-
-def test_summed_growth_envelope():
-    rng = np.random.default_rng(9)
-    s = random_spectrum(rng, (3, 3, 3))
-    space = space_j1()
-    index, caps = (2, 0, 0), (2, 3)
-    q = summed_partial_sums(s, space, index, (2, 3), caps, GRID)
-    worst = 0.0
-    for m2 in range(caps[0] + 1):
-        for m3 in range(caps[1] + 1):
-            worst = max(worst, float(np.max(np.abs(partial_sum(s, (2, m2, m3), GRID).values))))
-    bound = (caps[0] + 1) * (caps[1] + 1) * worst
-    assert np.max(np.abs(q.values)) <= bound + 1e-12
-
-
-def test_summed_rejects_non_free_axis():
-    s = zero_spectrum((3, 3, 3))
-    with pytest.raises(LacsumError):
-        summed_partial_sums(s, space_j1(), (1, 0, 0), (1,), (2,), GRID)

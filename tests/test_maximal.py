@@ -10,7 +10,6 @@ from lacsum import (
     SampleJk,
     Spectrum,
     TorusGrid,
-    diagonal_maximal,
     enumerate_jk_indices,
     gather_max,
     level_set_measure,
@@ -18,7 +17,6 @@ from lacsum import (
     min_pair_weight,
     partial_sum,
     product_weight,
-    single_free_maximal,
     single_mode_spectrum,
     sweep_space,
     synthesize,
@@ -165,7 +163,8 @@ def test_single_free_maximal_dominates_function():
     sample = SampleJk(3, (1, 2))
     fam = make_lacunary(2.0, 2)  # terms 1, 2 reach the bandwidth
     space = JkIndexSpace(sample, (fam, fam), (5,))
-    rep = single_free_maximal(s, space, GRID)
+    rep = weighted_maximal(s, space, unit_weight(3), GRID)
+    assert rep.engine == "blocked"
     f = synthesize(s, GRID).values
     assert np.all(rep.values >= np.abs(f) - 1e-12)
 
@@ -176,38 +175,32 @@ def test_single_free_maximal_matches_enumeration():
     sample = SampleJk(3, (1, 2))
     fam = make_lacunary(2.0, 3)
     space = JkIndexSpace(sample, (fam, fam), (4,))
-    rep = single_free_maximal(s, space, GRID)
+    rep = weighted_maximal(s, space, unit_weight(3), GRID)
+    assert rep.engine == "blocked"
     best = np.zeros(GRID.resolution)
     for idx in enumerate_jk_indices(space):
         best = np.maximum(best, np.abs(partial_sum(s, idx, GRID).values))
     assert np.max(np.abs(rep.values - best)) < 1e-10
 
 
-def test_single_free_requires_one_free_axis():
-    space, _ = small_space()
-    with pytest.raises(LacsumError):
-        single_free_maximal(zero_spectrum((4, 4, 4)), space, GRID)
-
-
-def test_diagonal_zero_and_single_mode():
-    fam = make_lacunary(2.0, 3)
-    rep0 = diagonal_maximal(zero_spectrum((4, 4, 4)), [fam], GRID, diag_cap=4)
-    assert np.max(rep0.values) == 0.0
-    s = single_mode_spectrum((4, 4, 4), (1, 3, 3))
-    rep = diagonal_maximal(s, [fam], GRID, diag_cap=4)
-    assert np.max(np.abs(rep.values - 1.0)) < 1e-12
-
-
-def test_diagonal_below_full_space():
-    rng = np.random.default_rng(7)
-    s = random_spectrum(rng, (4, 4, 4))
-    fam = make_lacunary(2.0, 3)
-    diag = diagonal_maximal(s, [fam], GRID, diag_cap=4, record_argmax=False)
-    sample = SampleJk(3, (1,))
-    full = weighted_maximal(
-        s, JkIndexSpace(sample, (fam,), (4, 4)), unit_weight(3), GRID, record_argmax=False
-    )
-    assert np.all(diag.values <= full.values + 1e-12)
+def test_argmax_ties_each_engine_keeps_an_attaining_index():
+    # at x = 0 the indices (1, 2, 0), (1, 0, 2) and others all reach |S| = 1
+    bw = (1, 2, 2)
+    coeffs = np.zeros((3, 5, 5), dtype=complex)
+    for nu, c in (((1, 2, 0), 1.0), ((1, 0, 2), 1.0), ((1, 2, 2), -1.0)):
+        coeffs[tuple(v + b for v, b in zip(nu, bw))] = c
+    s = Spectrum(bw, coeffs)
+    grid = TorusGrid((4, 8, 8))
+    space = JkIndexSpace(SampleJk(3, (1,)), (make_lacunary(2.0, 1),), (2, 2))
+    x = (2, 4, 4)
+    chosen = {}
+    for engine in ("blocked", "gather"):
+        rep = weighted_maximal(s, space, unit_weight(3), grid, engine=engine)
+        chosen[engine] = rep.argmax_index(x)
+        reached = abs(partial_sum(s, chosen[engine], grid).values[x])
+        assert abs(reached - rep.values[x]) < 1e-12
+    # the blocked engine keeps the first tie in stream order (combo, mb, ma)
+    assert chosen["blocked"] == (1, 2, 0)
 
 
 def test_four_dimensional_two_lacunary_axes():

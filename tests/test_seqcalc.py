@@ -14,7 +14,6 @@ from lacsum import (
     build_slow_sequence,
     difference,
     dyadic_square_anchor,
-    iterated_prefix_sum,
     make_lacunary,
     make_lacunary_covering,
     restrict,
@@ -121,19 +120,19 @@ def test_convex_weight_validation():
 
 
 # ---------------------------------------------------------------------------
-# iterated prefix sums
+# iterated prefix sums (the unnormalized form the Abel identity sums)
 
 
 def test_single_sum_regime():
     a = np.asarray([1.0, 1.0, 1.0])
     b = np.asarray([1.0, 0.9, 0.8, 0.7, 0.6])
-    assert iterated_prefix_sum(a, (0,), b, (2,)) == pytest.approx(3.0)
+    assert _iterated_scaled(a, (0,), b, (2,)) == pytest.approx(3.0)
 
 
 def test_double_sum_regime():
     a = np.asarray([1.0, 1.0, 1.0])
     b = np.asarray([1.0, 0.9, 0.8, 0.7, 0.6])
-    assert iterated_prefix_sum(a, (1,), b, (2,)) == pytest.approx(6.0)
+    assert _iterated_scaled(a, (1,), b, (2,)) == pytest.approx(6.0)
 
 
 def test_weighted_regime_matches_nested_loops():
@@ -141,7 +140,7 @@ def test_weighted_regime_matches_nested_loops():
     a = rng.standard_normal(6)
     b = np.asarray([(j - 8.0) ** 2 / 10 + 0.5 for j in range(9)])
     kappa = 4
-    got = iterated_prefix_sum(a, (2,), b, (kappa,))
+    got = _iterated_scaled(a, (2,), b, (kappa,))
     d2 = lambda j: b[j] - 2 * b[j + 1] + b[j + 2]
     total = 0.0
     for alpha in range(kappa + 1):
@@ -150,7 +149,7 @@ def test_weighted_regime_matches_nested_loops():
             for i in range(t + 1):
                 inner += a[i]
         total += d2(alpha) * inner
-    assert got == pytest.approx(total / d2(kappa), rel=1e-12)
+    assert got == pytest.approx(total, rel=1e-12)
 
 
 def test_regime_order_independence():
@@ -160,13 +159,6 @@ def test_regime_order_independence():
     v1 = _iterated_scaled(a, (1, 2), b, (3, 4))
     v2 = _iterated_scaled(a.T, (2, 1), b, (4, 3))
     assert v1 == pytest.approx(v2, rel=1e-12)
-
-
-def test_degenerate_second_difference():
-    a = np.ones(5)
-    affine = 2.0 - 0.125 * np.arange(8)  # second differences vanish exactly
-    with pytest.raises(DegenerateInputError):
-        iterated_prefix_sum(a, (2,), affine, (2,))
 
 
 # ---------------------------------------------------------------------------

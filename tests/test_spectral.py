@@ -8,10 +8,6 @@ from lacsum import (
     Spectrum,
     TorusGrid,
     analyze,
-    build_shell_tensor,
-    cesaro_mean,
-    dirichlet_kernel,
-    fejer_kernel,
     grid_l2,
     make_lacunary,
     partial_sum,
@@ -159,100 +155,6 @@ def test_monotone_exhaustion_exact():
 
 
 # ---------------------------------------------------------------------------
-# kernels and Cesaro means
-
-
-def test_dirichlet_values():
-    assert dirichlet_kernel(3, 0.0) == pytest.approx(7.0, abs=1e-12)
-    u = np.linspace(-3, 3, 101)
-    assert np.max(np.abs(dirichlet_kernel(0, u) - 1.0)) < 1e-12
-    assert dirichlet_kernel(2, np.pi / 2) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_dirichlet_matches_cosine_sum():
-    u = np.linspace(-np.pi, np.pi, 257)
-    for n in (1, 3, 8):
-        direct = 1.0 + 2.0 * sum(np.cos(k * u) for k in range(1, n + 1))
-        assert np.max(np.abs(dirichlet_kernel(n, u) - direct)) < 1e-9
-
-
-def test_dirichlet_periodic_singularities():
-    for u in (0.0, 2 * np.pi, -2 * np.pi):
-        assert dirichlet_kernel(5, u) == pytest.approx(11.0, abs=1e-6)
-
-
-def test_fejer_values():
-    for n in (0, 1, 4, 9):
-        assert fejer_kernel(n, 0.0) == pytest.approx(n + 1.0, abs=1e-9)
-    assert fejer_kernel(1, np.pi) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fejer_is_dirichlet_average():
-    u = np.linspace(-np.pi, np.pi, 123)
-    for n in (1, 2, 7):
-        avg = sum(dirichlet_kernel(r, u) for r in range(n + 1)) / (n + 1)
-        assert np.max(np.abs(fejer_kernel(n, u) - avg)) < 1e-9
-
-
-def test_fejer_nonnegative():
-    u = np.linspace(-np.pi, np.pi, 10_000)
-    for n in (1, 5, 17, 32):
-        assert fejer_kernel(n, u).min() >= 0.0
-
-
-def one_axis_partial_sums(coeffs_1d, b, t):
-    def provider(r):
-        r = min(r, b)
-        ks = np.arange(-r, r + 1)
-        return np.sum(coeffs_1d[b - r : b + r + 1] * np.exp(1j * ks * t))
-
-    return provider
-
-
-def test_cesaro_constant():
-    assert cesaro_mean(lambda r: 3.5 + 0j, 7) == pytest.approx(3.5)
-
-
-def test_cesaro_single_mode_attenuation():
-    b, k, t = 6, 2, 0.7
-    coeffs = np.zeros(2 * b + 1, dtype=complex)
-    coeffs[b + k] = 1.0
-    for n in (2, 4, 6):
-        got = cesaro_mean(one_axis_partial_sums(coeffs, b, t), n)
-        expected = (n + 1 - k) / (n + 1) * np.exp(1j * k * t)
-        assert abs(got - expected) < 1e-12
-
-
-def test_cesaro_polynomial_error_bound():
-    rng = np.random.default_rng(7)
-    d = 3
-    coeffs = np.zeros(2 * d + 1, dtype=complex)
-    coeffs[:] = rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1)
-    t = 1.1
-    n = 4 * d
-    exact = sum(
-        coeffs[d + k] * np.exp(1j * k * t) for k in range(-d, d + 1)
-    )
-    got = cesaro_mean(one_axis_partial_sums(coeffs, d, t), n)
-    bound = sum(abs(k) / (n + 1) * abs(coeffs[d + k]) for k in range(-d, d + 1))
-    assert abs(got - exact) <= bound + 1e-12
-
-
-def test_cesaro_equals_fejer_convolution():
-    rng = np.random.default_rng(8)
-    b, n, big = 5, 8, 32
-    coeffs = rng.standard_normal(2 * b + 1) + 1j * rng.standard_normal(2 * b + 1)
-    t = 0.3
-    direct = cesaro_mean(one_axis_partial_sums(coeffs, b, t), n)
-    xs = -np.pi + 2 * np.pi * np.arange(big) / big
-    phi = np.asarray(
-        [np.sum(coeffs * np.exp(1j * np.arange(-b, b + 1) * x)) for x in xs]
-    )
-    conv = np.mean(phi * fejer_kernel(n, t - xs))
-    assert abs(direct - conv) < 1e-10
-
-
-# ---------------------------------------------------------------------------
 # lacunary block split
 
 
@@ -307,28 +209,6 @@ def test_shell_tensor_s0_is_c0():
     grid = TorusGrid((6, 6))
     tensor = ShellTensor.from_grid(s, grid)
     assert np.max(np.abs(tensor.query((0, 0)) - s.coefficient((0, 0)))) < 1e-13
-
-
-def test_shells_sum_to_partial_sum():
-    rng = np.random.default_rng(12)
-    s = Spectrum((3, 2), rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
-    grid = TorusGrid((8, 6))
-    tensor = ShellTensor.from_grid(s, grid)
-    n = (2, 2)
-    acc = np.zeros(grid.resolution, dtype=complex)
-    for shell in np.ndindex(n[0] + 1, n[1] + 1):
-        acc += tensor.shell(shell)
-    assert np.max(np.abs(acc - tensor.query(n))) < 1e-10
-
-
-def test_shell_tensor_point_matches_grid():
-    rng = np.random.default_rng(13)
-    s = Spectrum((3, 3), rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
-    grid = TorusGrid((8, 8))
-    tensor = ShellTensor.from_grid(s, grid)
-    point = (grid.axis_coords(0)[3], grid.axis_coords(1)[5])
-    pt = build_shell_tensor(s, point)
-    assert abs(pt.query((2, 1)) - tensor.query((2, 1))[3, 5]) < 1e-12
 
 
 def test_shell_tensor_budget_guard():

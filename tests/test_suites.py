@@ -67,6 +67,15 @@ def test_gen_unknown_family():
         gen_test_function("nope", bandwidth=2)
 
 
+def test_gen_rejects_negative_bandwidth_and_no_axes():
+    with pytest.raises(LacsumError):
+        gen_test_function("random_decay", bandwidth=-1, dimension=2)
+    with pytest.raises(LacsumError):
+        gen_test_function("random_decay", bandwidth=(3, -1))
+    with pytest.raises(LacsumError):
+        gen_test_function("random_decay", bandwidth=3, dimension=0)
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 
@@ -166,17 +175,28 @@ def test_sup_error_table_matches_direct():
     bw = (3, 3, 3)
     s = Spectrum(bw, rng.standard_normal((7, 7, 7)) + 1j * rng.standard_normal((7, 7, 7)))
     grid = TorusGrid((12, 12, 12))
-    sample = SampleJk(3, (1,))
-    space = JkIndexSpace(sample, (make_lacunary(2.0, 2),), (3, 3))
-    originals, table = sup_error_table(s, grid, space)
     f = synthesize(s, grid).values
-    worst = 0.0
-    for ci, cut in enumerate(originals[0]):
-        for ma in range(4):
-            for mb in range(4):
-                err = np.max(np.abs(partial_sum(s, (cut, ma, mb), grid).values - f))
-                worst = max(worst, abs(table[ci, ma, mb] - err))
-    assert worst < 1e-10
+    fam = make_lacunary(2.0, 3)  # terms 1, 2, 4; 4 clamps onto the bandwidth 3
+    # one free axis (the phantom second stream axis) and two, with and
+    # without terms skipped below min_term
+    for jk in ((1,), (1, 2)):
+        sample = SampleJk(3, jk)
+        space = JkIndexSpace(sample, (fam,) * len(jk), (3,) * (3 - len(jk)))
+        lac, free = sample.lacunary_positions, sample.free_positions
+        for min_term in (0, 2):
+            originals, table = sup_error_table(s, grid, space, min_term=min_term)
+            assert originals == ((1, 2, 4) if min_term == 0 else (2, 4),) * len(jk)
+            assert table.shape == tuple(len(o) for o in originals) + (4,) * len(free)
+            worst = 0.0
+            for pos in np.ndindex(*table.shape):
+                n = [0, 0, 0]
+                for p, terms, i in zip(lac, originals, pos):
+                    n[p] = terms[i]
+                for p, m in zip(free, pos[len(lac):]):
+                    n[p] = m
+                err = np.max(np.abs(partial_sum(s, n, grid).values - f))
+                worst = max(worst, abs(table[pos] - err))
+            assert worst < 1e-10, (jk, min_term, worst)
 
 
 def test_coefficient_tail():

@@ -7,18 +7,17 @@ from lacsum import (
     LacsumError,
     SampleJk,
     Spectrum,
+    WeylWeight,
     check_weyl_conditions,
     full_product_weight,
     make_lacunary,
     min_pair_weight,
     product_weight,
     split_lacunary_blocks,
-    table_weight,
     unit_weight,
     weighted_energy,
     zero_spectrum,
 )
-from lacsum.weyl import custom_weight
 
 
 def test_product_weight_values():
@@ -74,13 +73,16 @@ def test_conditions_pass_for_shipped_weights():
 def test_planted_negative_entry_fails_positivity():
     table = np.ones((5, 5))
     table[2, 3] = -1.0
-    report = check_weyl_conditions(table_weight(table), box=4)
+    w = WeylWeight(
+        "table", "planted", 2, False, lambda nu: table[np.abs(nu[..., 0]), np.abs(nu[..., 1])]
+    )
+    report = check_weyl_conditions(w, box=4)
     assert not report.positivity
     assert report.positivity.witness == (2, 3)
 
 
 def test_asymmetric_weight_fails_symmetry():
-    w = custom_weight(lambda nu: 1.0 + (nu[..., 0] > 0) * 0.5, dimension=2)
+    w = WeylWeight("custom", "asymmetric", 2, False, lambda nu: 1.0 + (nu[..., 0] > 0) * 0.5)
     report = check_weyl_conditions(w, box=4)
     assert not report.symmetry
     assert report.symmetry.witness is not None
@@ -89,7 +91,10 @@ def test_asymmetric_weight_fails_symmetry():
 def test_nonmonotone_weight_fails_monotonicity():
     table = np.ones((6, 6))
     table[3, 2] = 0.25  # drop along axis 0
-    report = check_weyl_conditions(table_weight(table), box=5)
+    w = WeylWeight(
+        "table", "planted", 2, False, lambda nu: table[np.abs(nu[..., 0]), np.abs(nu[..., 1])]
+    )
+    report = check_weyl_conditions(w, box=5)
     assert not report.monotonicity
     assert report.monotonicity.witness == (3, 2)
 
