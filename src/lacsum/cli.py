@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LacsumError
 from .lattice import JkIndexSpace, SampleJk, make_lacunary
-from .maximal import weak_type_table, weighted_maximal
+from .maximal import weak_type_table
 from .decomp import coefficient_transfer, decompose_free_pair
 from .seqcalc import abel_identity_check
 from .serialize import (
@@ -231,8 +231,8 @@ def _cmd_maximal(args) -> int:
     res = args.grid if args.grid else max(4 * b for b in spectrum.bandwidth)
     grid = TorusGrid((res,) * n)
     weight = weight_from_kind(args.weight, sample)
-    report = weighted_maximal(spectrum, space, weight, grid, record_argmax=False)
     table = weak_type_table(spectrum, space, weight, grid)
+    report = table.report
     doc = {
         "schema": "lacsum.maximal/1",
         "space": report.space,

@@ -12,7 +12,10 @@ Two engines compute the same numbers:
 
 * the blocked engine streams `iter_prefix_slabs` (lacunary axes cut to
   their clamped term values, free axes carrying a full prefix range) and
-  is what makes grid-scale sweeps affordable;
+  is what makes grid-scale sweeps affordable; it reduces each batch of
+  rows into a slice of its running maxima, and one pass serves several
+  weights, so ``weak_type_table`` also returns the weighted report it
+  swept beside the unweighted maximum;
 * the gather engine materializes a ``ShellTensor`` and looks up an explicit
   index list; it covers shapes the blocked engine does not (three or more
   free axes, non-monotone weights) and doubles as the oracle in tests.
@@ -155,10 +158,11 @@ def sweep_space(
         for w in weights
     ]
 
-    grid_perm_shape = tuple(grid.resolution[a] for a in perm)
     nw, nl = len(weights), len(levels)
-    # the phantom axis has one grid point, matching the slab's (xa, xb)
-    m2 = np.zeros((nw, nl) + grid_perm_shape + (1,) * len(phantom))
+    # running maxima per (cut-axis grid point, xa, xb), so a batch of rows is
+    # one slice; the phantom axis has one grid point, matching the slab
+    slab_grid = tuple(grid.resolution[a] for a in free_pos) + (1,) * len(phantom)
+    m2 = np.zeros((nw, nl, lac_size) + slab_grid)
     ids = np.zeros(m2.shape, dtype=np.int64) if record_argmax else None
 
     # One reduction for every shape: each cap level (ra, rb) folds the max
@@ -167,28 +171,28 @@ def sweep_space(
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         if mb > top[1]:
             continue  # beyond every cap level on the second free axis
-        combo_flat, lac_flat = row // lac_size, row % lac_size
-        lac_coords = np.unravel_index(lac_flat, plan.lac_grid_shape) if lac_pos else ()
-        view = slab[: top[0] + 1]
+        combo_flat, lac_flat = divmod(row, lac_size)
+        rows = slice(lac_flat, lac_flat + len(slab))
+        view = slab[:, : top[0] + 1]
         sq = view.real**2 + view.imag**2
         for wi, inv in enumerate(inv_tables):
             q = sq if inv is None else sq * inv[combo_flat, :, mb, None, None]
             for li, (ra, rb) in enumerate(caps):
                 if mb > rb:
                     continue
-                sub = q[: ra + 1]
-                cand = sub.max(axis=0)
-                dest = (wi, li) + lac_coords
+                sub = q[:, : ra + 1]
+                cand = sub.max(axis=1)
+                dest = m2[wi, li, rows]
                 if ids is None:
-                    np.maximum(m2[dest], cand, out=m2[dest])
+                    np.maximum(dest, cand, out=dest)
                 else:
-                    rid = (combo_flat * strides[0] + sub.argmax(axis=0)) * strides[1] + mb
-                    better = cand > m2[dest]
-                    m2[dest][better] = cand[better]
-                    ids[dest][better] = rid[better]
+                    rid = (combo_flat * strides[0] + sub.argmax(axis=1)) * strides[1] + mb
+                    better = cand > dest
+                    dest[better] = cand[better]
+                    ids[wi, li, rows][better] = rid[better]
 
     inverse = (0, 1) + tuple(2 + perm.index(a) for a in range(sample.dimension))
-    shape = (nw, nl) + grid_perm_shape
+    shape = (nw, nl) + tuple(grid.resolution[a] for a in perm)
     m_values = np.sqrt(np.transpose(m2.reshape(shape), inverse))
     if ids is not None:
         ids = np.transpose(ids.reshape(shape), inverse)
@@ -280,6 +284,13 @@ def _report_from(
     )
 
 
+def _blocked_ok(spectrum: Spectrum, space: JkIndexSpace, weight: WeylWeight) -> bool:
+    """Whether the blocked engine can sweep ``space`` under ``weight``."""
+    if space.sample.dimension != spectrum.dimension:
+        raise LacsumError("space and spectrum dimension mismatch")
+    return len(space.sample.free_positions) in (1, 2) and weight.monotone
+
+
 def weighted_maximal(
     spectrum: Spectrum,
     space: JkIndexSpace,
@@ -289,9 +300,7 @@ def weighted_maximal(
     engine: str = "auto",
 ) -> MaximalReport:
     """Maximum of ``|S_n(x)| / sqrt(W(n))`` over every index of the space."""
-    if space.sample.dimension != spectrum.dimension:
-        raise LacsumError("space and spectrum dimension mismatch")
-    blocked_ok = len(space.sample.free_positions) in (1, 2) and weight.monotone
+    blocked_ok = _blocked_ok(spectrum, space, weight)
     if engine == "auto":
         engine = "blocked" if blocked_ok else "gather"
     if engine == "blocked":
@@ -348,6 +357,7 @@ class WeakTypeTable:
     ratios: np.ndarray
     sigma: float
     max_ratio: float
+    report: MaximalReport  # the weighted maximal over the same space, no argmax
 
 
 def default_alpha_grid(m_max: float, points: int = 25) -> np.ndarray:
@@ -366,21 +376,31 @@ def weak_type_table(
     """Table of ``alpha^2 * mu{M > alpha} / Sigma`` over a level grid.
 
     ``M`` is the unweighted maximum over the space; ``Sigma`` is the weighted
-    coefficient energy of the input.
+    coefficient energy of the input. The table also carries the weighted
+    maximal report of the same space; when the blocked engine can take the
+    weight, one slab pass sweeps both weights.
     """
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
         raise DegenerateInputError("weighted energy is zero")
-    report = weighted_maximal(
-        spectrum, space, unit_weight(spectrum.dimension), grid, record_argmax=False
-    )
-    m_max = float(report.values.max())
+    unit = unit_weight(spectrum.dimension)
+    if _blocked_ok(spectrum, space, weight):
+        sweep = sweep_space(spectrum, grid, space, [weight, unit], [space.free_caps])
+        report = _report_from(
+            spectrum, grid, space_summary(space), weight.description, sweep.m_values[0, 0],
+            None, None, "blocked",
+        )
+        m = sweep.m_values[1, 0]
+    else:
+        report = weighted_maximal(spectrum, space, weight, grid, record_argmax=False)
+        m = weighted_maximal(spectrum, space, unit, grid, record_argmax=False).values
+    m_max = float(m.max())
     grid_alphas = (
         np.asarray(alphas, dtype=float) if alphas is not None else default_alpha_grid(m_max)
     )
     if np.any(grid_alphas <= 0):
         raise LacsumError("alpha grid must be positive")
-    measures = np.asarray([level_set_measure(report.values, a, grid) for a in grid_alphas])
+    measures = np.asarray([level_set_measure(m, a, grid) for a in grid_alphas])
     ratios = grid_alphas**2 * measures / sigma
     return WeakTypeTable(
         alphas=grid_alphas,
@@ -388,4 +408,5 @@ def weak_type_table(
         ratios=ratios,
         sigma=sigma,
         max_ratio=float(ratios.max()),
+        report=report,
     )

@@ -17,7 +17,10 @@ Rectangular partial sums are served by two engines:
   stream the same prefix idea through memory-bounded slabs for sweeps that
   cut the lacunary axes down to a few values while keeping the full prefix
   range on one or two free axes; this is what makes the all-index maximal
-  and convergence sweeps tractable.
+  and convergence sweeps tractable. Each yielded slab holds a batch of
+  consecutive rows (cut-axis grid points of one cut-value combo), as many
+  as fit a byte budget, so small one-free-axis slabs cost one numpy call
+  per batch rather than per row.
 """
 
 from __future__ import annotations
@@ -454,37 +457,60 @@ def plan_prefix_blocks(
 
 
 def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np.ndarray:
-    """Pin the cut axes: returns ``(rows, *free coefficient axes)``."""
+    """Pin the cut axes: returns ``(rows, *free coefficient axes)``.
+
+    Each cut axis in turn becomes a (cut value, grid coordinate) pair: a
+    running sum over its shells ``|nu| = 0, 1, ...`` is copied out whenever
+    it reaches a cut value. Only one shell and the running sum are live
+    beside the output, never the whole shell expansion.
+    """
     arr = np.transpose(spectrum.coeffs, plan.cut_axes + plan.free_axes)
-    for t, axis in enumerate(plan.cut_axes):
+    # arr is (cut values so far, their grid coordinates, coefficient axes left)
+    for t, (axis, values) in enumerate(zip(plan.cut_axes, plan.cut_values)):
         b = spectrum.bandwidth[axis]
         ep, en = _phase_pair_cached(b, grid.resolution[axis])
-        arr = _shell_expand(arr, 2 * t, ep, en)
-        arr = np.cumsum(arr, axis=2 * t)
-        arr = np.take(arr, np.asarray(plan.cut_values[t]), axis=2 * t)
-    k = len(plan.cut_axes)
-    perm = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2)) + tuple(range(2 * k, arr.ndim))
-    arr = np.ascontiguousarray(np.transpose(arr, perm))
+        # nu first, then a length-1 slot where this axis's grid coordinate goes
+        coef = np.expand_dims(np.moveaxis(arr, 2 * t, 0), 2 * t + 1)
+        phase_shape = ep.shape[1:] + (1,) * (arr.ndim - 2 * t - 1)
+        acc = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
+        shell, tmp = np.empty_like(acc), np.empty_like(acc)
+        out = np.empty(acc.shape[:t] + (len(values),) + acc.shape[t:], dtype=complex)
+        dest = np.moveaxis(out, t, 0)
+        for i in range(values[-1] + 1):
+            np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=shell)
+            np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
+            shell += tmp
+            if i:
+                acc += shell
+            else:
+                np.copyto(acc, shell)
+            if i in values:
+                dest[values.index(i)] = acc
+        arr = out
     return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in plan.free_limits))
 
 
 def iter_prefix_slabs(
-    spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan
+    spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan, max_bytes: int = 1 << 20
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Stream partial-sum prefixes for the planned sweep, one slab at a time.
+    """Stream partial-sum prefixes for the planned sweep, a batch of rows at a time.
 
-    Yields ``(row, mb, slab)`` for every row and every prefix value ``mb`` of
-    the second free axis in increasing order, where ``slab[ma, xa, xb]`` is
-    the rectangular partial sum with the row's cut-value combo on the cut
-    axes and ``(ma, mb)`` on the free axes. A plan with one free axis streams
-    a phantom second axis of bandwidth 0 on a 1-point grid, so ``mb`` is
-    always 0 and ``xb`` has length 1. The slab buffer is grown in place
-    between yields (a running prefix), so consumers must reduce it before
-    advancing.
+    Yields ``(row, mb, slab)`` for every batch of consecutive rows and every
+    prefix value ``mb`` of the second free axis in increasing order, where
+    ``slab[r, ma, xa, xb]`` is the rectangular partial sum of row
+    ``row + r`` with that row's cut-value combo on the cut axes and
+    ``(ma, mb)`` on the free axes. A batch never crosses a cut-combo
+    boundary, so its rows share one combo and cover consecutive cut-axis
+    grid points. A plan with one free axis streams a phantom second axis of
+    bandwidth 0 on a 1-point grid, so ``mb`` is always 0 and ``xb`` has
+    length 1. The slab buffer is grown in place between yields (a running
+    prefix), so consumers must reduce it before advancing.
 
-    Keeping the slab at ``(B_a + 1) * L_a * L_b`` entries instead of
-    materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)`` block is what
-    keeps the sweep cache-resident at grid scale.
+    A batch holds as many rows as fit in ``max_bytes`` of slab, and at least
+    one. Keeping the slab at ``(B_a + 1) * L_a * L_b`` entries per row
+    instead of materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)``
+    block is what keeps the sweep cache-resident at grid scale; batching
+    rows keeps the number of numpy calls down when those slabs are small.
     """
     arr = _cut_stage(spectrum, grid, plan)
     free = [(spectrum.bandwidth[a], grid.resolution[a]) for a in plan.free_axes]
@@ -494,16 +520,22 @@ def iter_prefix_slabs(
     (ba, la), (bb, lb) = free
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
-    slab = np.empty((ba + 1, la, lb), dtype=complex)
-    tmp = np.empty_like(slab)
-    for row in range(plan.rows):
-        w = _shell_expand(arr[row], 0, epa, ena)  # (ma, xa, nu_b)
-        np.cumsum(w, axis=0, out=w)
-        np.copyto(slab, w[..., bb, None])
-        yield row, 0, slab
-        for mb in range(1, bb + 1):
-            np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
-            slab += tmp
-            np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
-            slab += tmp
-            yield row, mb, slab
+    lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
+    batch = max(1, min(lac_size, max_bytes // ((ba + 1) * la * lb * 16)))
+    slab_buf = np.empty((batch, ba + 1, la, lb), dtype=complex)
+    tmp_buf = np.empty_like(slab_buf)
+    for combo_start in range(0, plan.rows, lac_size):
+        combo_end = combo_start + lac_size
+        for row in range(combo_start, combo_end, batch):
+            n = min(batch, combo_end - row)
+            slab, tmp = slab_buf[:n], tmp_buf[:n]
+            w = _shell_expand(arr[row : row + n], 1, epa, ena)  # (r, ma, xa, nu_b)
+            np.cumsum(w, axis=1, out=w)
+            np.copyto(slab, w[..., bb, None])
+            yield row, 0, slab
+            for mb in range(1, bb + 1):
+                np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
+                slab += tmp
+                np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
+                slab += tmp
+                yield row, mb, slab

@@ -103,6 +103,10 @@ class ExperimentConfig:
     vanishing_box: int = 64
     perturb: bool = False
 
+    def __post_init__(self) -> None:
+        if self.trials is not None and self.trials < 0:
+            raise LacsumError(f"trials must be >= 0, got {self.trials}")
+
     def filled(self, **defaults) -> "ExperimentConfig":
         updates = {k: v for k, v in defaults.items() if getattr(self, k) is None}
         return dataclasses.replace(self, **updates) if updates else self
@@ -505,9 +509,9 @@ def sup_error_table(
     table = np.zeros(plan.combo_shape + prefix_shape)
     flat_table = table.reshape((-1,) + prefix_shape + phantom)
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
-        combo_flat, lac_flat = row // lac_size, row % lac_size
-        diff = slab - f_perm[lac_flat]
-        cand = (diff.real**2 + diff.imag**2).max(axis=(1, 2))
+        combo_flat, lac_flat = divmod(row, lac_size)
+        diff = slab - f_perm[lac_flat : lac_flat + len(slab), None]
+        cand = (diff.real**2 + diff.imag**2).max(axis=(0, 2, 3))
         col = flat_table[combo_flat][:, mb]
         np.maximum(col, cand, out=col)
     return tuple(originals for _, originals in cuts), np.sqrt(table)

@@ -167,6 +167,8 @@ def test_malformed_spectrum_is_input_error(tmp_path, capsys):
         ["verify", "abel", "--trials", "-1"],
         ["gen", "--B", "-1"],
         ["gen", "--N", "0"],
+        ["maximal-suite", "--trials", "-1"],
+        ["converge", "--trials", "-1"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
@@ -201,3 +203,63 @@ def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         run(["definitely-not-a-command"])
     assert exc.value.code == 2
+
+
+def test_maximal_one_pass_matches_two_calls(tmp_path, monkeypatch):
+    import lacsum.maximal as maximal
+    from lacsum import (
+        JkIndexSpace,
+        SampleJk,
+        TorusGrid,
+        make_lacunary,
+        weak_type_table,
+        weighted_maximal,
+    )
+    from lacsum.serialize import save_csv, save_json
+    from lacsum.weyl import weight_from_kind
+
+    spec = tmp_path / "f.json"
+    run(["gen", "--family", "random_decay", "--N", "3", "--B", "4", "--seed", "6", "--out", str(spec)])
+    sweeps = []
+    sweep_space = maximal.sweep_space
+    monkeypatch.setattr(
+        maximal, "sweep_space", lambda *a, **k: sweeps.append(a[3]) or sweep_space(*a, **k)
+    )
+    out = tmp_path / "max.json"
+    rc = run(
+        ["maximal", "--spec", str(spec), "--Jk", "1", "2", "--q", "2", "--lambda-count", "3",
+         "--free-cap", "6", "--weight", "product", "--grid", "16", "--out", str(out)]
+    )
+    assert rc == 0
+    assert len(sweeps) == 1 and len(sweeps[0]) == 2  # one pass, both weights
+    monkeypatch.undo()
+
+    # the document the weighted report and the weak-type table give separately
+    s = spectrum_from_dict(load_json(spec))
+    sample = SampleJk(3, (1, 2))
+    family = make_lacunary(2.0, 3)
+    space = JkIndexSpace(sample, (family, family), (6,))
+    grid = TorusGrid((16, 16, 16))
+    weight = weight_from_kind("product", sample)
+    report = weighted_maximal(s, space, weight, grid, record_argmax=False)
+    table = weak_type_table(s, space, weight, grid)
+    doc = {
+        "schema": "lacsum.maximal/1",
+        "space": report.space,
+        "weight": report.weight,
+        "m_l2": report.m_l2,
+        "input_l2": report.input_l2,
+        "ratio": report.ratio,
+        "weak_type": {
+            "alphas": list(table.alphas),
+            "ratios": list(table.ratios),
+            "sigma": table.sigma,
+            "max_ratio": table.max_ratio,
+        },
+    }
+    ref = tmp_path / "ref.json"
+    save_json(doc, ref)
+    rows = [{"alpha": float(a), "ratio": float(r)} for a, r in zip(table.alphas, table.ratios)]
+    save_csv(["alpha", "ratio"], rows, ref.with_suffix(".csv"))
+    assert out.read_bytes() == ref.read_bytes()
+    assert out.with_suffix(".csv").read_bytes() == ref.with_suffix(".csv").read_bytes()

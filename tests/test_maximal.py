@@ -278,3 +278,44 @@ def test_report_norms_are_consistent():
     assert rep.input_l2 == pytest.approx(np.sqrt(s.energy()), rel=1e-12)
     assert rep.ratio == pytest.approx(rep.m_l2 / rep.input_l2, rel=1e-12)
     assert weighted_energy(s, unit_weight(3)) == pytest.approx(s.energy(), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "jk, batch_rows",
+    [
+        # cut axis 1: 6 grid points per combo, 4 * 8 * 6 slab entries per row
+        ((1,), (1, 4, 6)),
+        # cut axes 1, 2: 48 grid points per combo, 4 * 6 entries per row
+        ((1, 2), (1, 5, 48)),
+    ],
+)
+def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
+    # one row per batch, a batch size that does not divide the grid points
+    # per combo, and one whole combo per batch give equal arrays
+    import functools
+
+    import lacsum.maximal
+    import lacsum.suites
+    from lacsum.spectral import iter_prefix_slabs
+    from lacsum.suites import sup_error_table
+
+    sample = SampleJk(3, jk)
+    n_free = 3 - len(jk)
+    space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * len(jk), (3,) * n_free)
+    s = random_spectrum(np.random.default_rng(19), (3, 3, 3))
+    grid = TorusGrid((6, 8, 6))
+    free = sample.free_positions
+    row_bytes = 4 * int(np.prod([grid.resolution[p] for p in free])) * 16
+    weights = [product_weight(sample), unit_weight(3)]
+    levels = [(2,) * n_free, (3,) * n_free]
+    results = []
+    for rows in batch_rows:
+        stream = functools.partial(iter_prefix_slabs, max_bytes=rows * row_bytes)
+        monkeypatch.setattr(lacsum.maximal, "iter_prefix_slabs", stream)
+        monkeypatch.setattr(lacsum.suites, "iter_prefix_slabs", stream)
+        with_ids = sweep_space(s, grid, space, weights, levels, record_argmax=True)
+        plain = sweep_space(s, grid, space, weights, levels)
+        _, table = sup_error_table(s, grid, space)
+        results.append((with_ids.m_values, with_ids.argmax_ids, plain.m_values, table))
+    for other in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], other))

@@ -225,11 +225,15 @@ def test_prefix_slabs_match_partial_sums():
     plan = plan_prefix_blocks(s, grid, (0,), ((1, 3),))
     cuts = (1, 3)
     worst = 0.0
+    seen = set()
     for row, mb, slab in iter_prefix_slabs(s, grid, plan):
-        combo, x1 = row // 6, row % 6
-        for ma in (0, 2, 4):
-            direct = partial_sum(s, (cuts[combo], ma, mb), grid, method="direct").values
-            worst = max(worst, float(np.max(np.abs(slab[ma] - direct[x1]))))
+        for r, prefix in enumerate(slab):
+            seen.add((row + r, mb))
+            combo, x1 = divmod(row + r, 6)
+            for ma in (0, 2, 4):
+                direct = partial_sum(s, (cuts[combo], ma, mb), grid, method="direct").values
+                worst = max(worst, float(np.max(np.abs(prefix[ma] - direct[x1]))))
+    assert seen == {(row, mb) for row in range(12) for mb in range(3)}
     assert worst < 1e-10
 
 
@@ -240,15 +244,84 @@ def test_prefix_slabs_one_free_axis():
     grid = TorusGrid((4, 4, 8))
     plan = plan_prefix_blocks(s, grid, (0, 1), ((1, 2), (2,)))
     worst = 0.0
-    for row, mb, prefix in iter_prefix_slabs(s, grid, plan):
+    seen = set()
+    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
         assert mb == 0  # the phantom second free axis has bandwidth 0
-        combo, lac = row // 16, row % 16
-        x1, x2 = lac // 4, lac % 4
-        cut0 = (1, 2)[combo]  # the second cut axis is pinned at 2
-        for ma in range(4):
-            direct = partial_sum(s, (cut0, 2, ma), grid, method="direct").values
-            worst = max(worst, float(np.max(np.abs(prefix[ma, :, 0] - direct[x1, x2]))))
+        for r, prefix in enumerate(slab):
+            seen.add(row + r)
+            combo, lac = divmod(row + r, 16)
+            x1, x2 = lac // 4, lac % 4
+            cut0 = (1, 2)[combo]  # the second cut axis is pinned at 2
+            for ma in range(4):
+                direct = partial_sum(s, (cut0, 2, ma), grid, method="direct").values
+                worst = max(worst, float(np.max(np.abs(prefix[ma, :, 0] - direct[x1, x2]))))
+    assert seen == set(range(32))
     assert worst < 1e-10
+
+
+def _slabs_by_row(s, grid, plan, max_bytes):
+    """Copy of every row's slab per ``mb``, and the batch sizes streamed."""
+    slabs, sizes = {}, []
+    for row, mb, slab in iter_prefix_slabs(s, grid, plan, max_bytes=max_bytes):
+        if mb == 0:
+            sizes.append(len(slab))
+        for r, prefix in enumerate(slab):
+            slabs[row + r, mb] = prefix.copy()
+    return slabs, sizes
+
+
+@pytest.mark.parametrize(
+    "bw, res, cut_axes, cut_values, batches",
+    [
+        # two free axes, 6 cut-axis grid points per combo, 2 combos
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), {0.5: [1] * 12, 4: [4, 2] * 2, 6: [6] * 2}),
+        # one free axis, 16 cut-axis grid points per combo, 2 combos
+        (
+            (2, 2, 3),
+            (4, 4, 8),
+            (0, 1),
+            ((1, 2), (2,)),
+            {0.5: [1] * 32, 5: [5, 5, 5, 1] * 2, 16: [16] * 2},
+        ),
+    ],
+)
+def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, batches):
+    # budgets in rows: below one row still streams one row; 4 and 5 do not
+    # divide the grid points per combo; the last takes a whole combo per batch
+    rng = np.random.default_rng(17)
+    s = random_spectrum(rng, bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, cut_axes, cut_values)
+    free = plan.free_axes
+    row_bytes = (bw[free[0]] + 1) * int(np.prod([res[a] for a in free])) * 16
+    reference, _ = _slabs_by_row(s, grid, plan, row_bytes)
+    assert len(reference) == plan.rows * (bw[free[1]] + 1 if len(free) == 2 else 1)
+    for budget_rows, sizes in batches.items():
+        slabs, got = _slabs_by_row(s, grid, plan, int(budget_rows * row_bytes))
+        assert got == sizes
+        assert slabs.keys() == reference.keys()
+        assert all(np.array_equal(slabs[key], reference[key]) for key in reference)
+
+
+def test_cut_stage_peak_memory():
+    # the lacsum maximal --Jk 1 2 geometry: B = 16, grid 64, two axes cut to
+    # five values each; the full shell expansion would need about 8x the output
+    import tracemalloc
+
+    from lacsum.spectral import _cut_stage, cut_table
+
+    s = random_spectrum(np.random.default_rng(18), (16, 16, 16))
+    grid = TorusGrid((64, 64, 64))
+    values, _ = cut_table(make_lacunary(2.0, 5), 16)
+    plan = plan_prefix_blocks(s, grid, (0, 1), (values, values))
+    tracemalloc.start()
+    try:
+        out = _cut_stage(s, grid, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (plan.rows, 33)
+    assert peak <= 3 * out.nbytes, (peak, out.nbytes)
 
 
 def test_restrict_zeroes_outside():

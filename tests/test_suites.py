@@ -236,6 +236,8 @@ def test_maximal_suite_zero_trials():
     assert rep.summary["no_cases"]
     assert rep.rows == []
     json.loads(dumps(rep.to_dict()))  # schema still valid
+    with pytest.raises(LacsumError, match="trials"):
+        ExperimentConfig(suite="maximal", trials=-1)
 
 
 def test_emit_report_round_trip(tmp_path):
