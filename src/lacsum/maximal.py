@@ -284,11 +284,51 @@ def _report_from(
     )
 
 
-def _blocked_ok(spectrum: Spectrum, space: JkIndexSpace, weight: WeylWeight) -> bool:
-    """Whether the blocked engine can sweep ``space`` under ``weight``."""
+def _maximal_reports(
+    spectrum: Spectrum,
+    space: JkIndexSpace,
+    weights: Sequence[WeylWeight],
+    grid: TorusGrid,
+    record_argmax: bool,
+    engine: str,
+) -> list[MaximalReport]:
+    """One report per weight: one blocked pass over all weights, or one
+    gather per weight where the blocked engine cannot take the space."""
     if space.sample.dimension != spectrum.dimension:
         raise LacsumError("space and spectrum dimension mismatch")
-    return len(space.sample.free_positions) in (1, 2) and weight.monotone
+    blocked_ok = len(space.sample.free_positions) in (1, 2) and all(w.monotone for w in weights)
+    if engine == "auto":
+        engine = "blocked" if blocked_ok else "gather"
+    summary = space_summary(space)
+    if engine == "blocked":
+        if not blocked_ok:
+            raise LacsumError("space/weight not eligible for the blocked engine")
+        sweep = sweep_space(
+            spectrum, grid, space, weights, [space.free_caps], record_argmax=record_argmax
+        )
+        return [
+            _report_from(
+                spectrum,
+                grid,
+                summary,
+                w.description,
+                sweep.m_values[wi, 0],
+                sweep.argmax_ids[wi, 0] if sweep.argmax_ids is not None else None,
+                sweep.index_table,
+                "blocked",
+            )
+            for wi, w in enumerate(weights)
+        ]
+    if engine != "gather":
+        raise LacsumError(f"unknown engine {engine!r}")
+    indices = list(enumerate_jk_indices(space))
+    reports = []
+    for w in weights:
+        values, ids, reps = gather_max(spectrum, grid, indices, w, record_argmax)
+        reports.append(
+            _report_from(spectrum, grid, summary, w.description, values, ids, reps, "gather")
+        )
+    return reports
 
 
 def weighted_maximal(
@@ -300,33 +340,7 @@ def weighted_maximal(
     engine: str = "auto",
 ) -> MaximalReport:
     """Maximum of ``|S_n(x)| / sqrt(W(n))`` over every index of the space."""
-    blocked_ok = _blocked_ok(spectrum, space, weight)
-    if engine == "auto":
-        engine = "blocked" if blocked_ok else "gather"
-    if engine == "blocked":
-        if not blocked_ok:
-            raise LacsumError("space/weight not eligible for the blocked engine")
-        sweep = sweep_space(
-            spectrum, grid, space, [weight], [space.free_caps], record_argmax=record_argmax
-        )
-        return _report_from(
-            spectrum,
-            grid,
-            space_summary(space),
-            weight.description,
-            sweep.m_values[0, 0],
-            sweep.argmax_ids[0, 0] if sweep.argmax_ids is not None else None,
-            sweep.index_table,
-            "blocked",
-        )
-    if engine != "gather":
-        raise LacsumError(f"unknown engine {engine!r}")
-    values, ids, reps = gather_max(
-        spectrum, grid, list(enumerate_jk_indices(space)), weight, record_argmax
-    )
-    return _report_from(
-        spectrum, grid, space_summary(space), weight.description, values, ids, reps, "gather"
-    )
+    return _maximal_reports(spectrum, space, [weight], grid, record_argmax, engine)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +397,10 @@ def weak_type_table(
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
         raise DegenerateInputError("weighted energy is zero")
-    unit = unit_weight(spectrum.dimension)
-    if _blocked_ok(spectrum, space, weight):
-        sweep = sweep_space(spectrum, grid, space, [weight, unit], [space.free_caps])
-        report = _report_from(
-            spectrum, grid, space_summary(space), weight.description, sweep.m_values[0, 0],
-            None, None, "blocked",
-        )
-        m = sweep.m_values[1, 0]
-    else:
-        report = weighted_maximal(spectrum, space, weight, grid, record_argmax=False)
-        m = weighted_maximal(spectrum, space, unit, grid, record_argmax=False).values
+    report, unit_report = _maximal_reports(
+        spectrum, space, [weight, unit_weight(spectrum.dimension)], grid, False, "auto"
+    )
+    m = unit_report.values
     m_max = float(m.max())
     grid_alphas = (
         np.asarray(alphas, dtype=float) if alphas is not None else default_alpha_grid(m_max)

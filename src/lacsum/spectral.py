@@ -490,8 +490,12 @@ def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np
     return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in plan.free_limits))
 
 
+# slab budget of one batch in bytes; about 1 MiB keeps a batch cache-resident
+_SLAB_BYTES = 1 << 20
+
+
 def iter_prefix_slabs(
-    spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan, max_bytes: int = 1 << 20
+    spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Stream partial-sum prefixes for the planned sweep, a batch of rows at a time.
 
@@ -506,7 +510,7 @@ def iter_prefix_slabs(
     length 1. The slab buffer is grown in place between yields (a running
     prefix), so consumers must reduce it before advancing.
 
-    A batch holds as many rows as fit in ``max_bytes`` of slab, and at least
+    A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
     one. Keeping the slab at ``(B_a + 1) * L_a * L_b`` entries per row
     instead of materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)``
     block is what keeps the sweep cache-resident at grid scale; batching
@@ -521,7 +525,7 @@ def iter_prefix_slabs(
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
     lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
-    batch = max(1, min(lac_size, max_bytes // ((ba + 1) * la * lb * 16)))
+    batch = max(1, min(lac_size, _SLAB_BYTES // ((ba + 1) * la * lb * 16)))
     slab_buf = np.empty((batch, ba + 1, la, lb), dtype=complex)
     tmp_buf = np.empty_like(slab_buf)
     for combo_start in range(0, plan.rows, lac_size):

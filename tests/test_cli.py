@@ -205,7 +205,18 @@ def test_argparse_usage_exit():
     assert exc.value.code == 2
 
 
-def test_maximal_one_pass_matches_two_calls(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "n, jk, free_cap, grid_size, sweeps_expected",
+    [
+        # one free axis: the blocked engine sweeps both weights in one pass
+        (3, (1, 2), 6, 16, [2]),
+        # three free axes: the gather engine, no blocked sweep at all
+        (4, (1,), 2, 8, []),
+    ],
+)
+def test_maximal_one_pass_matches_two_calls(
+    tmp_path, monkeypatch, n, jk, free_cap, grid_size, sweeps_expected
+):
     import lacsum.maximal as maximal
     from lacsum import (
         JkIndexSpace,
@@ -219,27 +230,30 @@ def test_maximal_one_pass_matches_two_calls(tmp_path, monkeypatch):
     from lacsum.weyl import weight_from_kind
 
     spec = tmp_path / "f.json"
-    run(["gen", "--family", "random_decay", "--N", "3", "--B", "4", "--seed", "6", "--out", str(spec)])
+    bandwidth = "4" if n == 3 else "2"
+    run(["gen", "--family", "random_decay", "--N", str(n), "--B", bandwidth, "--seed", "6",
+         "--out", str(spec)])
     sweeps = []
     sweep_space = maximal.sweep_space
     monkeypatch.setattr(
-        maximal, "sweep_space", lambda *a, **k: sweeps.append(a[3]) or sweep_space(*a, **k)
+        maximal, "sweep_space", lambda *a, **k: sweeps.append(len(a[3])) or sweep_space(*a, **k)
     )
     out = tmp_path / "max.json"
     rc = run(
-        ["maximal", "--spec", str(spec), "--Jk", "1", "2", "--q", "2", "--lambda-count", "3",
-         "--free-cap", "6", "--weight", "product", "--grid", "16", "--out", str(out)]
+        ["maximal", "--spec", str(spec), "--Jk", *map(str, jk), "--q", "2", "--lambda-count", "3",
+         "--free-cap", str(free_cap), "--weight", "product", "--grid", str(grid_size),
+         "--out", str(out)]
     )
     assert rc == 0
-    assert len(sweeps) == 1 and len(sweeps[0]) == 2  # one pass, both weights
+    assert sweeps == sweeps_expected  # at most one pass, carrying both weights
     monkeypatch.undo()
 
     # the document the weighted report and the weak-type table give separately
     s = spectrum_from_dict(load_json(spec))
-    sample = SampleJk(3, (1, 2))
+    sample = SampleJk(n, jk)
     family = make_lacunary(2.0, 3)
-    space = JkIndexSpace(sample, (family, family), (6,))
-    grid = TorusGrid((16, 16, 16))
+    space = JkIndexSpace(sample, (family,) * len(jk), (free_cap,) * (n - len(jk)))
+    grid = TorusGrid((grid_size,) * n)
     weight = weight_from_kind("product", sample)
     report = weighted_maximal(s, space, weight, grid, record_argmax=False)
     table = weak_type_table(s, space, weight, grid)

@@ -270,6 +270,33 @@ def test_weak_type_degenerate_sigma():
         weak_type_table(zero_spectrum((4, 4, 4)), space, product_weight(sample), GRID)
 
 
+@pytest.mark.parametrize(
+    "n, jk, engine",
+    [((3, (1, 2), "blocked")), ((3, (1,), "blocked")), ((4, (1,), "gather"))],
+)
+def test_weak_type_matches_separate_maximals(n, jk, engine):
+    # one blocked pass over both weights (one or two free axes) or one gather
+    # per weight (three free axes) gives what two weighted_maximal calls give
+    sample = SampleJk(n, jk)
+    space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * len(jk), (3,) * (n - len(jk)))
+    s = random_spectrum(np.random.default_rng(20), (2,) * n)
+    grid = TorusGrid((8,) * n)
+    w = product_weight(sample)
+    table = weak_type_table(s, space, w, grid)
+    report = weighted_maximal(s, space, w, grid, record_argmax=False)
+    m = weighted_maximal(s, space, unit_weight(n), grid, record_argmax=False).values
+    assert table.report.engine == report.engine == engine
+    assert table.report.argmax_ids is None
+    assert np.array_equal(table.report.values, report.values)
+    assert not np.array_equal(report.values, m)  # the weight does change M
+    assert (table.report.weight, table.report.m_l2, table.report.ratio) == (
+        report.weight,
+        report.m_l2,
+        report.ratio,
+    )
+    assert np.array_equal(table.measures, [level_set_measure(m, a, grid) for a in table.alphas])
+
+
 def test_report_norms_are_consistent():
     rng = np.random.default_rng(10)
     space, sample = small_space()
@@ -292,11 +319,7 @@ def test_report_norms_are_consistent():
 def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
     # one row per batch, a batch size that does not divide the grid points
     # per combo, and one whole combo per batch give equal arrays
-    import functools
-
-    import lacsum.maximal
-    import lacsum.suites
-    from lacsum.spectral import iter_prefix_slabs
+    import lacsum.spectral
     from lacsum.suites import sup_error_table
 
     sample = SampleJk(3, jk)
@@ -310,9 +333,7 @@ def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
     levels = [(2,) * n_free, (3,) * n_free]
     results = []
     for rows in batch_rows:
-        stream = functools.partial(iter_prefix_slabs, max_bytes=rows * row_bytes)
-        monkeypatch.setattr(lacsum.maximal, "iter_prefix_slabs", stream)
-        monkeypatch.setattr(lacsum.suites, "iter_prefix_slabs", stream)
+        monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", rows * row_bytes)
         with_ids = sweep_space(s, grid, space, weights, levels, record_argmax=True)
         plain = sweep_space(s, grid, space, weights, levels)
         _, table = sup_error_table(s, grid, space)

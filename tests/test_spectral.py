@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lacsum.spectral
 from lacsum import (
     AliasingError,
     LacsumError,
@@ -259,10 +260,10 @@ def test_prefix_slabs_one_free_axis():
     assert worst < 1e-10
 
 
-def _slabs_by_row(s, grid, plan, max_bytes):
+def _slabs_by_row(s, grid, plan):
     """Copy of every row's slab per ``mb``, and the batch sizes streamed."""
     slabs, sizes = {}, []
-    for row, mb, slab in iter_prefix_slabs(s, grid, plan, max_bytes=max_bytes):
+    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
         if mb == 0:
             sizes.append(len(slab))
         for r, prefix in enumerate(slab):
@@ -285,7 +286,7 @@ def _slabs_by_row(s, grid, plan, max_bytes):
         ),
     ],
 )
-def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, batches):
+def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, batches, monkeypatch):
     # budgets in rows: below one row still streams one row; 4 and 5 do not
     # divide the grid points per combo; the last takes a whole combo per batch
     rng = np.random.default_rng(17)
@@ -294,10 +295,12 @@ def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, bat
     plan = plan_prefix_blocks(s, grid, cut_axes, cut_values)
     free = plan.free_axes
     row_bytes = (bw[free[0]] + 1) * int(np.prod([res[a] for a in free])) * 16
-    reference, _ = _slabs_by_row(s, grid, plan, row_bytes)
+    monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", row_bytes)
+    reference, _ = _slabs_by_row(s, grid, plan)
     assert len(reference) == plan.rows * (bw[free[1]] + 1 if len(free) == 2 else 1)
     for budget_rows, sizes in batches.items():
-        slabs, got = _slabs_by_row(s, grid, plan, int(budget_rows * row_bytes))
+        monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", int(budget_rows * row_bytes))
+        slabs, got = _slabs_by_row(s, grid, plan)
         assert got == sizes
         assert slabs.keys() == reference.keys()
         assert all(np.array_equal(slabs[key], reference[key]) for key in reference)
