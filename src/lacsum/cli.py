@@ -17,7 +17,6 @@ from .errors import LacsumError
 from .lattice import JkIndexSpace, SampleJk, make_lacunary
 from .maximal import weak_type_table
 from .decomp import coefficient_transfer, decompose_free_pair
-from .seqcalc import abel_identity_check
 from .serialize import (
     dumps,
     gridfunction_slice_rows,
@@ -32,6 +31,7 @@ from .spectral import TorusGrid, grid_l2, partial_sum
 from .suites import (
     ExperimentConfig,
     Report,
+    abel_max_deviation,
     config_from_mapping,
     emit_report,
     gen_test_function,
@@ -291,13 +291,7 @@ def _cmd_verify(args) -> int:
             if value < low:
                 raise LacsumError(f"{flag} must be >= {low}, got {value}")
         rng = np.random.default_rng(args.seed if args.seed is not None else 7)
-        worst = 0.0
-        for _ in range(args.trials):
-            shape = tuple(int(v) + 1 for v in rng.integers(2, args.n + 1, size=args.nu))
-            a = rng.standard_normal(shape)
-            b = rng.uniform(0.1, 2.0, size=max(shape))
-            n_idx = tuple(s - 1 for s in shape)
-            worst = max(worst, abel_identity_check(a, b, n_idx).difference)
+        worst = abel_max_deviation(rng, args.trials, args.n, nu=args.nu)
         doc = {
             "schema": "lacsum.verify/1",
             "target": "abel",
@@ -326,11 +320,14 @@ def _cmd_suite(args, runner, suite) -> int:
 def _cmd_report(args) -> int:
     doc = load_json(args.infile)
     if args.fmt == "csv":
-        cases = doc.get("results", {}).get("cases") or doc.get("results", {}).get("checks")
-        if isinstance(cases, dict):
-            rows = [{"check": k, **v} for k, v in cases.items()]
-        else:
-            rows = cases or []
+        results = doc.get("results", {}) if isinstance(doc, dict) else None
+        if not isinstance(results, dict):
+            raise LacsumError("not a report: the document and its 'results' must be objects")
+        rows = results.get("cases") or results.get("checks") or []
+        if isinstance(rows, dict):
+            rows = [{"check": k, **v} if isinstance(v, dict) else v for k, v in rows.items()]
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise LacsumError("report cases must be objects")
         if not rows:
             raise LacsumError("report holds no tabular cases")
         names = list(rows[0].keys())

@@ -40,7 +40,6 @@ from .spectral import (
     ShellTensor,
     Spectrum,
     TorusGrid,
-    cut_table,
     grid_l2,
     iter_prefix_slabs,
     plan_prefix_blocks,
@@ -98,8 +97,6 @@ class SweepResult:
     m_values: np.ndarray  # (n_weights, n_levels, *grid), real
     argmax_ids: np.ndarray | None
     index_table: np.ndarray | None
-    cut_originals: tuple[tuple[int, ...], ...]
-    free_limits: tuple[tuple[int, ...], ...]  # per level, clamped per free axis
 
 
 def sweep_space(
@@ -116,40 +113,29 @@ def sweep_space(
     clamp-at-bandwidth reduction is only exact under monotonicity). All cap
     levels are served from one prefix pass over the grid.
     """
-    sample = space.sample
-    free_pos = sample.free_positions
-    if len(free_pos) not in (1, 2):
-        raise LacsumError("blocked sweep needs 1 or 2 free axes; use the gather engine")
     if not all(w.monotone for w in weights):
         raise LacsumError("blocked sweep needs monotone weights; use the gather engine")
+    plan = plan_prefix_blocks(spectrum, grid, space)
     if cap_schedule is None:
         cap_schedule = [space.free_caps]
     levels = [tuple(int(c) for c in level) for level in cap_schedule]
-    if any(len(level) != len(free_pos) for level in levels):
+    if any(len(level) != len(plan.free_axes) for level in levels):
         raise LacsumError("each cap level needs one cap per free axis")
     for prev, cur in zip(levels, levels[1:]):
         if any(c < p for p, c in zip(prev, cur)):
             raise LacsumError(f"cap schedule must be nondecreasing, got {levels}")
 
-    lac_pos = sample.lacunary_positions
-    cuts = [cut_table(fam, spectrum.bandwidth[p]) for fam, p in zip(space.families, lac_pos)]
-    cut_originals = [originals for _, originals in cuts]
-    plan = plan_prefix_blocks(spectrum, grid, lac_pos, [clamped for clamped, _ in cuts])
-
-    limits = [tuple(min(c, b) for c, b in zip(level, plan.free_limits)) for level in levels]
-    # one free axis sweeps as two: the stream's phantom second axis has cap 0
-    phantom = (0,) * (2 - len(free_pos))
-    caps = [lim + phantom for lim in limits]
+    # caps clamped at the free bandwidths; a phantom axis (limit 0) caps at 0
+    caps = [tuple(min(c, b) for c, b in zip(level + (0,), plan.free_limits)) for level in levels]
     top = caps[-1]
     strides = tuple(t + 1 for t in top)
-    lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
 
     # every index the sweep visits, shape (*combo, ma, mb, N); argmax row ids
     # count through it in C order, and zip leaves the phantom axis out
-    perm = lac_pos + free_pos
-    mesh = np.meshgrid(*cut_originals, *(np.arange(n) for n in strides), indexing="ij")
-    index_grid = np.zeros(mesh[0].shape + (sample.dimension,), dtype=int)
-    for p, m in zip(perm, mesh):
+    dim = space.sample.dimension
+    mesh = np.meshgrid(*plan.cut_terms, *(np.arange(n) for n in strides), indexing="ij")
+    index_grid = np.zeros(mesh[0].shape + (dim,), dtype=int)
+    for p, m in zip(plan.perm, mesh):
         index_grid[..., p] = m
     # 1/W per (combo, ma, mb); None marks the unit weight so the sweep can
     # skip the multiply
@@ -160,9 +146,8 @@ def sweep_space(
 
     nw, nl = len(weights), len(levels)
     # running maxima per (cut-axis grid point, xa, xb), so a batch of rows is
-    # one slice; the phantom axis has one grid point, matching the slab
-    slab_grid = tuple(grid.resolution[a] for a in free_pos) + (1,) * len(phantom)
-    m2 = np.zeros((nw, nl, lac_size) + slab_grid)
+    # one slice
+    m2 = np.zeros((nw, nl, plan.lac_size) + plan.free_grid)
     ids = np.zeros(m2.shape, dtype=np.int64) if record_argmax else None
 
     # One reduction for every shape: each cap level (ra, rb) folds the max
@@ -171,7 +156,7 @@ def sweep_space(
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         if mb > top[1]:
             continue  # beyond every cap level on the second free axis
-        combo_flat, lac_flat = divmod(row, lac_size)
+        combo_flat, lac_flat = divmod(row, plan.lac_size)
         rows = slice(lac_flat, lac_flat + len(slab))
         view = slab[:, : top[0] + 1]
         sq = view.real**2 + view.imag**2
@@ -191,8 +176,8 @@ def sweep_space(
                     dest[better] = cand[better]
                     ids[wi, li, rows][better] = rid[better]
 
-    inverse = (0, 1) + tuple(2 + perm.index(a) for a in range(sample.dimension))
-    shape = (nw, nl) + tuple(grid.resolution[a] for a in perm)
+    inverse = (0, 1) + tuple(2 + plan.perm.index(a) for a in range(dim))
+    shape = (nw, nl) + tuple(grid.resolution[a] for a in plan.perm)
     m_values = np.sqrt(np.transpose(m2.reshape(shape), inverse))
     if ids is not None:
         ids = np.transpose(ids.reshape(shape), inverse)
@@ -200,9 +185,7 @@ def sweep_space(
         grid=grid,
         m_values=m_values,
         argmax_ids=ids,
-        index_table=index_grid.reshape(-1, sample.dimension) if record_argmax else None,
-        cut_originals=tuple(cut_originals),
-        free_limits=tuple(limits),
+        index_table=index_grid.reshape(-1, dim) if record_argmax else None,
     )
 
 

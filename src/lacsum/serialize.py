@@ -155,6 +155,9 @@ def gridfunction_slice_rows(
     for axis, pos in fixed.items():
         if axis < 1 or axis > f.grid.dimension:
             raise LacsumError(f"axis {axis} out of range")
+        length = f.grid.resolution[axis - 1]
+        if not 0 <= pos < length:
+            raise LacsumError(f"grid index {pos} on axis {axis} out of range 0..{length - 1}")
         sel[axis - 1] = int(pos)
     block = f.values[tuple(sel)]
     coords = [f.grid.axis_coords(p) for p in free]

@@ -14,10 +14,13 @@ Rectangular partial sums are served by two engines:
 * ``ShellTensor`` groups coefficients into shells ``(|nu_1|, ..., |nu_N|)``
   and stores their cumulative prefix sums per grid point, after which any
   box sum is a single lookup. ``plan_prefix_blocks``/``iter_prefix_slabs``
-  stream the same prefix idea through memory-bounded slabs for sweeps that
-  cut the lacunary axes down to a few values while keeping the full prefix
-  range on one or two free axes; this is what makes the all-index maximal
-  and convergence sweeps tractable. Each yielded slab holds a batch of
+  stream the same prefix idea through memory-bounded slabs for sweeps over
+  a ``JkIndexSpace``: its lacunary axes are cut down to their clamped term
+  values, its one or two free axes keep the full prefix range; this is
+  what makes the all-index maximal and convergence sweeps tractable. The
+  plan owns that layout (cut values and terms, free axes with the phantom
+  second axis, row count, axis order), so the sweeps that consume the
+  stream only reduce its batches. Each yielded slab holds a batch of
   consecutive rows (cut-axis grid points of one cut-value combo), as many
   as fit a byte budget, so small one-free-axis slabs cost one numpy call
   per batch rather than per row.
@@ -33,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AliasingError, LacsumError
-from .lattice import Index, LacunaryFamily, check_index
+from .lattice import Index, JkIndexSpace, LacunaryFamily, check_index
 
 log = logging.getLogger(__name__)
 
@@ -374,97 +377,88 @@ class ShellTensor:
 
 @dataclass(frozen=True)
 class PrefixBlockPlan:
-    """Layout of a staged sweep: cut axes pinned to a few partial-sum values,
-    free axes carrying their full prefix range.
+    """Layout of a staged sweep over a ``JkIndexSpace``: the lacunary axes are
+    cut to their clamped term values, the free axes carry their full prefix
+    range.
 
+    ``cut_values[t]`` holds the distinct values ``min(term, B)`` of cut axis
+    ``t`` and ``cut_terms[t]`` the smallest term behind each. ``free_limits``
+    and ``free_grid`` always have two entries: a plan with one free axis adds
+    a phantom second axis of bandwidth 0 on one grid point, so the stream has
+    one shape; ``free_axes`` lists only the real ones. ``perm`` is the
+    spectrum axes in stream order, cut axes first.
     Rows enumerate ``(cut-value combo, grid coordinates of the cut axes)`` in
-    C order, combos outermost.
+    C order, combos outermost, ``lac_size`` grid points per combo.
     """
 
     cut_axes: tuple[int, ...]
     cut_values: tuple[tuple[int, ...], ...]
+    cut_terms: tuple[tuple[int, ...], ...]
     free_axes: tuple[int, ...]
-    free_limits: tuple[int, ...]
-    combo_shape: tuple[int, ...]
-    lac_grid_shape: tuple[int, ...]
+    free_limits: tuple[int, int]
+    free_grid: tuple[int, int]
+    lac_size: int
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return self.cut_axes + self.free_axes
+
+    @property
+    def combo_shape(self) -> tuple[int, ...]:
+        return tuple(len(v) for v in self.cut_values)
 
     @property
     def rows(self) -> int:
-        return int(np.prod(self.combo_shape, dtype=int) * np.prod(self.lac_grid_shape, dtype=int))
-
-
-def cut_table(
-    family: LacunaryFamily, bandwidth: int, min_term: int = 0
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Distinct clamped cut values with their smallest originating terms.
-
-    Terms below ``min_term`` are skipped; terms clamping to the same value
-    merge onto the smallest of them.
-    """
-    clamped: list[int] = []
-    originals: list[int] = []
-    for t in family.terms:
-        if t < min_term:
-            continue
-        c = min(t, bandwidth)
-        if not clamped or c != clamped[-1]:
-            clamped.append(c)
-            originals.append(t)
-    return tuple(clamped), tuple(originals)
+        return int(np.prod(self.combo_shape, dtype=int)) * self.lac_size
 
 
 def plan_prefix_blocks(
-    spectrum: Spectrum,
-    grid: TorusGrid,
-    cut_axes: Sequence[int],
-    cut_values: Sequence[Sequence[int]],
+    spectrum: Spectrum, grid: TorusGrid, space: JkIndexSpace, min_term: int = 0
 ) -> PrefixBlockPlan:
-    """Validate and lay out a blocked prefix sweep.
+    """Lay out the blocked prefix sweep of ``space`` on ``grid``.
 
-    ``cut_axes`` are 0-based coefficient axes whose partial-sum limit only
-    takes the listed (clamped, strictly increasing) values; the remaining one
-    or two axes keep the full prefix range ``0..B``.
+    Terms below ``min_term`` are skipped; terms clamping to the same
+    bandwidth value merge onto the smallest of them. The space needs one or
+    two free axes, and every cut axis a term ``>= min_term``.
     """
     dim = spectrum.dimension
-    if grid.dimension != dim:
-        raise LacsumError("grid and spectrum dimension mismatch")
-    cut = tuple(int(a) for a in cut_axes)
-    if len(set(cut)) != len(cut) or any(a < 0 or a >= dim for a in cut):
-        raise LacsumError(f"bad cut axes {cut}")
-    free = tuple(a for a in range(dim) if a not in cut)
+    if grid.dimension != dim or space.sample.dimension != dim:
+        raise LacsumError("grid, space and spectrum dimension mismatch")
+    cut, free = space.sample.lacunary_positions, space.sample.free_positions
     if len(free) not in (1, 2):
         raise LacsumError(f"blocked sweep needs 1 or 2 free axes, got {len(free)}")
-    if len(cut_values) != len(cut):
-        raise LacsumError("need one cut-value list per cut axis")
-    values = []
-    for axis, vals in zip(cut, cut_values):
-        v = tuple(int(x) for x in vals)
-        if not v:
-            raise LacsumError(f"cut axis {axis} has no values")
-        if any(x < 0 or x > spectrum.bandwidth[axis] for x in v):
-            raise LacsumError(f"cut values {v} outside 0..{spectrum.bandwidth[axis]}")
-        if any(a >= b for a, b in zip(v, v[1:])):
-            raise LacsumError(f"cut values must be strictly increasing, got {v}")
-        values.append(v)
+    values, terms = [], []
+    for axis, family in zip(cut, space.families):
+        b = spectrum.bandwidth[axis]
+        kept = [t for t in family.terms if t >= min_term]
+        # terms increase, so a term after one already clamped to b adds nothing
+        kept = [t for i, t in enumerate(kept) if i == 0 or kept[i - 1] < b]
+        if not kept:
+            raise LacsumError(f"no lacunary terms >= {min_term} on axis {axis + 1}")
+        terms.append(tuple(kept))
+        values.append(tuple(min(t, b) for t in kept))
+    phantom = 2 - len(free)
     return PrefixBlockPlan(
         cut_axes=cut,
         cut_values=tuple(values),
+        cut_terms=tuple(terms),
         free_axes=free,
-        free_limits=tuple(spectrum.bandwidth[a] for a in free),
-        combo_shape=tuple(len(v) for v in values),
-        lac_grid_shape=tuple(grid.resolution[a] for a in cut),
+        free_limits=tuple(spectrum.bandwidth[a] for a in free) + (0,) * phantom,
+        free_grid=tuple(grid.resolution[a] for a in free) + (1,) * phantom,
+        lac_size=int(np.prod([grid.resolution[a] for a in cut], dtype=int)),
     )
 
 
 def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np.ndarray:
-    """Pin the cut axes: returns ``(rows, *free coefficient axes)``.
+    """Pin the cut axes: returns ``(rows, 2 B_a + 1, 2 B_b + 1)``, the free
+    coefficient axes in stream order (a phantom axis has length 1).
 
     Each cut axis in turn becomes a (cut value, grid coordinate) pair: a
     running sum over its shells ``|nu| = 0, 1, ...`` is copied out whenever
     it reaches a cut value. Only one shell and the running sum are live
     beside the output, never the whole shell expansion.
     """
-    arr = np.transpose(spectrum.coeffs, plan.cut_axes + plan.free_axes)
+    arr = np.transpose(spectrum.coeffs, plan.perm)
     # arr is (cut values so far, their grid coordinates, coefficient axes left)
     for t, (axis, values) in enumerate(zip(plan.cut_axes, plan.cut_values)):
         b = spectrum.bandwidth[axis]
@@ -505,9 +499,9 @@ def iter_prefix_slabs(
     ``row + r`` with that row's cut-value combo on the cut axes and
     ``(ma, mb)`` on the free axes. A batch never crosses a cut-combo
     boundary, so its rows share one combo and cover consecutive cut-axis
-    grid points. A plan with one free axis streams a phantom second axis of
-    bandwidth 0 on a 1-point grid, so ``mb`` is always 0 and ``xb`` has
-    length 1. The slab buffer is grown in place between yields (a running
+    grid points. The free axes are the plan's two ``free_limits`` and
+    ``free_grid`` entries, so a one-free-axis plan streams its phantom axis:
+    ``mb`` is always 0 and ``xb`` has length 1. The slab buffer is grown in place between yields (a running
     prefix), so consumers must reduce it before advancing.
 
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
@@ -517,19 +511,14 @@ def iter_prefix_slabs(
     rows keeps the number of numpy calls down when those slabs are small.
     """
     arr = _cut_stage(spectrum, grid, plan)
-    free = [(spectrum.bandwidth[a], grid.resolution[a]) for a in plan.free_axes]
-    if len(free) == 1:
-        arr = arr[..., None]
-        free.append((0, 1))
-    (ba, la), (bb, lb) = free
+    (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
-    lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
-    batch = max(1, min(lac_size, _SLAB_BYTES // ((ba + 1) * la * lb * 16)))
+    batch = max(1, min(plan.lac_size, _SLAB_BYTES // ((ba + 1) * la * lb * 16)))
     slab_buf = np.empty((batch, ba + 1, la, lb), dtype=complex)
     tmp_buf = np.empty_like(slab_buf)
-    for combo_start in range(0, plan.rows, lac_size):
-        combo_end = combo_start + lac_size
+    for combo_start in range(0, plan.rows, plan.lac_size):
+        combo_end = combo_start + plan.lac_size
         for row in range(combo_start, combo_end, batch):
             n = min(batch, combo_end - row)
             slab, tmp = slab_buf[:n], tmp_buf[:n]

@@ -39,7 +39,6 @@ from .spectral import (
     Spectrum,
     TorusGrid,
     _axis_matrix,
-    cut_table,
     grid_l2,
     iter_prefix_slabs,
     plan_prefix_blocks,
@@ -334,21 +333,32 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 # identity suite
 
 
+def abel_max_deviation(
+    rng: np.random.Generator, trials: int, max_n: int, nu: int | None = None
+) -> float:
+    """Largest double-Abel identity deviation over random trials.
+
+    Each trial draws an order (``nu`` if given, else 1 to 3), a size
+    ``2 <= n_j <= max_n`` per axis, a standard-normal hypersequence of shape
+    ``n + 1`` and weights uniform on ``[0.1, 2)``.
+    """
+    worst = 0.0
+    for _ in range(trials):
+        order = int(rng.integers(1, 4)) if nu is None else nu
+        n = tuple(int(v) for v in rng.integers(2, max_n + 1, size=order))
+        a = rng.standard_normal(tuple(v + 1 for v in n))
+        b = rng.uniform(0.1, 2.0, size=max(n) + 1)
+        worst = max(worst, abel_identity_check(a, b, n).difference)
+    return worst
+
+
 def run_identity_suite(config: ExperimentConfig) -> Report:
     """Exact-identity checks; reports the maximal absolute deviation of each."""
     cfg = config.filled(trials=1)
     tol = cfg.identity_tolerance
     checks: dict[str, dict] = {}
 
-    # double-Abel identity on random hypersequences and weights
-    rng = _trial_rng(cfg.seed, 1)
-    dev = 0.0
-    for case in range(cfg.abel_trials):
-        nu = int(rng.integers(1, 4))
-        n = tuple(int(v) for v in rng.integers(2, cfg.abel_max_n + 1, size=nu))
-        a = rng.standard_normal(tuple(v + 1 for v in n))
-        b = rng.uniform(0.1, 2.0, size=max(n) + 1)
-        dev = max(dev, abel_identity_check(a, b, n).difference)
+    dev = abel_max_deviation(_trial_rng(cfg.seed, 1), cfg.abel_trials, cfg.abel_max_n)
     if cfg.perturb and cfg.abel_trials:
         dev = max(dev, 1e-6)  # planted deviation, negative-control mode
     checks["abel"] = {"cases": cfg.abel_trials, "max_deviation": dev}
@@ -487,34 +497,22 @@ def sup_error_table(
     merged onto their smallest representative) and an array indexed by the
     term combo and then ``m_a`` (and ``m_b``) over the full free prefix ranges.
     """
-    lac_pos = space.sample.lacunary_positions
-    free_pos = space.sample.free_positions
-    cuts = [
-        cut_table(fam, spectrum.bandwidth[p], min_term) for fam, p in zip(space.families, lac_pos)
-    ]
-    for (clamped, _), p in zip(cuts, lac_pos):
-        if not clamped:
-            raise LacsumError(f"no lacunary terms >= {min_term} on axis {p + 1}")
-    plan = plan_prefix_blocks(spectrum, grid, lac_pos, [clamped for clamped, _ in cuts])
-
+    plan = plan_prefix_blocks(spectrum, grid, space, min_term)
     f = synthesize(spectrum, grid).values
-    perm = lac_pos + free_pos
-    lac_size = int(np.prod(plan.lac_grid_shape, dtype=int))
-    # one free axis streams with a phantom second axis of one grid point
-    phantom = (1,) * (2 - len(free_pos))
-    free_res = tuple(grid.resolution[a] for a in free_pos) + phantom
-    f_perm = np.ascontiguousarray(np.transpose(f, perm)).reshape((lac_size,) + free_res)
+    f_perm = np.transpose(f, plan.perm).reshape((plan.lac_size,) + plan.free_grid)
 
     prefix_shape = tuple(b + 1 for b in plan.free_limits)
     table = np.zeros(plan.combo_shape + prefix_shape)
-    flat_table = table.reshape((-1,) + prefix_shape + phantom)
+    flat_table = table.reshape((-1,) + prefix_shape)
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
-        combo_flat, lac_flat = divmod(row, lac_size)
+        combo_flat, lac_flat = divmod(row, plan.lac_size)
         diff = slab - f_perm[lac_flat : lac_flat + len(slab), None]
         cand = (diff.real**2 + diff.imag**2).max(axis=(0, 2, 3))
         col = flat_table[combo_flat][:, mb]
         np.maximum(col, cand, out=col)
-    return tuple(originals for _, originals in cuts), np.sqrt(table)
+    # the returned table leaves out a one-free-axis plan's phantom axis
+    free_shape = prefix_shape[: len(plan.free_axes)]
+    return plan.cut_terms, np.sqrt(table.reshape(plan.combo_shape + free_shape))
 
 
 def coefficient_tail(spectrum: Spectrum, level: int) -> float:

@@ -126,6 +126,39 @@ def test_report_reemit(tmp_path):
     assert len(lines) == 1 + 3  # header + trials x cap levels
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], "text", {"results": [1]}, {"results": {"cases": [1, 2]}},
+     {"results": {"checks": {"abel": 3}}}],
+)
+def test_report_csv_rejects_non_report_json(doc, tmp_path, capsys):
+    # a non-object document, results or case row is an input error, not a crash
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert run(["report", "--in", str(src), "--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_partial_sum_fix_outside_grid_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", "3", "--B", "2", "--out", str(spec)]) == 0
+    out = tmp_path / "slice.csv"
+    argv = ["partial-sum", "--spec", str(spec), "--n", "1", "1", "1", "--grid", "8",
+            "--format", "csv", "--out", str(out), "--fix", "1"]
+    for pos in ("99", "8", "-1"):
+        capsys.readouterr()
+        assert run(argv + [pos]) == 2, pos
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    assert run(argv + ["7"]) == 0  # the last grid point
+    assert len(out.read_text().splitlines()) == 1 + 64
+    capsys.readouterr()
+
+
 def test_scalar_config_for_tuple_fields(tmp_path, capsys):
     conv = tmp_path / "c.cfg"
     conv.write_text(

@@ -340,3 +340,28 @@ def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
         results.append((with_ids.m_values, with_ids.argmax_ids, plain.m_values, table))
     for other in results[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+
+
+def test_sup_error_table_needs_a_term_above_min_term():
+    from lacsum.suites import sup_error_table
+
+    space = JkIndexSpace(
+        SampleJk(3, (1, 2)), (make_lacunary(2.0, 4), make_lacunary(2.0, 2)), (3,)
+    )
+    with pytest.raises(LacsumError, match="no lacunary terms >= 3 on axis 2"):
+        sup_error_table(zero_spectrum((3, 3, 3)), TorusGrid((8, 8, 8)), space, min_term=3)
+
+
+@pytest.mark.parametrize("dimension, jk", [(2, (1, 2)), (4, (1,))])
+def test_blocked_sweeps_need_one_or_two_free_axes(dimension, jk):
+    # no free axis, or three: neither blocked sweep can lay out the space
+    from lacsum.suites import sup_error_table
+
+    n_free = dimension - len(jk)
+    space = JkIndexSpace(SampleJk(dimension, jk), (make_lacunary(2.0, 2),) * len(jk), (2,) * n_free)
+    s = zero_spectrum((2,) * dimension)
+    grid = TorusGrid((4,) * dimension)
+    with pytest.raises(LacsumError, match=f"1 or 2 free axes, got {n_free}"):
+        sweep_space(s, grid, space, [unit_weight(dimension)])
+    with pytest.raises(LacsumError, match=f"1 or 2 free axes, got {n_free}"):
+        sup_error_table(s, grid, space)

@@ -4,7 +4,10 @@ import pytest
 import lacsum.spectral
 from lacsum import (
     AliasingError,
+    JkIndexSpace,
     LacsumError,
+    LacunaryFamily,
+    SampleJk,
     ShellTensor,
     Spectrum,
     TorusGrid,
@@ -24,6 +27,13 @@ from lacsum.spectral import iter_prefix_slabs, plan_prefix_blocks
 def random_spectrum(rng, bandwidth):
     shape = tuple(2 * b + 1 for b in bandwidth)
     return Spectrum(bandwidth, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def cut_space(dimension, cut_axes, cut_values):
+    """Space whose lacunary families are ``cut_values`` on the 0-based ``cut_axes``."""
+    sample = SampleJk(dimension, tuple(a + 1 for a in cut_axes))
+    families = tuple(LacunaryFamily(2.0, v) for v in cut_values)
+    return JkIndexSpace(sample, families, (0,) * (dimension - len(cut_axes)))
 
 
 def test_analyze_constant():
@@ -223,7 +233,7 @@ def test_prefix_slabs_match_partial_sums():
     bw = (3, 4, 2)
     s = Spectrum(bw, rng.standard_normal((7, 9, 5)) + 1j * rng.standard_normal((7, 9, 5)))
     grid = TorusGrid((6, 8, 6))
-    plan = plan_prefix_blocks(s, grid, (0,), ((1, 3),))
+    plan = plan_prefix_blocks(s, grid, cut_space(3, (0,), ((1, 3),)))
     cuts = (1, 3)
     worst = 0.0
     seen = set()
@@ -243,7 +253,7 @@ def test_prefix_slabs_one_free_axis():
     bw = (2, 2, 3)
     s = Spectrum(bw, rng.standard_normal((5, 5, 7)) + 1j * rng.standard_normal((5, 5, 7)))
     grid = TorusGrid((4, 4, 8))
-    plan = plan_prefix_blocks(s, grid, (0, 1), ((1, 2), (2,)))
+    plan = plan_prefix_blocks(s, grid, cut_space(3, (0, 1), ((1, 2), (1, 2))))
     worst = 0.0
     seen = set()
     for row, mb, slab in iter_prefix_slabs(s, grid, plan):
@@ -252,11 +262,11 @@ def test_prefix_slabs_one_free_axis():
             seen.add(row + r)
             combo, lac = divmod(row + r, 16)
             x1, x2 = lac // 4, lac % 4
-            cut0 = (1, 2)[combo]  # the second cut axis is pinned at 2
+            cut0, cut1 = ((1, 2)[i] for i in divmod(combo, 2))
             for ma in range(4):
-                direct = partial_sum(s, (cut0, 2, ma), grid, method="direct").values
+                direct = partial_sum(s, (cut0, cut1, ma), grid, method="direct").values
                 worst = max(worst, float(np.max(np.abs(prefix[ma, :, 0] - direct[x1, x2]))))
-    assert seen == set(range(32))
+    assert seen == set(range(64))
     assert worst < 1e-10
 
 
@@ -276,13 +286,13 @@ def _slabs_by_row(s, grid, plan):
     [
         # two free axes, 6 cut-axis grid points per combo, 2 combos
         ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), {0.5: [1] * 12, 4: [4, 2] * 2, 6: [6] * 2}),
-        # one free axis, 16 cut-axis grid points per combo, 2 combos
+        # one free axis, 16 cut-axis grid points per combo, 4 combos
         (
             (2, 2, 3),
             (4, 4, 8),
             (0, 1),
-            ((1, 2), (2,)),
-            {0.5: [1] * 32, 5: [5, 5, 5, 1] * 2, 16: [16] * 2},
+            ((1, 2), (1, 2)),
+            {0.5: [1] * 64, 5: [5, 5, 5, 1] * 4, 16: [16] * 4},
         ),
     ],
 )
@@ -292,12 +302,12 @@ def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, bat
     rng = np.random.default_rng(17)
     s = random_spectrum(rng, bw)
     grid = TorusGrid(res)
-    plan = plan_prefix_blocks(s, grid, cut_axes, cut_values)
-    free = plan.free_axes
-    row_bytes = (bw[free[0]] + 1) * int(np.prod([res[a] for a in free])) * 16
+    plan = plan_prefix_blocks(s, grid, cut_space(3, cut_axes, cut_values))
+    (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
+    row_bytes = (ba + 1) * la * lb * 16
     monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", row_bytes)
     reference, _ = _slabs_by_row(s, grid, plan)
-    assert len(reference) == plan.rows * (bw[free[1]] + 1 if len(free) == 2 else 1)
+    assert len(reference) == plan.rows * (bb + 1)
     for budget_rows, sizes in batches.items():
         monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", int(budget_rows * row_bytes))
         slabs, got = _slabs_by_row(s, grid, plan)
@@ -311,20 +321,51 @@ def test_cut_stage_peak_memory():
     # five values each; the full shell expansion would need about 8x the output
     import tracemalloc
 
-    from lacsum.spectral import _cut_stage, cut_table
+    from lacsum.spectral import _cut_stage
 
     s = random_spectrum(np.random.default_rng(18), (16, 16, 16))
     grid = TorusGrid((64, 64, 64))
-    values, _ = cut_table(make_lacunary(2.0, 5), 16)
-    plan = plan_prefix_blocks(s, grid, (0, 1), (values, values))
+    family = make_lacunary(2.0, 5)
+    plan = plan_prefix_blocks(s, grid, JkIndexSpace(SampleJk(3, (1, 2)), (family, family), (32,)))
     tracemalloc.start()
     try:
         out = _cut_stage(s, grid, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (plan.rows, 33)
+    assert out.shape == (plan.rows, 33, 1)
     assert peak <= 3 * out.nbytes, (peak, out.nbytes)
+
+
+def test_plan_clamps_merges_and_skips_terms():
+    # terms past the bandwidth clamp onto it and merge onto the smallest one
+    s = zero_spectrum((5, 5, 5))
+    grid = TorusGrid((4, 6, 8))
+    family = LacunaryFamily(2.0, (1, 2, 4, 8, 16))
+    space = JkIndexSpace(SampleJk(3, (1,)), (family,), (0, 0))
+    plan = plan_prefix_blocks(s, grid, space)
+    assert plan.cut_values == ((1, 2, 4, 5),)
+    assert plan.cut_terms == ((1, 2, 4, 8),)
+    assert (plan.free_limits, plan.free_grid, plan.lac_size) == ((5, 5), (6, 8), 4)
+    plan = plan_prefix_blocks(s, grid, space, min_term=3)
+    assert plan.cut_values == ((4, 5),)
+    assert plan.cut_terms == ((4, 8),)
+
+
+def test_plan_one_free_axis_adds_phantom_axis():
+    s = zero_spectrum((5, 3, 2))
+    grid = TorusGrid((4, 6, 8))
+    family = make_lacunary(2.0, 3)
+    plan = plan_prefix_blocks(s, grid, JkIndexSpace(SampleJk(3, (1, 3)), (family, family), (1,)))
+    assert plan.free_axes == (1,)
+    assert plan.free_limits == (3, 0)
+    assert plan.free_grid == (6, 1)
+    assert plan.perm == (0, 2, 1)
+    assert plan.lac_size == 32
+    # on the axis with bandwidth 2 the term 4 clamps onto 2 and merges
+    assert plan.cut_values == ((1, 2, 4), (1, 2))
+    assert plan.cut_terms == ((1, 2, 4), (1, 2))
+    assert plan.rows == 3 * 2 * 32
 
 
 def test_restrict_zeroes_outside():
