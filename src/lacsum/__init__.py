@@ -50,11 +50,7 @@ from .maximal import (
 )
 from .seqcalc import (
     AbelCheck,
-    ConvexWeight,
-    SlowSequence,
     abel_identity_check,
-    build_convex_b,
-    build_slow_sequence,
     difference,
     dyadic_square_anchor,
     telescope_split,

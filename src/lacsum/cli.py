@@ -30,7 +30,6 @@ from .serialize import (
 from .spectral import TorusGrid, grid_l2, partial_sum
 from .suites import (
     ExperimentConfig,
-    Report,
     abel_max_deviation,
     config_from_mapping,
     emit_report,
@@ -43,12 +42,18 @@ from .suites import (
 from .weyl import weight_from_kind
 
 
-def _emit(report: Report, out: str | None, fmt: str) -> None:
+def _write(doc: dict, out: str | None) -> None:
     if out:
-        emit_report(report, out, fmt)
+        save_json(doc, out)
         print(f"wrote {out}")
     else:
-        sys.stdout.write(dumps(report.to_dict()))
+        sys.stdout.write(dumps(doc))
+
+
+def _grid_for(args: argparse.Namespace, spectrum) -> TorusGrid:
+    """``--grid`` points per axis, else four per unit of the largest bandwidth."""
+    res = args.grid if args.grid is not None else max(4 * b for b in spectrum.bandwidth)
+    return TorusGrid((res,) * spectrum.dimension)
 
 
 def _config_from_args(args: argparse.Namespace, suite: str) -> ExperimentConfig:
@@ -174,19 +179,13 @@ def _cmd_gen(args) -> int:
         sample=sample,
         normalize=not args.no_normalize,
     )
-    doc = spectrum_to_dict(spectrum)
-    if args.out:
-        save_json(doc, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(dumps(doc))
+    _write(spectrum_to_dict(spectrum), args.out)
     return 0
 
 
 def _cmd_partial_sum(args) -> int:
     spectrum = spectrum_from_dict(load_json(args.spec))
-    res = args.grid if args.grid else max(4 * b for b in spectrum.bandwidth)
-    grid = TorusGrid((res,) * spectrum.dimension)
+    grid = _grid_for(args, spectrum)
     f = partial_sum(spectrum, tuple(args.n), grid)
     if args.fmt == "csv":
         fixed = {}
@@ -209,12 +208,7 @@ def _cmd_partial_sum(args) -> int:
         save_csv(names, rows, args.out)
         print(f"wrote {args.out}")
         return 0
-    doc = gridfunction_to_dict(f)
-    if args.out:
-        save_json(doc, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(dumps(doc))
+    _write(gridfunction_to_dict(f), args.out)
     return 0
 
 
@@ -228,8 +222,7 @@ def _cmd_maximal(args) -> int:
         tuple(family for _ in sample.lacunary_axes),
         tuple(args.free_cap for _ in sample.free_axes),
     )
-    res = args.grid if args.grid else max(4 * b for b in spectrum.bandwidth)
-    grid = TorusGrid((res,) * n)
+    grid = _grid_for(args, spectrum)
     weight = weight_from_kind(args.weight, sample)
     table = weak_type_table(spectrum, space, weight, grid)
     report = table.report
@@ -248,23 +241,18 @@ def _cmd_maximal(args) -> int:
         },
     }
     if args.out:
-        save_json(doc, args.out)
         rows = [
             {"alpha": float(a), "ratio": float(r)}
             for a, r in zip(table.alphas, table.ratios)
         ]
         save_csv(["alpha", "ratio"], rows, Path(args.out).with_suffix(".csv"))
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(dumps(doc))
+    _write(doc, args.out)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     f_spectrum = spectrum_from_dict(load_json(args.spec))
-    n = f_spectrum.dimension
-    res = args.grid if args.grid else max(4 * b for b in f_spectrum.bandwidth)
-    grid = TorusGrid((res,) * n)
+    grid = _grid_for(args, f_spectrum)
     g_spectrum = coefficient_transfer(f_spectrum, tuple(args.free_axes))
     result = decompose_free_pair(g_spectrum, tuple(args.n), tuple(args.free_axes), grid)
     doc = {
@@ -276,11 +264,7 @@ def _cmd_decompose(args) -> int:
         "reference_l2": grid_l2(result.reference),
         "max_reassembly_error": result.max_error,
     }
-    if args.out:
-        save_json(doc, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(dumps(doc))
+    _write(doc, args.out)
     return 0 if result.max_error <= 1e-10 else 1
 
 
@@ -298,22 +282,18 @@ def _cmd_verify(args) -> int:
             "trials": args.trials,
             "max_abs_difference": worst,
         }
-        if args.out:
-            save_json(doc, args.out)
-            print(f"wrote {args.out}")
-        else:
-            sys.stdout.write(dumps(doc))
+        _write(doc, args.out)
         return 0 if worst <= 1e-10 else 1
-    config = _config_from_args(args, "identity")
-    report = run_identity_suite(config)
-    _emit(report, args.out, args.fmt)
-    return 0 if report.passed else 1
+    return _cmd_suite(args, run_identity_suite, "identity")
 
 
 def _cmd_suite(args, runner, suite) -> int:
-    config = _config_from_args(args, suite)
-    report = runner(config)
-    _emit(report, args.out, args.fmt)
+    report = runner(_config_from_args(args, suite))
+    if args.out:
+        emit_report(report, args.out, args.fmt)
+        print(f"wrote {args.out}")
+    else:
+        _write(report.to_dict(), None)
     return 0 if report.passed else 1
 
 
@@ -336,11 +316,7 @@ def _cmd_report(args) -> int:
         save_csv(names, rows, args.out)
         print(f"wrote {args.out}")
         return 0
-    if args.out:
-        save_json(doc, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(dumps(doc))
+    _write(doc, args.out)
     return 0
 
 

@@ -116,8 +116,8 @@ class LacunaryFamily:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q <= 1:
-            raise LacsumError(f"lacunary ratio must exceed 1, got {self.q}")
+        if not 1 < self.q < math.inf:
+            raise LacsumError(f"lacunary ratio must be finite and exceed 1, got {self.q}")
         object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
         check = validate_lacunary(self.terms, self.q)
         if not check:
@@ -143,8 +143,8 @@ def make_lacunary(q: float, count: int, rule: str = "minimal") -> LacunaryFamily
     so the sequence starts at 1, stays strictly increasing and keeps every
     consecutive ratio at least q.
     """
-    if q <= 1:
-        raise LacsumError(f"lacunary ratio must exceed 1, got {q}")
+    if not 1 < q < math.inf:
+        raise LacsumError(f"lacunary ratio must be finite and exceed 1, got {q}")
     if count < 1:
         raise LacsumError(f"count must be >= 1, got {count}")
     if rule not in GROWTH_RULES:

@@ -199,7 +199,6 @@ def gather_max(
     indices: Sequence[Sequence[int]],
     weight: WeylWeight | None = None,
     record_argmax: bool = True,
-    max_bytes: int = 1 << 28,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Maximal values over an explicit index list via shell-tensor lookups.
 
@@ -228,7 +227,7 @@ def gather_max(
     inv_w = np.asarray([1.0 / groups[tuple(u)][0] for u in uniq])
     reps = np.asarray([groups[tuple(u)][1] for u in uniq], dtype=int)
 
-    tensor = ShellTensor.from_grid(spectrum, grid, max_bytes=max_bytes)
+    tensor = ShellTensor.from_grid(spectrum, grid)
     vals = tensor.partial_sums(uniq)
     sq = (vals.real**2 + vals.imag**2) * inv_w.reshape((-1,) + (1,) * grid.dimension)
     m2 = sq.max(axis=0)
@@ -357,12 +356,6 @@ class WeakTypeTable:
     report: MaximalReport  # the weighted maximal over the same space, no argmax
 
 
-def default_alpha_grid(m_max: float, points: int = 25) -> np.ndarray:
-    if m_max <= 0:
-        raise DegenerateInputError("maximal function vanishes; no level grid")
-    return np.geomspace(m_max / 1000.0, m_max, points)
-
-
 def weak_type_table(
     spectrum: Spectrum,
     space: JkIndexSpace,
@@ -373,9 +366,10 @@ def weak_type_table(
     """Table of ``alpha^2 * mu{M > alpha} / Sigma`` over a level grid.
 
     ``M`` is the unweighted maximum over the space; ``Sigma`` is the weighted
-    coefficient energy of the input. The table also carries the weighted
-    maximal report of the same space; when the blocked engine can take the
-    weight, one slab pass sweeps both weights.
+    coefficient energy of the input. Without ``alphas`` the grid is 25
+    geometric levels from ``max M / 1000`` to ``max M``. The table also
+    carries the weighted maximal report of the same space; when the blocked
+    engine can take the weight, one slab pass sweeps both weights.
     """
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
@@ -384,10 +378,12 @@ def weak_type_table(
         spectrum, space, [weight, unit_weight(spectrum.dimension)], grid, False, "auto"
     )
     m = unit_report.values
-    m_max = float(m.max())
-    grid_alphas = (
-        np.asarray(alphas, dtype=float) if alphas is not None else default_alpha_grid(m_max)
-    )
+    if alphas is None:
+        m_max = float(m.max())
+        if m_max <= 0:
+            raise DegenerateInputError("maximal function vanishes; no level grid")
+        alphas = np.geomspace(m_max / 1000.0, m_max, 25)
+    grid_alphas = np.asarray(alphas, dtype=float)
     if np.any(grid_alphas <= 0):
         raise LacsumError("alpha grid must be positive")
     measures = np.asarray([level_set_measure(m, a, grid) for a in grid_alphas])

@@ -1,12 +1,12 @@
 """Sequence calculus behind the summation-by-parts machinery.
 
 Forward differences ``D1 b_j = b_j - b_{j+1}``, ``D2 b_j = D1 b_j - D1
-b_{j+1}``; slowly growing positive sequences built from the tails of a
-convergent series; the even convex weights ``b_j = (log(|j|+2) p_j)^(-1/2)``;
-regime-based iterated prefix sums (single sum, double sum, or a
-second-difference weighted average of double sums per coordinate); the
-double-Abel identity that rewrites a ``b``-weighted box sum of a
-hypersequence as a sum over regime vectors; and the dyadic-square
+b_{j+1}`` of an even weight sequence; regime-based iterated prefix sums
+(single sum, double sum, or a second-difference weighted average of double
+sums per coordinate); the double-Abel identity that rewrites a
+``b``-weighted box sum of a hypersequence as a sum over regime vectors,
+which holds for any weight ``b`` (the paper's convex
+``b_j = (log(|j|+2) p_j)^(-1/2)`` included); and the dyadic-square
 telescoping of rectangular partial sums along free axes, anchored at
 ``alpha = 2**(M*M)`` with ``2**(M*M) <= n < 2**((M+1)*(M+1))``.
 """
@@ -20,17 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, LacsumError
+from .errors import LacsumError
 from .lattice import Index, JkIndexSpace, check_index
 from .spectral import Spectrum, restrict
-
-_CONVEXITY_TOL = 1e-12
-
-
-def _values_of(b) -> np.ndarray:
-    if isinstance(b, (ConvexWeight, SlowSequence)):
-        return b.values
-    return np.asarray(b, dtype=float)
 
 
 def _even_value(values: np.ndarray, j: int) -> float:
@@ -43,7 +35,7 @@ def _even_value(values: np.ndarray, j: int) -> float:
 
 def difference(b, order: int, j: int) -> float:
     """Forward difference ``D^order b_j`` of an even sequence, order 0, 1 or 2."""
-    values = _values_of(b)
+    values = np.asarray(b, dtype=float)
     if order == 0:
         return _even_value(values, j)
     if order == 1:
@@ -55,140 +47,6 @@ def difference(b, order: int, j: int) -> float:
             + _even_value(values, j + 2)
         )
     raise LacsumError(f"difference order must be 0, 1 or 2, got {order}")
-
-
-@dataclass(frozen=True)
-class SlowSequence:
-    """Positive even sequence, nondecreasing in |j|, with a growth flag."""
-
-    values: np.ndarray
-    unbounded: bool
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise LacsumError("slow sequence needs a 1-d value array")
-        if not np.all(v > 0):
-            raise LacsumError("slow sequence must be positive")
-        if np.any(np.diff(v) < 0):
-            raise LacsumError("slow sequence must be nondecreasing")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def value(self, j: int) -> float:
-        return _even_value(self.values, j)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def build_slow_sequence(tails: Sequence[float]) -> SlowSequence:
-    """Slow-growth sequence from nonincreasing tail sums ``t(0), t(1), ...``.
-
-    ``p_j = min(log(j+3), sqrt(t(0) / (t(j) + t(0) * 2^-j)))`` made
-    nondecreasing by a running maximum. The tail-sum telescoping bound then
-    gives ``sum (t(j) - t(j+1)) p_j <= 2 t(0)`` whatever the tails, while
-    ``p_j`` grows without bound whenever the tails decay to zero. The
-    ``unbounded`` flag records whether the tails actually decayed over the
-    stored range (a plateauing input caps the sequence).
-    """
-    t = np.asarray(tails, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise LacsumError("need at least two tail values")
-    if t[0] <= 0:
-        raise DegenerateInputError(f"t(0) must be positive, got {t[0]}")
-    if np.any(t < 0) or np.any(np.diff(t) > 1e-12):
-        raise LacsumError("tails must be nonnegative and nonincreasing")
-    j = np.arange(t.size)
-    guarded = t + t[0] * np.exp2(-j.astype(float))
-    # fully underflowed tails push the target to +inf; the log branch wins
-    with np.errstate(divide="ignore", over="ignore"):
-        target = np.sqrt(t[0] / guarded)
-    p = np.minimum(np.log(j + 3.0), target)
-    p = np.maximum.accumulate(p)
-    unbounded = bool(t[-1] <= t[0] / 2.0)
-    return SlowSequence(values=p, unbounded=unbounded)
-
-
-@dataclass(frozen=True)
-class ConvexWeight:
-    """Even, positive, nonincreasing, convex weight sequence ``b_0..b_J``."""
-
-    values: np.ndarray
-    repaired: bool = False
-    max_violation: float = 0.0
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 3:
-            raise LacsumError("convex weight needs at least three values")
-        if not np.all(np.isfinite(v)) or not np.all(v > 0):
-            raise LacsumError("convex weight must be positive and finite")
-        if np.any(np.diff(v) > _CONVEXITY_TOL):
-            raise LacsumError("convex weight must be nonincreasing")
-        d2 = v[:-2] - 2 * v[1:-1] + v[2:]
-        if np.any(d2 < -_CONVEXITY_TOL):
-            raise LacsumError("second differences must be nonnegative")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def value(self, j: int) -> float:
-        return _even_value(self.values, j)
-
-    def diff(self, order: int, j: int) -> float:
-        return difference(self.values, order, j)
-
-    @property
-    def first_differences(self) -> np.ndarray:
-        return self.values[:-1] - self.values[1:]
-
-    @property
-    def second_differences(self) -> np.ndarray:
-        return self.values[:-2] - 2 * self.values[1:-1] + self.values[2:]
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def _lower_convex_hull(y: np.ndarray) -> np.ndarray:
-    """Greatest convex minorant of the points (j, y_j), sampled at the integers."""
-    n = y.size
-    hull = [0]
-    for j in range(1, n):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # pop the middle vertex when it lies on or above the chord (i0, j)
-            if (y[i1] - y[i0]) * (j - i0) >= (y[j] - y[i0]) * (i1 - i0):
-                hull.pop()
-            else:
-                break
-        hull.append(j)
-    xs = np.asarray(hull, dtype=float)
-    return np.interp(np.arange(n, dtype=float), xs, y[np.asarray(hull)])
-
-
-def build_convex_b(p: SlowSequence | Sequence[float]) -> ConvexWeight:
-    """Weight ``b_j = (log(j+2) p_j)^(-1/2)`` with a certified-convex repair.
-
-    Convexity is scanned numerically; if any second difference drops below
-    the tolerance, the values are replaced by their greatest convex minorant
-    (the closest convex sequence from below) and the substitution is flagged
-    on the result, never applied silently.
-    """
-    values = _values_of(p)
-    if np.any(values <= 0):
-        raise LacsumError("slow sequence must be positive")
-    j = np.arange(values.size, dtype=float)
-    b = 1.0 / np.sqrt(np.log(j + 2.0) * values)
-    d2 = b[:-2] - 2 * b[1:-1] + b[2:]
-    worst = float(d2.min()) if d2.size else 0.0
-    if worst < -_CONVEXITY_TOL:
-        return ConvexWeight(
-            values=_lower_convex_hull(b), repaired=True, max_violation=-worst
-        )
-    return ConvexWeight(values=b, repaired=False, max_violation=max(0.0, -worst))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +115,7 @@ def abel_identity_check(a: np.ndarray, b, n: Sequence[int]) -> AbelCheck:
         raise LacsumError(f"every component of n must be >= 2, got {idx}")
     if any(k >= s for k, s in zip(idx, arr.shape)):
         raise LacsumError(f"n {idx} outside hypersequence shape {arr.shape}")
-    values = _values_of(b)
+    values = np.asarray(b, dtype=float)
     if values.size < max(idx) + 1:
         raise LacsumError(
             f"need weight values up to {max(idx)}, have {values.size - 1}"

@@ -105,6 +105,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials is not None and self.trials < 0:
             raise LacsumError(f"trials must be >= 0, got {self.trials}")
+        if self.alpha_points < 1:
+            raise LacsumError(f"alpha_points must be >= 1, got {self.alpha_points}")
 
     def filled(self, **defaults) -> "ExperimentConfig":
         updates = {k: v for k, v in defaults.items() if getattr(self, k) is None}
@@ -124,7 +126,10 @@ def _cast(kind: str, value):
         if text not in ("true", "false"):
             raise ValueError(f"not a boolean: {value!r}")
         return text == "true"
-    return {"int": int, "float": float, "str": str}[kind](value)
+    out = {"int": int, "float": float, "str": str}[kind](value)
+    if kind == "float" and not np.isfinite(out):
+        raise ValueError(f"not a finite number: {value!r}")
+    return out
 
 
 def _coerce(name: str, value):
@@ -665,6 +670,8 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
     res = _tupled(cfg.grid, n)
     grid = TorusGrid(res)
     schedule = tuple(int(c) for c in cfg.cap_schedule)
+    if len(schedule) < 2:
+        raise LacsumError(f"cap schedule needs at least two levels, got {schedule}")
     if any(a > b for a, b in zip(schedule, schedule[1:])):
         raise LacsumError(f"cap schedule must be nondecreasing, got {schedule}")
     levels = [(c,) * len(free_pos) for c in schedule]

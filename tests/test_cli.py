@@ -170,9 +170,12 @@ def test_scalar_config_for_tuple_fields(tmp_path, capsys):
     maxi.write_text(
         "cap_schedule = 6\nlambda_count = 3\nbandwidth = 4,6,6\ngrid = 16,24,24\ntrials = 1\n"
     )
-    assert run(["maximal-suite", "--config", str(maxi), "--out", str(tmp_path / "m.json")]) == 0
-    assert load_json(tmp_path / "m.json")["config"]["cap_schedule"] == [6]
+    # a scalar cap schedule is one level: too few to stabilize, so a config error
     capsys.readouterr()
+    assert run(["maximal-suite", "--config", str(maxi), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cap schedule") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
     maxi.write_text("cap_schedule = 6, wide\n")
     assert run(["maximal-suite", "--config", str(maxi)]) == 2
     err = capsys.readouterr().err
@@ -202,9 +205,32 @@ def test_malformed_spectrum_is_input_error(tmp_path, capsys):
         ["gen", "--N", "0"],
         ["maximal-suite", "--trials", "-1"],
         ["converge", "--trials", "-1"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--q", "nan"],
+        ["maximal-suite", "--trials", "1", "--q", "nan"],
+        ["maximal-suite", "--trials", "1", "--config", "q = nan"],
+        ["maximal-suite", "--trials", "1", "--config", "q = inf"],
+        ["maximal-suite", "--trials", "1", "--config", "stabilization_threshold = nan"],
+        ["converge", "--trials", "1", "--config", "tail_slack = nan"],
+        ["verify", "identities", "--config", "identity_tolerance = nan"],
+        ["maximal-suite", "--trials", "1", "--cap-schedule", "2", "4", "--config", "alpha_points = 0"],
+        ["maximal-suite", "--trials", "1", "--cap-schedule", "8"],
+        ["partial-sum", "--spec", "{spec}", "--n", "1", "1", "1", "--grid", "0"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--grid", "0"],
+        ["decompose", "--spec", "{spec}", "--free-axes", "2", "3", "--n", "1", "1", "1", "--grid", "0"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
+    # "{spec}" stands for a generated spectrum file, and the word after
+    # "--config" for the text of a config file
+    spec, cfg = tmp_path / "f.json", tmp_path / "c.cfg"
+    if "{spec}" in argv:
+        assert run(["gen", "--N", "3", "--B", "2", "--out", str(spec)]) == 0
+        capsys.readouterr()
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        cfg.write_text(argv[at] + "\n")
+        argv = argv[:at] + [str(cfg)] + argv[at + 1 :]
+    argv = [str(spec) if a == "{spec}" else a for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -34,6 +34,11 @@ def test_make_lacunary_bad_ratio():
         make_lacunary(1.0, 3)
     with pytest.raises(LacsumError):
         make_lacunary(0.5, 3)
+    for q in (float("nan"), float("inf")):
+        with pytest.raises(LacsumError, match="finite"):
+            make_lacunary(q, 3)
+        with pytest.raises(LacsumError, match="finite"):
+            LacunaryFamily(q=q, terms=(1,))
 
 
 def test_power_rule_valid():

@@ -26,6 +26,7 @@ from lacsum import (
     weighted_maximal,
     zero_spectrum,
 )
+from lacsum.weyl import weight_from_kind
 
 
 def random_spectrum(rng, bandwidth):
@@ -82,18 +83,36 @@ def test_blocked_equals_gather_oracle():
         assert blocked.argmax_index(p) == gathered.argmax_index(p)
 
 
-def test_brute_force_loop_oracle():
-    # direct loop over the enumerated indices with plain partial sums
-    rng = np.random.default_rng(2)
-    space, sample = small_space(caps=(3, 3), count=3)
-    s = random_spectrum(rng, (4, 4, 4))
-    w = product_weight(sample)
-    best = np.zeros(GRID.resolution)
+@settings(max_examples=30, deadline=None)
+@given(
+    n_free=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_brute_force_loop_oracle(n_free, data, seed):
+    # direct loop over the enumerated indices with plain partial sums: the
+    # third engine, which both the gather and the blocked engine must match
+    n = data.draw(st.integers(min_value=n_free + 1, max_value=4))
+    axes = data.draw(st.permutations(range(1, n + 1)))
+    sample = SampleJk(n, tuple(sorted(axes[: n - n_free])))
+    q = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+    # up to four terms, so the last one can lie beyond every bandwidth
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=sample.k, max_size=sample.k))
+    caps = data.draw(st.lists(st.integers(0, 5), min_size=n_free, max_size=n_free))
+    bandwidth = data.draw(st.tuples(*[st.integers(min_value=0, max_value=4)] * n))
+    kinds = ["product", "full", "unit"] + (["minpair"] if n_free == 2 else [])
+    w = weight_from_kind(data.draw(st.sampled_from(kinds)), sample)
+    space = JkIndexSpace(sample, tuple(make_lacunary(q, c) for c in counts), tuple(caps))
+    s = random_spectrum(np.random.default_rng(seed), bandwidth)
+    grid = TorusGrid((8,) * n)
+    best = np.zeros(grid.resolution)
     for idx in enumerate_jk_indices(space):
-        vals = np.abs(partial_sum(s, idx, GRID).values) / np.sqrt(w.evaluate(np.asarray(idx)))
+        vals = np.abs(partial_sum(s, idx, grid).values) / np.sqrt(w.evaluate(np.asarray(idx)))
         best = np.maximum(best, vals)
-    rep = weighted_maximal(s, space, w, GRID)
-    assert np.max(np.abs(rep.values - best)) < 1e-10
+    for engine in ("gather", "blocked") if n_free <= 2 else ("gather",):
+        rep = weighted_maximal(s, space, w, grid, engine=engine)
+        assert rep.engine == engine
+        assert np.max(np.abs(rep.values - best)) < 1e-10
 
 
 def test_argmax_invariant_under_positive_scaling():
@@ -268,6 +287,11 @@ def test_weak_type_degenerate_sigma():
     space, sample = small_space()
     with pytest.raises(DegenerateInputError):
         weak_type_table(zero_spectrum((4, 4, 4)), space, product_weight(sample), GRID)
+    # positive energy, but no mode inside the space: the maximum vanishes
+    space = JkIndexSpace(SampleJk(3, (1,)), (make_lacunary(2.0, 1),), (0, 0))
+    s = single_mode_spectrum((4, 4, 4), (3, 3, 3))
+    with pytest.raises(DegenerateInputError, match="vanishes"):
+        weak_type_table(s, space, product_weight(space.sample), GRID)
 
 
 @pytest.mark.parametrize(

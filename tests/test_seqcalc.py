@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacsum import (
-    DegenerateInputError,
     JkIndexSpace,
     LacsumError,
     SampleJk,
     Spectrum,
     abel_identity_check,
-    build_convex_b,
-    build_slow_sequence,
     difference,
     dyadic_square_anchor,
     make_lacunary,
@@ -19,7 +16,7 @@ from lacsum import (
     restrict,
     telescope_split,
 )
-from lacsum.seqcalc import ConvexWeight, SlowSequence, _iterated_scaled
+from lacsum.seqcalc import _iterated_scaled
 
 
 def test_difference_constant_and_affine():
@@ -49,74 +46,6 @@ def test_difference_range_errors():
         difference(b, 2, 1)
     with pytest.raises(LacsumError):
         difference(b, 3, 0)
-
-
-def test_build_slow_sequence_geometric_tails():
-    t = 2.0 ** (-np.arange(40, dtype=float))
-    p = build_slow_sequence(t)
-    assert p.unbounded
-    assert np.all(np.diff(p.values) >= 0)
-    assert p.values[-1] > p.values[0]
-    # telescoped tail sum stays under twice the leading tail
-    increments = t[:-1] - t[1:]
-    assert float(np.sum(increments * p.values[:-1])) <= 2.0 * t[0]
-    assert p.value(-5) == p.value(5)
-
-
-def test_build_slow_sequence_flat_tails_capped():
-    t = np.full(30, 0.7)
-    p = build_slow_sequence(t)
-    assert not p.unbounded
-    assert p.values[-1] <= np.sqrt(2.0)
-
-
-def test_build_slow_sequence_errors():
-    with pytest.raises(DegenerateInputError):
-        build_slow_sequence([0.0, 0.0])
-    with pytest.raises(LacsumError):
-        build_slow_sequence([1.0, 2.0])
-
-
-def test_build_convex_b_log_weight():
-    p = SlowSequence(np.ones(10_001), unbounded=False)
-    b = build_convex_b(p)
-    assert not b.repaired
-    j = np.arange(10_001, dtype=float)
-    assert np.max(np.abs(b.values - 1.0 / np.sqrt(np.log(j + 2.0)))) < 1e-14
-    assert np.all(b.second_differences >= -1e-12)
-    assert b.value(0) == pytest.approx(1.0 / np.sqrt(np.log(2.0)))
-    assert b.value(-4) == b.value(4)
-
-
-def test_build_convex_b_weighted_difference_trend():
-    # j * D1 b_j drifts to zero over the stored range
-    p = build_slow_sequence(2.0 ** (-np.arange(2000, dtype=float)))
-    b = build_convex_b(p)
-    j = np.arange(len(b) - 1, dtype=float)
-    weighted = j * b.first_differences
-    head = weighted[: len(weighted) // 4].max()
-    tail = weighted[-len(weighted) // 4 :].max()
-    assert tail < head
-    assert weighted[-1] < 0.1 * head  # the decay is logarithmic, not geometric
-
-
-def test_build_convex_b_repair_path():
-    # a jump in p puts a concave kink into b, forcing the convex repair
-    p = np.ones(30)
-    p[3:] = 25.0
-    b = build_convex_b(p)
-    assert b.repaired
-    assert b.max_violation > 0
-    assert np.all(b.second_differences >= -1e-12)
-    raw = 1.0 / np.sqrt(np.log(np.arange(30) + 2.0) * p)
-    assert np.all(b.values <= raw + 1e-12)
-
-
-def test_convex_weight_validation():
-    with pytest.raises(LacsumError):
-        ConvexWeight(np.asarray([1.0, 0.2, 0.9]))  # not nonincreasing
-    with pytest.raises(LacsumError):
-        ConvexWeight(np.asarray([1.0, 0.5, 0.25, 0.2, 0.19, 0.1]))  # concave tail
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +113,8 @@ def test_abel_reciprocal_weight_1d():
 def test_abel_three_dimensional():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 5, 4))
-    p = build_slow_sequence(2.0 ** (-np.arange(12, dtype=float)))
-    b = build_convex_b(p)
+    # the paper's shape b_j = (log(j+2) p_j)^(-1/2), with a slowly growing p
+    b = 1.0 / np.sqrt(np.log(np.arange(12) + 2.0) * np.linspace(1.0, 2.0, 12))
     assert abel_identity_check(a, b, (3, 4, 3)).difference < 1e-10
 
 

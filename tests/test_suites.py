@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -238,6 +239,10 @@ def test_maximal_suite_zero_trials():
     json.loads(dumps(rep.to_dict()))  # schema still valid
     with pytest.raises(LacsumError, match="trials"):
         ExperimentConfig(suite="maximal", trials=-1)
+    with pytest.raises(LacsumError, match="alpha_points"):
+        ExperimentConfig(suite="maximal", alpha_points=0)
+    with pytest.raises(LacsumError, match="two levels"):
+        run_maximal_suite(dataclasses.replace(cfg, cap_schedule=(8,)))
 
 
 def test_emit_report_round_trip(tmp_path):
@@ -284,7 +289,8 @@ def test_config_coercion_follows_declared_types():
     assert cfg.mode == (2,) and cfg.block_ratios == (2.0,)
     assert cfg.bandwidth == 16 and cfg.grid == (16, 20, 20)
     assert isinstance(cfg.q, float) and cfg.dimension is None
-    for bad in ({"trials": "many"}, {"normalize": "1"}, {"jk": "1.5"}, {"q": "1, 2"}):
+    for bad in ({"trials": "many"}, {"normalize": "1"}, {"jk": "1.5"}, {"q": "1, 2"},
+                {"q": "nan"}, {"beta": "inf"}, {"tail_slack": float("nan")}):
         with pytest.raises(LacsumError, match="expects"):
             config_from_mapping(bad)
 
