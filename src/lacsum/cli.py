@@ -194,14 +194,9 @@ def _cmd_partial_sum(args) -> int:
             raise LacsumError("--fix wants axis/index pairs")
         for axis, pos in zip(pairs[::2], pairs[1::2]):
             fixed[axis] = pos
-        if spectrum.dimension > 2 and len(fixed) < spectrum.dimension - 2:
-            fixed.update(
-                {
-                    p + 1: 0
-                    for p in range(spectrum.dimension)
-                    if (p + 1) not in fixed and spectrum.dimension - len(fixed) > 2
-                }
-            )
+        # pin the lowest-numbered unpinned axes at 0 until two axes are free
+        unpinned = [a for a in range(1, spectrum.dimension + 1) if a not in fixed]
+        fixed.update({a: 0 for a in unpinned[: max(len(unpinned) - 2, 0)]})
         names, rows = gridfunction_slice_rows(f, fixed)
         if not args.out:
             raise LacsumError("--out required for CSV output")

@@ -24,6 +24,10 @@ Both clamp indices at the spectrum bandwidth first: a partial sum does not
 change past the last coefficient, and any admissible weight is
 coordinatewise nondecreasing, so the maximum over a clamp group is attained
 at its smallest member.
+
+A sample with every axis lacunary (``k = N``) is the trivial case: the
+space is the lacunary term combinations alone, with no free axes, the gather
+engine takes it, and the product weight is the empty product 1.
 """
 
 from __future__ import annotations
@@ -130,17 +134,17 @@ def sweep_space(
     top = caps[-1]
     strides = tuple(t + 1 for t in top)
 
-    # every index the sweep visits, shape (*combo, ma, mb, N); argmax row ids
-    # count through it in C order, and zip leaves the phantom axis out
+    # the indices the sweep visits span (*combo, ma, mb): one open axis vector
+    # per spectrum axis in stream order, the phantom axis left out; argmax row
+    # ids count through them in C order
     dim = space.sample.dimension
-    mesh = np.meshgrid(*plan.cut_terms, *(np.arange(n) for n in strides), indexing="ij")
-    index_grid = np.zeros(mesh[0].shape + (dim,), dtype=int)
-    for p, m in zip(plan.perm, mesh):
-        index_grid[..., p] = m
+    open_axes = np.ix_(*map(np.asarray, plan.cut_terms), *map(np.arange, strides))
+    nu = [open_axes[plan.perm.index(a)] for a in range(dim)]
     # 1/W per (combo, ma, mb); None marks the unit weight so the sweep can
     # skip the multiply
+    full = plan.combo_shape + strides
     inv_tables = [
-        None if w.kind == "unit" else (1.0 / w.fn(index_grid)).reshape((-1,) + strides)
+        None if w.kind == "unit" else np.broadcast_to(1.0 / w.fn(*nu), full).reshape(-1, *strides)
         for w in weights
     ]
 
@@ -181,11 +185,12 @@ def sweep_space(
     m_values = np.sqrt(np.transpose(m2.reshape(shape), inverse))
     if ids is not None:
         ids = np.transpose(ids.reshape(shape), inverse)
+    table = np.stack(np.broadcast_arrays(*nu), -1).reshape(-1, dim) if record_argmax else None
     return SweepResult(
         grid=grid,
         m_values=m_values,
         argmax_ids=ids,
-        index_table=index_grid.reshape(-1, dim) if record_argmax else None,
+        index_table=table,
     )
 
 

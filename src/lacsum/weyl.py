@@ -11,6 +11,11 @@ one-dimensional factor ``log(|.| + 2)`` only on selected axes:
 * ``full_product_weight``: the factor on every axis;
 * ``unit_weight`` for unweighted sweeps.
 
+A weight's ``fn`` takes one broadcastable integer array per axis (an open
+mesh, as ``np.ix_`` returns it), so a product weight multiplies
+one-dimensional factors and never sees a stacked ``(..., N)`` mesh; its
+result broadcasts to the mesh shape. ``evaluate`` takes stacked vectors.
+
 ``check_weyl_conditions`` verifies positivity, evenness and coordinatewise
 monotonicity exhaustively on a finite box, returning the first violating
 witness per condition. ``weighted_energy`` is the coefficient functional
@@ -46,34 +51,43 @@ class WeylWeight:
 
     ``monotone`` marks weights known to be coordinatewise nondecreasing in
     the absolute components; sweeps use it to clamp index enumerations at
-    the spectrum bandwidth without changing any maximum.
+    the spectrum bandwidth without changing any maximum. ``fn(*nu)`` takes
+    one broadcastable integer array per axis.
     """
 
     kind: str
     description: str
     dimension: int | None
     monotone: bool
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
 
     def evaluate(self, nu: Sequence[int] | np.ndarray) -> float | np.ndarray:
+        """The weight at frequency vectors stacked on the last axis of ``nu``."""
         arr = np.asarray(nu, dtype=int)
         if arr.ndim == 0 or (self.dimension is not None and arr.shape[-1] != self.dimension):
             raise LacsumError(
                 f"weight {self.kind} expects vectors of length {self.dimension}, got shape {arr.shape}"
             )
-        out = self.fn(arr)
-        return float(out) if arr.ndim == 1 else out
+        out = np.broadcast_to(self.fn(*np.moveaxis(arr, -1, 0)), arr.shape[:-1])
+        return float(out) if arr.ndim == 1 else out.copy()
 
     __call__ = evaluate
 
 
+def _log_product(nu: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
+    """Product of log(|nu_a| + 2) over ``axes`` in order; ones for no axes."""
+    out = 1.0
+    for a in axes:
+        out = out * _log_plus2(np.abs(nu[a]))
+    return out if axes else np.ones(np.broadcast_shapes(*map(np.shape, nu)))
+
+
 def product_weight(sample: SampleJk) -> WeylWeight:
     """Product of log(|nu_a| + 2) over the free axes of ``sample``."""
-    free = np.asarray(sample.free_positions, dtype=int)
+    free = sample.free_positions
 
-    def fn(nu: np.ndarray) -> np.ndarray:
-        a = np.abs(nu[..., free])
-        return _log_plus2(a).prod(axis=-1)
+    def fn(*nu: np.ndarray) -> np.ndarray:
+        return _log_product(nu, free)
 
     return WeylWeight(
         kind="product",
@@ -92,9 +106,8 @@ def min_pair_weight(sample: SampleJk) -> WeylWeight:
         )
     i, j = sample.free_positions
 
-    def fn(nu: np.ndarray) -> np.ndarray:
-        m = np.minimum(np.abs(nu[..., i]), np.abs(nu[..., j]))
-        return _log_plus2(m) ** 2
+    def fn(*nu: np.ndarray) -> np.ndarray:
+        return _log_plus2(np.minimum(np.abs(nu[i]), np.abs(nu[j]))) ** 2
 
     return WeylWeight(
         kind="minpair",
@@ -110,8 +123,8 @@ def full_product_weight(dimension: int) -> WeylWeight:
     if dimension < 1:
         raise LacsumError("dimension must be >= 1")
 
-    def fn(nu: np.ndarray) -> np.ndarray:
-        return _log_plus2(np.abs(nu)).prod(axis=-1)
+    def fn(*nu: np.ndarray) -> np.ndarray:
+        return _log_product(nu, range(dimension))
 
     return WeylWeight(
         kind="full",
@@ -123,8 +136,8 @@ def full_product_weight(dimension: int) -> WeylWeight:
 
 
 def unit_weight(dimension: int | None = None) -> WeylWeight:
-    def fn(nu: np.ndarray) -> np.ndarray:
-        return np.ones(nu.shape[:-1])
+    def fn(*nu: np.ndarray) -> np.ndarray:
+        return _log_product(nu, ())
 
     return WeylWeight(
         kind="unit", description="W == 1", dimension=dimension, monotone=True, fn=fn
@@ -172,14 +185,6 @@ class WeylConditionReport:
         return bool(self.positivity and self.symmetry and self.monotonicity)
 
 
-def _mesh_chunks(lead: np.ndarray, rest: np.ndarray, dimension: int, chunk: int):
-    others = [rest] * (dimension - 1)
-    for start in range(0, lead.size, chunk):
-        block = lead[start : start + chunk]
-        mesh = np.meshgrid(block, *others, indexing="ij")
-        yield start, np.stack(mesh, axis=-1)
-
-
 def check_weyl_conditions(
     weight: WeylWeight, box: int, dimension: int | None = None
 ) -> WeylConditionReport:
@@ -187,9 +192,14 @@ def check_weyl_conditions(
 
     Positivity and monotonicity are scanned on the nonnegative orthant (where
     condition 3 is stated; evenness transports them to the rest of the box),
-    and evenness itself is verified over the full signed box by comparing
-    every ``W(nu)`` against the stored orthant value at ``|nu|``. The first
-    violating frequency vector per condition is reported as a witness.
+    and evenness itself is verified over the full signed box: each sign flip
+    negates some axis vectors of the orthant mesh, and every ``W(nu)`` it
+    gives is compared against the orthant value at ``|nu|``.
+
+    Witnesses: positivity and monotonicity report the first violation in C
+    order over the orthant. Evenness takes the flips in ``np.ndindex`` order
+    and reports the first differing orthant point (C order) of the first
+    failing flip, signed by that flip.
     """
     dim = dimension if dimension is not None else weight.dimension
     if dim is None:
@@ -197,29 +207,24 @@ def check_weyl_conditions(
     if box < 1:
         raise LacsumError("box must be >= 1")
 
-    orthant = np.arange(box + 1)
-    chunk = max(1, (1 << 23) // max((box + 1) ** (dim - 1), 1))
+    shape = (box + 1,) * dim
+    axes = np.ix_(*[np.arange(box + 1)] * dim)
+    values = np.broadcast_to(weight.fn(*axes), shape)
+
     pos_witness = None
+    if not np.all(values > 0):
+        pos_witness = tuple(int(x) for x in np.argwhere(~(values > 0))[0])
+
     sym_witness = None
-    values = np.empty((box + 1,) * dim)
-    flips = [s for s in np.ndindex(*(2,) * dim) if any(s)]
-    for start, mesh in _mesh_chunks(orthant, orthant, dim, chunk):
-        v = weight.fn(mesh)
-        values[start : start + mesh.shape[0]] = v
-        if pos_witness is None and not np.all(v > 0):
-            first = np.argwhere(~(v > 0))[0]
-            first[0] += start
-            pos_witness = tuple(int(x) for x in first)
-        if sym_witness is None:
-            # every signed point is a sign flip of exactly one orthant point
-            for s in flips:
-                signs = np.asarray([1 - 2 * b for b in s])
-                flipped = mesh * signs
-                w = weight.fn(flipped)
-                if not np.array_equal(w, v):
-                    first = np.argwhere(w != v)[0]
-                    sym_witness = tuple(int(x) for x in flipped[tuple(first)])
-                    break
+    # every signed point is a sign flip of exactly one orthant point
+    for s in np.ndindex(*(2,) * dim):
+        if not any(s):
+            continue
+        w = np.broadcast_to(weight.fn(*(-a if b else a for a, b in zip(axes, s))), shape)
+        if not np.array_equal(w, values):
+            first = np.argwhere(w != values)[0]
+            sym_witness = tuple(-int(x) if b else int(x) for x, b in zip(first, s))
+            break
 
     mono_witness = None
     for axis in range(dim):
@@ -237,14 +242,7 @@ def check_weyl_conditions(
     )
 
 
-def frequency_mesh(bandwidth: Sequence[int]) -> np.ndarray:
-    """Integer frequency vectors of a spectrum box, stacked on the last axis."""
-    axes = [np.arange(-b, b + 1) for b in bandwidth]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def weighted_energy(spectrum, weight: WeylWeight) -> float:
     """Weighted coefficient energy ``sum |c_nu|^2 W(nu)`` over the spectrum box."""
-    mesh = frequency_mesh(spectrum.bandwidth)
-    w = weight.fn(mesh)
+    w = weight.fn(*np.ix_(*(np.arange(-b, b + 1) for b in spectrum.bandwidth)))
     return float(np.sum((np.abs(spectrum.coeffs) ** 2) * w))

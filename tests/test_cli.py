@@ -159,6 +159,53 @@ def test_partial_sum_fix_outside_grid_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "n, fix, header",
+    [
+        (3, [], "x2,x3,re,im"),  # axis 1 pinned at 0
+        (4, ["1", "0"], "x3,x4,re,im"),  # axis 2 pinned at 0 beside the given axis 1
+        (4, ["3", "2"], "x2,x4,re,im"),  # axis 1 pinned at 0 beside the given axis 3
+    ],
+)
+def test_partial_sum_csv_pins_lowest_axes(n, fix, header, tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", str(n), "--B", "1", "--out", str(spec)]) == 0
+    out = tmp_path / "slice.csv"
+    argv = ["partial-sum", "--spec", str(spec), "--n", *["1"] * n, "--grid", "4",
+            "--format", "csv", "--out", str(out)]
+    assert run(argv + (["--fix", *fix] if fix else [])) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + 16
+    capsys.readouterr()
+
+
+def test_maximal_all_lacunary_space(tmp_path, capsys):
+    # k = N: no free axes, so the index space is the lacunary terms alone and
+    # the product weight is the empty product 1
+    from lacsum import JkIndexSpace, SampleJk, TorusGrid, make_lacunary, weighted_maximal
+    from lacsum.weyl import product_weight
+
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", "3", "--B", "3", "--seed", "2", "--out", str(spec)]) == 0
+    out = tmp_path / "max.json"
+    rc = run(["maximal", "--spec", str(spec), "--Jk", "1", "2", "3", "--lambda-count", "3",
+              "--grid", "12", "--out", str(out)])
+    assert rc == 0
+    doc = load_json(out)
+    assert doc["space"]["free_axes"] == [] and doc["space"]["free_caps"] == []
+    assert doc["space"]["index_count"] == 27
+    s = spectrum_from_dict(load_json(spec))
+    sample = SampleJk(3, (1, 2, 3))
+    assert product_weight(sample).evaluate((5, 7, 9)) == 1.0
+    assert doc["weak_type"]["sigma"] == s.energy()
+    space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * 3, ())
+    report = weighted_maximal(s, space, product_weight(sample), TorusGrid((12,) * 3))
+    assert report.engine == "gather"
+    assert doc["m_l2"] == report.m_l2
+    capsys.readouterr()
+
+
 def test_scalar_config_for_tuple_fields(tmp_path, capsys):
     conv = tmp_path / "c.cfg"
     conv.write_text(

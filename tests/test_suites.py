@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacsum import (
     LacsumError,
@@ -198,6 +200,55 @@ def test_sup_error_table_matches_direct():
                 err = np.max(np.abs(partial_sum(s, n, grid).values - f))
                 worst = max(worst, abs(table[pos] - err))
             assert worst < 1e-10, (jk, min_term, worst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_free=st.integers(min_value=1, max_value=2),
+    k=st.integers(min_value=0, max_value=2),
+    min_term=st.sampled_from([0, 1, 2]),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_sup_error_table_property(n_free, k, min_term, data, seed):
+    # every returned entry against a direct partial sum minus the synthesized
+    # function, one index at a time
+    from lacsum import partial_sum, synthesize
+
+    n = n_free + k
+    axes = data.draw(st.permutations(range(1, n + 1)))
+    sample = SampleJk(n, tuple(sorted(axes[:k])))
+    q = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+    families = tuple(make_lacunary(q, data.draw(st.integers(1, 4))) for _ in range(k))
+    bandwidth = data.draw(st.tuples(*[st.integers(min_value=0, max_value=4)] * n))
+    space = JkIndexSpace(sample, families, (0,) * n_free)
+    rng = np.random.default_rng(seed)
+    shape = tuple(2 * b + 1 for b in bandwidth)
+    s = Spectrum(bandwidth, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    grid = TorusGrid((8,) * n)
+    lac, free = sample.lacunary_positions, sample.free_positions
+    # terms from min_term on; past the bandwidth only the first one is kept
+    expected_terms = []
+    for p, fam in zip(lac, families):
+        kept = [t for t in fam.terms if t >= min_term]
+        b = bandwidth[p]
+        expected_terms.append(tuple(t for i, t in enumerate(kept) if i == 0 or kept[i - 1] < b))
+    if not all(expected_terms):
+        with pytest.raises(LacsumError):
+            sup_error_table(s, grid, space, min_term=min_term)
+        return
+    originals, table = sup_error_table(s, grid, space, min_term=min_term)
+    assert originals == tuple(expected_terms)
+    assert table.shape == tuple(map(len, originals)) + tuple(bandwidth[p] + 1 for p in free)
+    f = synthesize(s, grid).values
+    for pos in np.ndindex(*table.shape):
+        idx = [0] * n
+        for p, terms, i in zip(lac, originals, pos):
+            idx[p] = terms[i]
+        for p, m in zip(free, pos[k:]):
+            idx[p] = m
+        err = np.max(np.abs(partial_sum(s, idx, grid).values - f))
+        assert abs(table[pos] - err) < 1e-10, (idx, table[pos], err)
 
 
 def test_coefficient_tail():

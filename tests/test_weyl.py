@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from lacsum import (
     weighted_energy,
     zero_spectrum,
 )
+from lacsum.weyl import WEIGHT_KINDS, weight_from_kind
 
 
 def test_product_weight_values():
@@ -51,7 +55,7 @@ def test_min_pair_below_product():
     nu = np.zeros((64, 64, 3), dtype=int)
     nu[..., 1] = a[:, None]
     nu[..., 2] = a[None, :]
-    assert np.all(wm.fn(nu) <= wp.fn(nu) + 1e-12)
+    assert np.all(wm.evaluate(nu) <= wp.evaluate(nu) + 1e-12)
 
 
 def test_full_product():
@@ -74,7 +78,7 @@ def test_planted_negative_entry_fails_positivity():
     table = np.ones((5, 5))
     table[2, 3] = -1.0
     w = WeylWeight(
-        "table", "planted", 2, False, lambda nu: table[np.abs(nu[..., 0]), np.abs(nu[..., 1])]
+        "table", "planted", 2, False, lambda *nu: table[np.abs(nu[0]), np.abs(nu[1])]
     )
     report = check_weyl_conditions(w, box=4)
     assert not report.positivity
@@ -82,17 +86,88 @@ def test_planted_negative_entry_fails_positivity():
 
 
 def test_asymmetric_weight_fails_symmetry():
-    w = WeylWeight("custom", "asymmetric", 2, False, lambda nu: 1.0 + (nu[..., 0] > 0) * 0.5)
+    w = WeylWeight("custom", "asymmetric", 2, False, lambda *nu: 1.0 + (nu[0] > 0) * 0.5)
     report = check_weyl_conditions(w, box=4)
     assert not report.symmetry
     assert report.symmetry.witness is not None
+
+
+def test_evenness_witness_order_over_two_failing_flips():
+    # odd at |nu| = (3, 0, 1) under the flip of axis 3, and at |nu| = (1, 1, 0)
+    # under the flip of axis 1. Flips go in np.ndindex order, so the axis-3
+    # flip (0, 0, 1) reports first, although (1, 1, 0) precedes (3, 0, 1) in
+    # C order over the orthant.
+    def spot_a(*nu):
+        return 0.5 * ((nu[0] == 3) & (nu[2] == -1))
+
+    def spot_b(*nu):
+        return 0.25 * ((nu[0] == -1) & (nu[1] == 1))
+
+    cases = [
+        (lambda *nu: 1.0 + spot_a(*nu), (3, 0, -1)),
+        (lambda *nu: 1.0 + spot_b(*nu), (-1, 1, 0)),
+        (lambda *nu: 1.0 + spot_a(*nu) + spot_b(*nu), (3, 0, -1)),
+    ]
+    for fn, witness in cases:
+        report = check_weyl_conditions(WeylWeight("custom", "odd spots", 3, False, fn), box=4)
+        assert report.positivity and report.monotonicity
+        assert not report.symmetry
+        assert report.symmetry.witness == witness
+
+
+def test_scan_peak_memory():
+    # the orthant's values are the largest array the scan needs; the stacked
+    # int64 mesh and its flipped copies would take several times that
+    box = 32
+    orthant_bytes = (box + 1) ** 4 * 8
+    w = min_pair_weight(SampleJk(4, (1, 2)))
+    tracemalloc.start()
+    try:
+        report = check_weyl_conditions(w, box=box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak <= 4 * orthant_bytes, (peak, orthant_bytes)
+
+
+def _closed_form(kind: str, sample: SampleJk, nu) -> float:
+    logs = [math.log(abs(int(v)) + 2) for v in nu]
+    if kind == "product":
+        return math.prod(logs[p] for p in sample.free_positions)
+    if kind == "minpair":
+        i, j = sample.free_positions
+        return math.log(min(abs(int(nu[i])), abs(int(nu[j]))) + 2) ** 2
+    if kind == "full":
+        return math.prod(logs)
+    return 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_open_mesh_matches_stacked_and_closed_form(data):
+    kind = data.draw(st.sampled_from(WEIGHT_KINDS))
+    n = data.draw(st.integers(min_value=2 if kind == "minpair" else 1, max_value=4))
+    axes = data.draw(st.permutations(range(1, n + 1)))
+    k = n - 2 if kind == "minpair" else data.draw(st.integers(min_value=0, max_value=n))
+    sample = SampleJk(n, tuple(sorted(axes[:k])))
+    box = data.draw(st.integers(min_value=1, max_value=6))
+    w = weight_from_kind(kind, sample)
+    ranges = [np.arange(-box, box + 1)] * n
+    stacked = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
+    values = w.evaluate(stacked)
+    assert values.shape == stacked.shape[:-1]
+    # the stacked entry point is the open-mesh fn, bit for bit
+    assert np.array_equal(values, np.broadcast_to(w.fn(*np.ix_(*ranges)), values.shape))
+    expected = np.asarray([_closed_form(kind, sample, nu) for nu in stacked.reshape(-1, n)])
+    assert np.max(np.abs(values.ravel() - expected) / expected) < 1e-13
 
 
 def test_nonmonotone_weight_fails_monotonicity():
     table = np.ones((6, 6))
     table[3, 2] = 0.25  # drop along axis 0
     w = WeylWeight(
-        "table", "planted", 2, False, lambda nu: table[np.abs(nu[..., 0]), np.abs(nu[..., 1])]
+        "table", "planted", 2, False, lambda *nu: table[np.abs(nu[0]), np.abs(nu[1])]
     )
     report = check_weyl_conditions(w, box=5)
     assert not report.monotonicity
