@@ -56,6 +56,13 @@ def _grid_for(args: argparse.Namespace, spectrum) -> TorusGrid:
     return TorusGrid((res,) * spectrum.dimension)
 
 
+def _seed(args: argparse.Namespace, default: int) -> int:
+    seed = args.seed if args.seed is not None else default
+    if seed < 0:
+        raise LacsumError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _config_from_args(args: argparse.Namespace, suite: str) -> ExperimentConfig:
     mapping: dict = {}
     if getattr(args, "config", None):
@@ -172,7 +179,7 @@ def _cmd_gen(args) -> int:
         args.family,
         bandwidth=cfg.bandwidth if cfg.bandwidth is not None else args.bandwidth,
         dimension=args.dimension,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        seed=_seed(args, cfg.seed),
         beta=args.beta,
         eps=args.eps,
         mode=tuple(args.mode) if args.mode else (1,) * args.dimension,
@@ -269,7 +276,7 @@ def _cmd_verify(args) -> int:
         for flag, value, low in bounds:
             if value < low:
                 raise LacsumError(f"{flag} must be >= {low}, got {value}")
-        rng = np.random.default_rng(args.seed if args.seed is not None else 7)
+        rng = np.random.default_rng(_seed(args, 7))
         worst = abel_max_deviation(rng, args.trials, args.n, nu=args.nu)
         doc = {
             "schema": "lacsum.verify/1",

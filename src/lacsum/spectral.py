@@ -385,7 +385,9 @@ class PrefixBlockPlan:
     ``t`` and ``cut_terms[t]`` the smallest term behind each. ``free_limits``
     and ``free_grid`` always have two entries: a plan with one free axis adds
     a phantom second axis of bandwidth 0 on one grid point, so the stream has
-    one shape; ``free_axes`` lists only the real ones. ``perm`` is the
+    one shape; ``free_axes`` lists only the real ones. ``free_start`` is the
+    lowest prefix value streamed per free axis, ``min(min_term, B)`` (0 on
+    the phantom axis and for ``min_term=0``). ``perm`` is the
     spectrum axes in stream order, cut axes first.
     Rows enumerate ``(cut-value combo, grid coordinates of the cut axes)`` in
     C order, combos outermost, ``lac_size`` grid points per combo.
@@ -397,6 +399,7 @@ class PrefixBlockPlan:
     free_axes: tuple[int, ...]
     free_limits: tuple[int, int]
     free_grid: tuple[int, int]
+    free_start: tuple[int, int]
     lac_size: int
 
     @property
@@ -418,8 +421,9 @@ def plan_prefix_blocks(
     """Lay out the blocked prefix sweep of ``space`` on ``grid``.
 
     Terms below ``min_term`` are skipped; terms clamping to the same
-    bandwidth value merge onto the smallest of them. The space needs one or
-    two free axes, and every cut axis a term ``>= min_term``.
+    bandwidth value merge onto the smallest of them. The free axes start at
+    ``min_term``, clamped to their bandwidth. The space needs one or two
+    free axes, and every cut axis a term ``>= min_term``.
     """
     dim = spectrum.dimension
     if grid.dimension != dim or space.sample.dimension != dim:
@@ -427,6 +431,8 @@ def plan_prefix_blocks(
     cut, free = space.sample.lacunary_positions, space.sample.free_positions
     if len(free) not in (1, 2):
         raise LacsumError(f"blocked sweep needs 1 or 2 free axes, got {len(free)}")
+    if min_term < 0:
+        raise LacsumError(f"min_term must be >= 0, got {min_term}")
     values, terms = [], []
     for axis, family in zip(cut, space.families):
         b = spectrum.bandwidth[axis]
@@ -438,13 +444,15 @@ def plan_prefix_blocks(
         terms.append(tuple(kept))
         values.append(tuple(min(t, b) for t in kept))
     phantom = 2 - len(free)
+    limits = tuple(spectrum.bandwidth[a] for a in free) + (0,) * phantom
     return PrefixBlockPlan(
         cut_axes=cut,
         cut_values=tuple(values),
         cut_terms=tuple(terms),
         free_axes=free,
-        free_limits=tuple(spectrum.bandwidth[a] for a in free) + (0,) * phantom,
+        free_limits=limits,
         free_grid=tuple(grid.resolution[a] for a in free) + (1,) * phantom,
+        free_start=tuple(min(min_term, b) for b in limits),
         lac_size=int(np.prod([grid.resolution[a] for a in cut], dtype=int)),
     )
 
@@ -494,28 +502,29 @@ def iter_prefix_slabs(
     """Stream partial-sum prefixes for the planned sweep, a batch of rows at a time.
 
     Yields ``(row, mb, slab)`` for every batch of consecutive rows and every
-    prefix value ``mb`` of the second free axis in increasing order, where
-    ``slab[r, ma, xa, xb]`` is the rectangular partial sum of row
+    prefix value ``mb >= start_b`` of the second free axis in increasing
+    order, where ``slab[r, i, xa, xb]`` is the rectangular partial sum of row
     ``row + r`` with that row's cut-value combo on the cut axes and
-    ``(ma, mb)`` on the free axes. A batch never crosses a cut-combo
-    boundary, so its rows share one combo and cover consecutive cut-axis
-    grid points. The free axes are the plan's two ``free_limits`` and
-    ``free_grid`` entries, so a one-free-axis plan streams its phantom axis:
-    ``mb`` is always 0 and ``xb`` has length 1. The slab buffer is grown in place between yields (a running
-    prefix), so consumers must reduce it before advancing.
+    ``(start_a + i, mb)`` on the free axes; ``(start_a, start_b)`` is the
+    plan's ``free_start``. A batch never crosses a cut-combo boundary, so
+    its rows share one combo and cover consecutive cut-axis grid points. The
+    free axes are the plan's two ``free_limits`` and ``free_grid`` entries,
+    so a one-free-axis plan streams its phantom axis: ``mb`` is always 0 and
+    ``xb`` has length 1. The slab buffer is grown in place between yields (a
+    running prefix), so consumers must reduce it before advancing.
 
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
-    one. Keeping the slab at ``(B_a + 1) * L_a * L_b`` entries per row
-    instead of materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)``
+    one. Keeping the slab at ``(B_a + 1 - start_a) * L_a * L_b`` entries per
+    row instead of materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)``
     block is what keeps the sweep cache-resident at grid scale; batching
     rows keeps the number of numpy calls down when those slabs are small.
     """
     arr = _cut_stage(spectrum, grid, plan)
-    (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
+    (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
-    batch = max(1, min(plan.lac_size, _SLAB_BYTES // ((ba + 1) * la * lb * 16)))
-    slab_buf = np.empty((batch, ba + 1, la, lb), dtype=complex)
+    batch = max(1, min(plan.lac_size, _SLAB_BYTES // ((ba + 1 - sa) * la * lb * 16)))
+    slab_buf = np.empty((batch, ba + 1 - sa, la, lb), dtype=complex)
     tmp_buf = np.empty_like(slab_buf)
     for combo_start in range(0, plan.rows, plan.lac_size):
         combo_end = combo_start + plan.lac_size
@@ -524,11 +533,13 @@ def iter_prefix_slabs(
             slab, tmp = slab_buf[:n], tmp_buf[:n]
             w = _shell_expand(arr[row : row + n], 1, epa, ena)  # (r, ma, xa, nu_b)
             np.cumsum(w, axis=1, out=w)
+            w = w[:, sa:]  # every ma shell is summed, only ma >= start_a kept
             np.copyto(slab, w[..., bb, None])
-            yield row, 0, slab
-            for mb in range(1, bb + 1):
-                np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
-                slab += tmp
-                np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
-                slab += tmp
-                yield row, mb, slab
+            for mb in range(bb + 1):
+                if mb:
+                    np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
+                    slab += tmp
+                    np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
+                    slab += tmp
+                if mb >= sb:
+                    yield row, mb, slab

@@ -103,10 +103,13 @@ class ExperimentConfig:
     perturb: bool = False
 
     def __post_init__(self) -> None:
-        if self.trials is not None and self.trials < 0:
-            raise LacsumError(f"trials must be >= 0, got {self.trials}")
-        if self.alpha_points < 1:
-            raise LacsumError(f"alpha_points must be >= 1, got {self.alpha_points}")
+        lows = dict(seed=0, trials=0, alpha_points=1, abel_trials=0, abel_max_n=2,
+                    telescope_cases=0, decompose_cases=0, shell_spectra=0, block_bandwidth=1,
+                    vanishing_box=0)
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise LacsumError(f"{name} must be >= {low}, got {value}")
 
     def filled(self, **defaults) -> "ExperimentConfig":
         updates = {k: v for k, v in defaults.items() if getattr(self, k) is None}
@@ -500,20 +503,22 @@ def sup_error_table(
     Returns the original lacunary terms used per axis (terms below
     ``min_term`` are skipped, terms clamping to the same bandwidth value are
     merged onto their smallest representative) and an array indexed by the
-    term combo and then ``m_a`` (and ``m_b``) over the full free prefix ranges.
+    term combo and then ``m_a`` (and ``m_b``). The free axes start at
+    ``min(min_term, B)``: entry ``i`` of free axis ``j`` is ``m_j =
+    min(min_term, B_j) + i``, up to ``B_j``.
     """
     plan = plan_prefix_blocks(spectrum, grid, space, min_term)
     f = synthesize(spectrum, grid).values
     f_perm = np.transpose(f, plan.perm).reshape((plan.lac_size,) + plan.free_grid)
 
-    prefix_shape = tuple(b + 1 for b in plan.free_limits)
+    prefix_shape = tuple(b + 1 - s for b, s in zip(plan.free_limits, plan.free_start))
     table = np.zeros(plan.combo_shape + prefix_shape)
     flat_table = table.reshape((-1,) + prefix_shape)
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         combo_flat, lac_flat = divmod(row, plan.lac_size)
         diff = slab - f_perm[lac_flat : lac_flat + len(slab), None]
         cand = (diff.real**2 + diff.imag**2).max(axis=(0, 2, 3))
-        col = flat_table[combo_flat][:, mb]
+        col = flat_table[combo_flat][:, mb - plan.free_start[1]]
         np.maximum(col, cand, out=col)
     # the returned table leaves out a one-free-axis plan's phantom axis
     free_shape = prefix_shape[: len(plan.free_axes)]
@@ -556,6 +561,8 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
     free_pos = sample.free_positions
     grid = TorusGrid(res)
     levels = tuple(int(v) for v in cfg.levels)
+    if not levels or min(levels) < 0:
+        raise LacsumError(f"levels must be one or more values >= 0, got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise LacsumError(f"levels must be strictly increasing, got {levels}")
     families = tuple(
@@ -586,7 +593,7 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
             sample=sample,
             normalize=cfg.normalize,
         )
-        originals, table = sup_error_table(s, grid, space, min_term=min(levels))
+        originals, table = sup_error_table(s, grid, space, min_term=levels[0])
         flat = table.reshape((-1,) + table.shape[len(originals) :])
         combo_shape = tuple(len(o) for o in originals)
         prev = None
@@ -599,10 +606,9 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
             if not eligible:
                 raise LacsumError(f"no lacunary terms reach level {level}")
             tops = [min(cap, b) for cap, b in zip(caps, (bw[p] for p in free_pos))]
-            err = max(
-                float(flat[ci][tuple(slice(level, t + 1) for t in tops)].max())
-                for ci in eligible
-            )
+            # the table's free axes start at the lowest level, levels[0]
+            box = tuple(slice(level - levels[0], t + 1 - levels[0]) for t in tops)
+            err = max(float(flat[ci][box].max()) for ci in eligible)
             tail = coefficient_tail(s, level)
             ok = err <= tail + cfg.tail_slack
             mono = prev is None or err <= prev

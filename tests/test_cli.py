@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacsum.cli import main
 from lacsum.serialize import load_json, spectrum_from_dict
@@ -264,6 +266,18 @@ def test_malformed_spectrum_is_input_error(tmp_path, capsys):
         ["partial-sum", "--spec", "{spec}", "--n", "1", "1", "1", "--grid", "0"],
         ["maximal", "--spec", "{spec}", "--Jk", "1", "--grid", "0"],
         ["decompose", "--spec", "{spec}", "--free-axes", "2", "3", "--n", "1", "1", "1", "--grid", "0"],
+        ["converge", "--trials", "1", "--levels", "-3", "2"],
+        ["converge", "--trials", "1", "--config", "levels = -1"],
+        ["gen", "--seed", "-1"],
+        ["gen", "--config", "seed = -1"],
+        ["verify", "abel", "--seed", "-1"],
+        ["verify", "identities", "--seed", "-1"],
+        ["converge", "--trials", "1", "--seed", "-1"],
+        ["maximal-suite", "--trials", "1", "--config", "seed = -1"],
+        ["verify", "identities", "--config", "abel_max_n = 1"],
+        ["verify", "identities", "--config", "block_bandwidth = -2"],
+        ["verify", "identities", "--config", "vanishing_box = -1"],
+        ["verify", "identities", "--config", "shell_spectra = -1"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
@@ -383,3 +397,136 @@ def test_maximal_one_pass_matches_two_calls(
     save_csv(["alpha", "ratio"], rows, ref.with_suffix(".csv"))
     assert out.read_bytes() == ref.read_bytes()
     assert out.with_suffix(".csv").read_bytes() == ref.with_suffix(".csv").read_bytes()
+
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random argv values and config lines
+
+_FUZZ_BASE = {
+    "converge": "lambda_count = 3\nbandwidth = 2,3,3\ngrid = 8,12,12\nlevels = 1,2\n"
+    "free_cap = 3\ntrials = 1\n",
+    "maximal-suite": "lambda_count = 3\nbandwidth = 2,3,3\ngrid = 8,12,12\ncap_schedule = 1,2,3\n"
+    "trials = 1\nalpha_points = 3\n",
+    "verify identities": "abel_trials = 3\ntelescope_cases = 1\ndecompose_cases = 0\n"
+    "shell_spectra = 0\nvanishing_box = 4\nblock_bandwidth = 4\n",
+    "gen": "",
+}
+# keys a fuzzed config line may set; each stays cheap at the values drawn
+_SUITE_KEYS = ["seed", "dimension", "jk", "q", "lambda_count", "bandwidth", "grid", "family",
+               "beta", "eps", "mode", "normalize", "trials", "cap_schedule", "free_cap",
+               "levels", "weight", "stabilization_threshold", "tail_slack", "alpha_points",
+               "record_argmax"]
+_FUZZ_KEYS = {
+    "converge": _SUITE_KEYS,
+    "maximal-suite": _SUITE_KEYS,
+    "verify identities": ["seed", "trials", "abel_trials", "abel_max_n", "telescope_cases",
+                          "block_ratios", "block_bandwidth", "vanishing_box",
+                          "identity_tolerance", "perturb"],
+    "gen": ["seed", "bandwidth", "dimension", "q"],
+}
+_VALUES = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["", ",", "nan", "inf", "1e400", "x", "true", "0.5", "1.5,3", "1,2", "3,2",
+                     "2,,4", "-1,2", "1,2,3"]),
+)
+
+
+def _ints(lo, hi, min_size=1, max_size=3):
+    return st.lists(st.integers(lo, hi).map(str), min_size=min_size, max_size=max_size)
+
+
+def _num(lo, hi):
+    return st.integers(lo, hi).map(lambda v: [str(v)])
+
+
+def _words(*words):
+    return st.sampled_from(words).map(lambda w: [w])
+
+
+@st.composite
+def _argv(draw, cmd):
+    """Argv for ``cmd``: its required flags, up to three optional flags and up
+    to one config line past a small base config, all at small values."""
+    config = None
+    if cmd in _FUZZ_BASE:
+        keys = draw(st.lists(st.sampled_from(_FUZZ_KEYS[cmd]), max_size=1))
+        config = _FUZZ_BASE[cmd] + "".join(f"{k} = {draw(_VALUES)}\n" for k in keys)
+    required, optional = [], {"--seed": _num(-3, 6)}
+    if cmd == "gen":
+        optional.update({
+            "--N": _num(-1, 4), "--B": _num(-1, 4),
+            "--family": _words("random_decay", "single_mode", "product_1d", "weyl_borderline", "x"),
+            "--beta": _words("nan", "-1", "0.4", "2"), "--eps": _words("nan", "-1", "0", "0.5"),
+            "--mode": _ints(-3, 3, max_size=4), "--Jk": _ints(-1, 4),
+        })
+    elif cmd == "verify abel":
+        required.append(("--trials", _num(-1, 3)))  # the default, 100 trials, is slow
+        optional.update({"--nu": _num(-1, 3), "--n": _num(-1, 4)})
+    elif cmd in ("converge", "maximal-suite"):
+        optional.update({"--trials": _num(-1, 2), "--Jk": _ints(-1, 4)})
+        if cmd == "converge":
+            levels = st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)
+            optional["--levels"] = levels.map(lambda v: [str(x) for x in sorted(v)])
+    elif cmd != "verify identities":  # the commands that read a spectrum file
+        required.append(("--spec", st.just(["{spec}"])))
+        optional["--grid"] = _num(-1, 12)
+        if cmd == "maximal":
+            required.append(("--Jk", _ints(-1, 4)))
+            optional.update({
+                "--q": _words("nan", "0.5", "1", "2", "inf"),
+                "--lambda-count": _num(-1, 4), "--free-cap": _num(-1, 4),
+                "--weight": _words("product", "minpair", "full", "unit", "x"),
+            })
+        elif cmd == "partial-sum":
+            required.append(("--n", _ints(-3, 5, max_size=4)))
+            optional.update({"--fix": _ints(-1, 9, min_size=0, max_size=4),
+                             "--format": _words("json", "csv")})
+        else:
+            required += [("--free-axes", _ints(-1, 4, 2, 2)), ("--n", _ints(-2, 5, max_size=4))]
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True))
+    flags = required + [(flag, optional[flag]) for flag in chosen]
+    argv = cmd.split() + [a for flag, values in flags for a in [flag, *draw(values)]]
+    return argv, config, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen", "--N", "3", "--B", "2", "--seed", "1", "--out", str(d / "f.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    ["gen", "verify abel", "verify identities", "converge", "maximal-suite", "maximal",
+     "partial-sum", "decompose"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_code_contract(cmd, data, fuzz_dir):
+    # 0 passed, 1 an assertion failed, 2 an input error in one line; never a
+    # traceback, and no --out file on an input error
+    import contextlib
+    import io
+
+    argv, config, with_out = data.draw(_argv(cmd))
+    argv = [str(fuzz_dir / "f.json") if a == "{spec}" else a for a in argv]
+    out = fuzz_dir / "out.json"
+    out.unlink(missing_ok=True)
+    if config is not None:
+        (fuzz_dir / "c.cfg").write_text(config)
+        argv += ["--config", str(fuzz_dir / "c.cfg")]
+    if with_out:
+        argv += ["--out", str(out)]
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), (argv, config, rc)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert not out.exists()
+    elif argv[0] == "converge":
+        # each row is a minimum index level, and index components are >= 0
+        report = load_json(out) if with_out else json.loads(stdout.getvalue())
+        assert all(row["level"] >= 0 for row in report["results"]["cases"]), (argv, config)

@@ -270,6 +270,50 @@ def test_prefix_slabs_one_free_axis():
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize(
+    "bw, res, cut_axes, cut_values, min_term",
+    [
+        # both free axes start at 3, the second clamped to its bandwidth 2
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), 3),
+        # one free axis starts at 2, the phantom axis at 0
+        ((2, 2, 3), (4, 4, 8), (0, 1), ((1, 2), (1, 2)), 2),
+        # min_term above both free bandwidths: only the full sums stream
+        ((6, 4, 2), (12, 8, 6), (0,), ((1, 5),), 5),
+    ],
+)
+def test_prefix_slabs_start_at_min_term(bw, res, cut_axes, cut_values, min_term, monkeypatch):
+    rng = np.random.default_rng(19)
+    s = random_spectrum(rng, bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, cut_space(3, cut_axes, cut_values), min_term=min_term)
+    (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
+    assert plan.free_start == tuple(min(min_term, b) for b in plan.free_limits)
+    # a budget of four rows of ma >= sa: batches are sized from the kept rows
+    monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", 4 * (ba + 1 - sa) * la * lb * 16)
+    seen, sizes, worst = set(), set(), 0.0
+    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
+        assert mb >= sb
+        assert slab.shape[1:] == (ba + 1 - sa, la, lb)
+        sizes.add(len(slab))
+        combo = np.unravel_index(row // plan.lac_size, plan.combo_shape)
+        n = [0, 0, 0]
+        for a, values, c in zip(plan.cut_axes, plan.cut_values, combo):
+            n[a] = values[c]
+        if len(plan.free_axes) == 2:
+            n[plan.free_axes[1]] = mb
+        for i in range(ba + 1 - sa):
+            n[plan.free_axes[0]] = sa + i
+            direct = partial_sum(s, n, grid, method="direct").values
+            direct = np.transpose(direct, plan.perm).reshape((plan.lac_size, la, lb))
+            for r, prefix in enumerate(slab):
+                seen.add((row + r, mb))
+                lac = (row + r) % plan.lac_size
+                worst = max(worst, float(np.max(np.abs(prefix[i] - direct[lac]))))
+    assert seen == {(row, mb) for row in range(plan.rows) for mb in range(sb, bb + 1)}
+    assert max(sizes) == 4
+    assert worst < 1e-10
+
+
 def _slabs_by_row(s, grid, plan):
     """Copy of every row's slab per ``mb``, and the batch sizes streamed."""
     slabs, sizes = {}, []

@@ -189,14 +189,15 @@ def test_sup_error_table_matches_direct():
         for min_term in (0, 2):
             originals, table = sup_error_table(s, grid, space, min_term=min_term)
             assert originals == ((1, 2, 4) if min_term == 0 else (2, 4),) * len(jk)
-            assert table.shape == tuple(len(o) for o in originals) + (4,) * len(free)
+            # the free axes start at min_term
+            assert table.shape == tuple(len(o) for o in originals) + (4 - min_term,) * len(free)
             worst = 0.0
             for pos in np.ndindex(*table.shape):
                 n = [0, 0, 0]
                 for p, terms, i in zip(lac, originals, pos):
                     n[p] = terms[i]
-                for p, m in zip(free, pos[len(lac):]):
-                    n[p] = m
+                for p, i in zip(free, pos[len(lac):]):
+                    n[p] = min_term + i
                 err = np.max(np.abs(partial_sum(s, n, grid).values - f))
                 worst = max(worst, abs(table[pos] - err))
             assert worst < 1e-10, (jk, min_term, worst)
@@ -239,14 +240,18 @@ def test_sup_error_table_property(n_free, k, min_term, data, seed):
         return
     originals, table = sup_error_table(s, grid, space, min_term=min_term)
     assert originals == tuple(expected_terms)
-    assert table.shape == tuple(map(len, originals)) + tuple(bandwidth[p] + 1 for p in free)
+    # each free axis starts at min_term, clamped to its bandwidth
+    start = {p: min(min_term, bandwidth[p]) for p in free}
+    assert table.shape == tuple(map(len, originals)) + tuple(
+        bandwidth[p] + 1 - start[p] for p in free
+    )
     f = synthesize(s, grid).values
     for pos in np.ndindex(*table.shape):
         idx = [0] * n
         for p, terms, i in zip(lac, originals, pos):
             idx[p] = terms[i]
-        for p, m in zip(free, pos[k:]):
-            idx[p] = m
+        for p, i in zip(free, pos[k:]):
+            idx[p] = start[p] + i
         err = np.max(np.abs(partial_sum(s, idx, grid).values - f))
         assert abs(table[pos] - err) < 1e-10, (idx, table[pos], err)
 
