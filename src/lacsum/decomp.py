@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LacsumError
 from .lattice import Index, check_index
-from .spectral import ShellTensor, Spectrum, TorusGrid, grid_l2, partial_sum
+from .spectral import ShellTensor, Spectrum, TorusGrid, clamp_index, grid_l2, partial_sum
 
 
 def min_log_inverse(t: int | np.ndarray, q: int | np.ndarray) -> float | np.ndarray:
@@ -121,7 +121,10 @@ def decompose_free_pair(
     reference is the partial sum of the weighted-back spectrum, synthesized
     through the independent FFT path. ``engine='closed'`` uses the collapsed
     single-sum forms; ``engine='bilinear'`` evaluates the raw double Abel
-    expansion (identical values, quadratically more partial sums).
+    expansion (identical values, quadratically more partial sums). Every
+    partial sum a term needs lies inside the clamped ``index`` box, so the
+    shell tensor covers only that box; its shells and prefix sums there are
+    bit-identical to those of the full spectrum's tensor.
     """
     if g_spectrum.dimension < 3:
         raise LacsumError("decomposition needs dimension >= 3")
@@ -132,7 +135,9 @@ def decompose_free_pair(
     na, nb = idx[a], idx[b]
     n0 = min(na, nb)
 
-    lookup_many, lookup_one = _sum_engine(g_spectrum, grid)
+    box, _ = clamp_index(idx, g_spectrum.bandwidth)
+    central = tuple(slice(bw - v, bw + v + 1) for v, bw in zip(box, g_spectrum.bandwidth))
+    lookup_many, lookup_one = _sum_engine(Spectrum(box, g_spectrum.coeffs[central]), grid)
 
     def sums_at(pairs: list[tuple[int, int]]) -> np.ndarray:
         rows = []

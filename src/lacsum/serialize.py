@@ -50,7 +50,7 @@ def _unpairs(pairs, shape) -> np.ndarray:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("expected a list of [re, im] pairs")
         return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise LacsumError(f"bad payload for shape {shape}: {exc}") from exc
 
 
@@ -61,10 +61,10 @@ def _open(doc: Any, schema: str, size_key: str, payload_key: str) -> tuple[tuple
         raise LacsumError(f"not a {schema} document: schema={found!r}")
     sizes = doc.get(size_key)
     if payload_key not in doc or not (
-        isinstance(sizes, list) and all(type(v) is int and v >= 0 for v in sizes)
+        isinstance(sizes, list) and sizes and all(type(v) is int and v >= 0 for v in sizes)
     ):
         raise LacsumError(
-            f"{schema} document needs {size_key!r} (nonnegative integers) and {payload_key!r}"
+            f"{schema} document needs {size_key!r} (nonempty, nonnegative integers) and {payload_key!r}"
         )
     return tuple(sizes), doc[payload_key]
 
@@ -99,7 +99,10 @@ def gridfunction_from_dict(doc: dict) -> GridFunction:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(jsonify(doc), sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(jsonify(doc), sort_keys=True, indent=2) + "\n"
+    except RecursionError as exc:
+        raise LacsumError(f"document nests too deeply to write: {exc}") from exc
 
 
 def save_json(doc: dict, path: str | Path) -> Path:
@@ -119,6 +122,8 @@ def load_json(path: str | Path) -> dict:
         raise LacsumError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LacsumError(f"invalid JSON in {p}: {exc}") from exc
+    except RecursionError as exc:
+        raise LacsumError(f"JSON in {p} nests too deeply: {exc}") from exc
 
 
 def csv_text(fieldnames: list[str], rows: list[dict]) -> str:

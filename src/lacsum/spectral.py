@@ -321,6 +321,10 @@ def _shell_expand(arr: np.ndarray, axis: int, ep: np.ndarray, en: np.ndarray) ->
     return np.moveaxis(out, (-2, -1), (axis, axis + 1))
 
 
+# largest shell tensor ShellTensor.from_grid builds, in bytes (256 MiB)
+_SHELL_BYTES = 1 << 28
+
+
 class ShellTensor:
     """Cumulative shell sums giving O(1) rectangular partial-sum queries.
 
@@ -334,16 +338,14 @@ class ShellTensor:
         self._prefix = _freeze(prefix)
 
     @classmethod
-    def from_grid(
-        cls, spectrum: Spectrum, grid: TorusGrid, max_bytes: int = 1 << 28
-    ) -> "ShellTensor":
+    def from_grid(cls, spectrum: Spectrum, grid: TorusGrid) -> "ShellTensor":
         if grid.dimension != spectrum.dimension:
             raise LacsumError("grid and spectrum dimension mismatch")
         shells = int(np.prod([b + 1 for b in spectrum.bandwidth]))
         need = shells * grid.npoints * 16
-        if need > max_bytes:
+        if need > _SHELL_BYTES:
             raise LacsumError(
-                f"shell tensor would take {need} bytes (> {max_bytes}); "
+                f"shell tensor would take {need} bytes (> {_SHELL_BYTES}); "
                 "use the blocked prefix sweep for sizes like this"
             )
         dim = spectrum.dimension

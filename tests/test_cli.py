@@ -244,6 +244,13 @@ def test_malformed_spectrum_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err.count("\n") == 1
 
 
+# a zero-dimensional spectrum document, one whose coefficient is an integer
+# too large for a float, and JSON nested past the parser's recursion limit
+_SPEC_0D = '{"schema":"lacsum.spectrum/1","N":0,"B":[],"coefficients":[[1,0]]}'
+_SPEC_HUGE = '{"schema":"lacsum.spectrum/1","N":1,"B":[0],"coefficients":[[1' + "0" * 400 + ",0]]}"
+_DEEP = "[" * 200000 + "]" * 200000
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -278,19 +285,27 @@ def test_malformed_spectrum_is_input_error(tmp_path, capsys):
         ["verify", "identities", "--config", "block_bandwidth = -2"],
         ["verify", "identities", "--config", "vanishing_box = -1"],
         ["verify", "identities", "--config", "shell_spectra = -1"],
+        ["partial-sum", "--spec", _SPEC_0D, "--n", "1"],
+        ["decompose", "--spec", _SPEC_0D, "--free-axes", "2", "3", "--n", "1", "1", "1"],
+        ["partial-sum", "--spec", _DEEP, "--n", "1"],
+        ["report", "--in", _DEEP],
+        ["report", "--in", "[" * 700 + "]" * 700],
+        ["partial-sum", "--spec", _SPEC_HUGE, "--n", "1"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
     # "{spec}" stands for a generated spectrum file, and the word after
-    # "--config" for the text of a config file
-    spec, cfg = tmp_path / "f.json", tmp_path / "c.cfg"
+    # "--config" for the text of a config file, as does any other word after
+    # "--spec" or "--in" for the text of a document
+    spec, cfg, doc = tmp_path / "f.json", tmp_path / "c.cfg", tmp_path / "doc.json"
     if "{spec}" in argv:
         assert run(["gen", "--N", "3", "--B", "2", "--out", str(spec)]) == 0
         capsys.readouterr()
-    if "--config" in argv:
-        at = argv.index("--config") + 1
-        cfg.write_text(argv[at] + "\n")
-        argv = argv[:at] + [str(cfg)] + argv[at + 1 :]
+    for flag, path, end in (("--config", cfg, "\n"), ("--spec", doc, ""), ("--in", doc, "")):
+        if flag in argv and argv[argv.index(flag) + 1] != "{spec}":
+            at = argv.index(flag) + 1
+            path.write_text(argv[at] + end)
+            argv = argv[:at] + [str(path)] + argv[at + 1 :]
     argv = [str(spec) if a == "{spec}" else a for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
@@ -444,10 +459,64 @@ def _words(*words):
     return st.sampled_from(words).map(lambda w: [w])
 
 
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+                    st.sampled_from([10**400, 1e308, 0.5]))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _spectrum_doc(draw):
+    """A spectrum document near the schema: wrong sizes, counts, payloads,
+    schema names and missing or junk fields included."""
+    bw = draw(st.lists(st.integers(-1, 2), max_size=3))
+    count = int(np.prod([2 * abs(b) + 1 for b in bw])) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    value = st.one_of(st.floats(-2, 2), _LEAVES)
+    doc = {
+        "schema": draw(st.sampled_from(["lacsum.spectrum/1", "lacsum.gridfunction/1", "x"])),
+        "N": len(bw),
+        "B": bw,
+        "coefficients": draw(st.lists(st.lists(value, min_size=2, max_size=2),
+                                      min_size=count, max_size=count)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=1)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+_REPORT_DOC = st.fixed_dictionaries({
+    "passed": st.booleans(),
+    "results": st.one_of(
+        _JSON,
+        st.dictionaries(st.sampled_from(["cases", "checks"]), st.one_of(
+            st.lists(st.dictionaries(st.sampled_from(["level", "check", "x"]), _LEAVES, max_size=3),
+                     max_size=3),
+            st.dictionaries(st.sampled_from(["abel", "x"]), st.one_of(_LEAVES, st.dictionaries(
+                st.sampled_from(["cases", "max_deviation"]), _LEAVES, max_size=2)), max_size=2),
+            _LEAVES,
+        ), max_size=2),
+    ),
+})
+# the text of a --spec or --in file: a document near a schema, any JSON value,
+# nesting past what the parser or the writer can recurse into, or not JSON at all
+_DOC_TEXT = st.one_of(
+    st.one_of(_spectrum_doc(), _REPORT_DOC, _JSON).map(json.dumps),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(max_size=8),
+)
+
+
 @st.composite
 def _argv(draw, cmd):
     """Argv for ``cmd``: its required flags, up to three optional flags and up
-    to one config line past a small base config, all at small values."""
+    to one config line past a small base config, all at small values. The
+    word ``{doc}`` stands for a file holding the drawn document text."""
     config = None
     if cmd in _FUZZ_BASE:
         keys = draw(st.lists(st.sampled_from(_FUZZ_KEYS[cmd]), max_size=1))
@@ -468,8 +537,12 @@ def _argv(draw, cmd):
         if cmd == "converge":
             levels = st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)
             optional["--levels"] = levels.map(lambda v: [str(x) for x in sorted(v)])
+    elif cmd == "report":
+        required.append(("--in", st.just(["{doc}"])))
+        optional["--format"] = _words("json", "csv")
     elif cmd != "verify identities":  # the commands that read a spectrum file
-        required.append(("--spec", st.just(["{spec}"])))
+        spec = _words("{spec}", "{doc}") if cmd == "partial-sum" else st.just(["{spec}"])
+        required.append(("--spec", spec))
         optional["--grid"] = _num(-1, 12)
         if cmd == "maximal":
             required.append(("--Jk", _ints(-1, 4)))
@@ -487,7 +560,8 @@ def _argv(draw, cmd):
     chosen = draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True))
     flags = required + [(flag, optional[flag]) for flag in chosen]
     argv = cmd.split() + [a for flag, values in flags for a in [flag, *draw(values)]]
-    return argv, config, draw(st.booleans())
+    doc = draw(_DOC_TEXT) if "{doc}" in argv else None
+    return argv, config, doc, draw(st.booleans())
 
 
 @pytest.fixture(scope="module")
@@ -500,7 +574,7 @@ def fuzz_dir(tmp_path_factory):
 @pytest.mark.parametrize(
     "cmd",
     ["gen", "verify abel", "verify identities", "converge", "maximal-suite", "maximal",
-     "partial-sum", "decompose"],
+     "partial-sum", "decompose", "report"],
 )
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -510,8 +584,11 @@ def test_cli_fuzz_exit_code_contract(cmd, data, fuzz_dir):
     import contextlib
     import io
 
-    argv, config, with_out = data.draw(_argv(cmd))
-    argv = [str(fuzz_dir / "f.json") if a == "{spec}" else a for a in argv]
+    argv, config, doc, with_out = data.draw(_argv(cmd))
+    files = {"{spec}": fuzz_dir / "f.json", "{doc}": fuzz_dir / "doc.json"}
+    if doc is not None:
+        files["{doc}"].write_text(doc)
+    argv = [str(files.get(a, a)) for a in argv]
     out = fuzz_dir / "out.json"
     out.unlink(missing_ok=True)
     if config is not None:

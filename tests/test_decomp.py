@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lacsum.decomp
+import lacsum.spectral
 from lacsum import (
     LacsumError,
     SampleJk,
+    ShellTensor,
     Spectrum,
     TorusGrid,
     apply_pair_weight,
@@ -111,3 +116,39 @@ def test_decompose_dimension_guard():
     with pytest.raises(LacsumError):
         decompose_free_pair(zero_spectrum((3, 3)), (1, 1), (1, 2), TorusGrid((8, 8)))
 
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_inner_box_tensor_is_bit_identical(data, seed):
+    # decompose_free_pair builds its shell tensor from the clamped index box
+    # only; every lookup at or below the index must match the full tensor's
+    dim = data.draw(st.integers(1, 3))
+    bw = data.draw(st.tuples(*[st.integers(0, 3)] * dim))
+    idx = data.draw(st.tuples(*[st.integers(0, 5)] * dim))  # zeros and past-bandwidth
+    grid = TorusGrid(data.draw(st.tuples(*[st.sampled_from([2, 4, 6, 8])] * dim)))
+    g = random_spectrum(np.random.default_rng(seed), bw)
+    box = tuple(min(v, b) for v, b in zip(idx, bw))
+    central = tuple(slice(b - v, b + v + 1) for v, b in zip(box, bw))
+    inner = ShellTensor.from_grid(Spectrum(box, g.coeffs[central]), grid)
+    full = ShellTensor.from_grid(g, grid)
+    below = list(np.ndindex(*(v + 1 for v in idx)))
+    for m in below:
+        assert inner.query(m).tobytes() == full.query(m).tobytes(), (bw, idx, m)
+    assert inner.partial_sums(below).tobytes() == full.partial_sums(below).tobytes()
+
+
+@pytest.mark.parametrize("engine", ["closed", "bilinear"])
+def test_decompose_fft_fallback(monkeypatch, engine):
+    # a shell tensor over the byte budget falls back to one FFT partial sum
+    # per lookup, with the same terms up to rounding
+    rng = np.random.default_rng(6)
+    g = random_spectrum(rng, (3, 4, 4))
+    index = (2, 4, 3)
+    tensor = decompose_free_pair(g, index, (2, 3), GRID, engine=engine)
+    monkeypatch.setattr(lacsum.spectral, "_SHELL_BYTES", 0)
+    lookup_many, _ = lacsum.decomp._sum_engine(g, GRID)
+    assert not isinstance(getattr(lookup_many, "__self__", None), ShellTensor)
+    fft = decompose_free_pair(g, index, (2, 3), GRID, engine=engine)
+    assert fft.max_error < 1e-10
+    for a, b in zip(fft.terms, tensor.terms):
+        assert np.max(np.abs(a - b)) < 1e-12

@@ -222,10 +222,14 @@ def test_shell_tensor_s0_is_c0():
     assert np.max(np.abs(tensor.query((0, 0)) - s.coefficient((0, 0)))) < 1e-13
 
 
-def test_shell_tensor_budget_guard():
-    s = zero_spectrum((16, 16, 16))
+def test_shell_tensor_budget_guard(monkeypatch):
+    # 4^3 shells x 16^3 points x 16 bytes = 4 MiB: under the default budget,
+    # over a 1 MiB one
+    s, grid = zero_spectrum((3, 3, 3)), TorusGrid((16, 16, 16))
+    ShellTensor.from_grid(s, grid)
+    monkeypatch.setattr(lacsum.spectral, "_SHELL_BYTES", 1 << 20)
     with pytest.raises(LacsumError):
-        ShellTensor.from_grid(s, TorusGrid((64, 64, 64)), max_bytes=1 << 20)
+        ShellTensor.from_grid(s, grid)
 
 
 def test_prefix_slabs_match_partial_sums():

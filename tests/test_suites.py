@@ -117,6 +117,31 @@ def test_identity_suite_no_cases_marker():
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.tuples(*[st.integers(0, 4)] * 3),
+    seed=st.integers(0, 2**16),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_shell_oracle_box_slice_is_bit_identical(n, seed, zeros):
+    # the identity suite's direct oracle sums the box's coefficients against
+    # the matching axis-matrix columns; the zero-padded full box adds only
+    # exact zeros to the same sums in the same order
+    from lacsum.spectral import _axis_matrix
+
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((9, 9, 9)) + 1j * rng.standard_normal((9, 9, 9))
+    coeffs[rng.random((9, 9, 9)) < zeros] = 0.0
+    grid = TorusGrid((8, 8, 8))
+    mats = [_axis_matrix(4, grid.axis_coords(p)) for p in range(3)]
+    sl = tuple(slice(4 - v, 4 + v + 1) for v in n)
+    masked = np.zeros_like(coeffs)
+    masked[sl] = coeffs[sl]
+    padded = np.einsum("abc,xa,yb,zc->xyz", masked, *mats)
+    sliced = np.einsum("abc,xa,yb,zc->xyz", coeffs[sl], *(m[:, k] for m, k in zip(mats, sl)))
+    assert sliced.tobytes() == padded.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convergence suite
 
