@@ -20,8 +20,6 @@ from .errors import EmptyFamilyError, LacsumError
 
 Index = tuple[int, ...]
 
-GROWTH_RULES = ("minimal", "power")
-
 
 def check_index(components: Sequence[int], dimension: int | None = None) -> Index:
     """Validate a multi-index (nonnegative integers, optional fixed length)."""
@@ -135,39 +133,31 @@ def _next_term(prev: int, q: float) -> int:
     return nxt
 
 
-def make_lacunary(q: float, count: int, rule: str = "minimal") -> LacunaryFamily:
-    """Generate a lacunary family with exactly ``count`` terms.
-
-    ``minimal`` takes the densest admissible sequence, stepping to
-    ceil(q * previous). ``power`` targets round(q**s), raised where needed
-    so the sequence starts at 1, stays strictly increasing and keeps every
-    consecutive ratio at least q.
-    """
+def make_lacunary(q: float, count: int) -> LacunaryFamily:
+    """Generate the densest lacunary family with exactly ``count`` terms,
+    stepping to ceil(q * previous)."""
     if not 1 < q < math.inf:
         raise LacsumError(f"lacunary ratio must be finite and exceed 1, got {q}")
     if count < 1:
         raise LacsumError(f"count must be >= 1, got {count}")
-    if rule not in GROWTH_RULES:
-        raise LacsumError(f"unknown growth rule {rule!r}, expected one of {GROWTH_RULES}")
     terms = [1]
     for s in range(1, count):
-        floor_next = _next_term(terms[-1], q)
-        if rule == "minimal":
-            terms.append(floor_next)
-        else:
-            terms.append(max(round(q**s), floor_next))
+        try:
+            terms.append(_next_term(terms[-1], q))
+        except OverflowError:
+            raise LacsumError(f"lacunary term {s + 1} of ratio {q} is past float range") from None
     return LacunaryFamily(q=q, terms=tuple(terms))
 
 
-def make_lacunary_covering(q: float, bound: int, rule: str = "minimal") -> LacunaryFamily:
+def make_lacunary_covering(q: float, bound: int) -> LacunaryFamily:
     """Generate a family whose largest term reaches at least ``bound``."""
     if bound < 1:
         raise LacsumError(f"bound must be >= 1, got {bound}")
     count = 1
-    family = make_lacunary(q, count, rule)
+    family = make_lacunary(q, count)
     while family.terms[-1] < bound:
         count += 1
-        family = make_lacunary(q, count, rule)
+        family = make_lacunary(q, count)
     return family
 
 

@@ -23,7 +23,9 @@ Rectangular partial sums are served by two engines:
   stream only reduce its batches. Each yielded slab holds a batch of
   consecutive rows (cut-axis grid points of one cut-value combo), as many
   as fit a byte budget, so small one-free-axis slabs cost one numpy call
-  per batch rather than per row.
+  per batch rather than per row. The last cut axis is summed inside the
+  stream, once per combo of the others, so only one combo's rows are live
+  and the next combo reuses their buffer.
 """
 
 from __future__ import annotations
@@ -459,39 +461,55 @@ def plan_prefix_blocks(
     )
 
 
-def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np.ndarray:
-    """Pin the cut axes: returns ``(rows, 2 B_a + 1, 2 B_b + 1)``, the free
-    coefficient axes in stream order (a phantom axis has length 1).
+def _shell_prefixes(
+    arr: np.ndarray, axis: int, b: int, length: int, values: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """Yield the running sum over the shells ``|nu| = 0, 1, ...`` of axis
+    ``axis`` of ``arr`` (size ``2b + 1``, becoming its grid coordinate) at
+    each of the increasing ``values``. Only one shell and the sum are live;
+    the next shell overwrites the yielded buffer.
+    """
+    ep, en = _phase_pair_cached(b, length)
+    # nu first, then a length-1 slot where the grid coordinate goes
+    coef = np.expand_dims(np.moveaxis(arr, axis, 0), axis + 1)
+    phase_shape = (length,) + (1,) * (arr.ndim - axis - 1)
+    acc = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
+    shell, tmp = np.empty_like(acc), np.empty_like(acc)
+    for i in range(values[-1] + 1):
+        np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=shell)
+        np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
+        shell += tmp
+        if i:
+            acc += shell
+        else:
+            np.copyto(acc, shell)
+        if i in values:
+            yield acc
 
-    Each cut axis in turn becomes a (cut value, grid coordinate) pair: a
-    running sum over its shells ``|nu| = 0, 1, ...`` is copied out whenever
-    it reaches a cut value. Only one shell and the running sum are live
-    beside the output, never the whole shell expansion.
+
+def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np.ndarray:
+    """Pin every cut axis but the last: returns ``(leading cut values, their
+    grid coordinates, last cut axis's coefficients, 2 B_a + 1, 2 B_b + 1)``,
+    the free coefficient axes in stream order (a phantom axis has length 1).
+    With no cut axis only the two free axes remain.
+
+    Each leading cut axis in turn becomes a (cut value, grid coordinate)
+    pair: its running shell sum is copied out whenever it reaches a cut
+    value. The last cut axis is left to ``iter_prefix_slabs``, which runs
+    its shell sum once per leading combo, so only one combo's rows are live.
     """
     arr = np.transpose(spectrum.coeffs, plan.perm)
     # arr is (cut values so far, their grid coordinates, coefficient axes left)
-    for t, (axis, values) in enumerate(zip(plan.cut_axes, plan.cut_values)):
-        b = spectrum.bandwidth[axis]
-        ep, en = _phase_pair_cached(b, grid.resolution[axis])
-        # nu first, then a length-1 slot where this axis's grid coordinate goes
-        coef = np.expand_dims(np.moveaxis(arr, 2 * t, 0), 2 * t + 1)
-        phase_shape = ep.shape[1:] + (1,) * (arr.ndim - 2 * t - 1)
-        acc = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
-        shell, tmp = np.empty_like(acc), np.empty_like(acc)
-        out = np.empty(acc.shape[:t] + (len(values),) + acc.shape[t:], dtype=complex)
+    for t, (axis, values) in enumerate(zip(plan.cut_axes[:-1], plan.cut_values[:-1])):
+        b, length = spectrum.bandwidth[axis], grid.resolution[axis]
+        shape = arr.shape[:t] + (len(values),) + arr.shape[t : 2 * t] + (length,)
+        out = np.empty(shape + arr.shape[2 * t + 1 :], dtype=complex)
         dest = np.moveaxis(out, t, 0)
-        for i in range(values[-1] + 1):
-            np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=shell)
-            np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
-            shell += tmp
-            if i:
-                acc += shell
-            else:
-                np.copyto(acc, shell)
-            if i in values:
-                dest[values.index(i)] = acc
+        for j, acc in enumerate(_shell_prefixes(arr, 2 * t, b, length, values)):
+            dest[j] = acc
         arr = out
-    return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in plan.free_limits))
+    lead = arr.shape[: arr.ndim - len(plan.free_axes)]
+    return arr.reshape(lead + tuple(2 * b + 1 for b in plan.free_limits))
 
 
 # slab budget of one batch in bytes; about 1 MiB keeps a batch cache-resident
@@ -515,6 +533,10 @@ def iter_prefix_slabs(
     ``xb`` has length 1. The slab buffer is grown in place between yields (a
     running prefix), so consumers must reduce it before advancing.
 
+    ``_cut_stage`` pins the leading cut axes; the last one's running shell
+    sum runs here, once per leading combo, so its buffer holds one combo's
+    ``lac_size`` rows at each cut value and the next combo reuses it.
+
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
     one. Keeping the slab at ``(B_a + 1 - start_a) * L_a * L_b`` entries per
     row instead of materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)``
@@ -523,17 +545,29 @@ def iter_prefix_slabs(
     """
     arr = _cut_stage(spectrum, grid, plan)
     (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
+    if plan.cut_axes:
+        t, axis = len(plan.cut_axes) - 1, plan.cut_axes[-1]
+        b, length, values = spectrum.bandwidth[axis], grid.resolution[axis], plan.cut_values[-1]
+        # arr[lead] is (leading grid coordinates, last cut axis's nu, free
+        # axes): the lead pins the t value axes, so nu sits at position t
+        combos = (
+            acc
+            for lead in np.ndindex(plan.combo_shape[:-1])
+            for acc in _shell_prefixes(arr[lead], t, b, length, values)
+        )
+    else:
+        combos = (arr,)
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
     batch = max(1, min(plan.lac_size, _SLAB_BYTES // ((ba + 1 - sa) * la * lb * 16)))
     slab_buf = np.empty((batch, ba + 1 - sa, la, lb), dtype=complex)
     tmp_buf = np.empty_like(slab_buf)
-    for combo_start in range(0, plan.rows, plan.lac_size):
-        combo_end = combo_start + plan.lac_size
-        for row in range(combo_start, combo_end, batch):
-            n = min(batch, combo_end - row)
+    for combo, rows in enumerate(combos):
+        rows = rows.reshape((plan.lac_size, 2 * ba + 1, 2 * bb + 1))
+        for start in range(0, plan.lac_size, batch):
+            n = min(batch, plan.lac_size - start)
             slab, tmp = slab_buf[:n], tmp_buf[:n]
-            w = _shell_expand(arr[row : row + n], 1, epa, ena)  # (r, ma, xa, nu_b)
+            w = _shell_expand(rows[start : start + n], 1, epa, ena)  # (r, ma, xa, nu_b)
             np.cumsum(w, axis=1, out=w)
             w = w[:, sa:]  # every ma shell is summed, only ma >= start_a kept
             np.copyto(slab, w[..., bb, None])
@@ -544,4 +578,4 @@ def iter_prefix_slabs(
                     np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
                     slab += tmp
                 if mb >= sb:
-                    yield row, mb, slab
+                    yield combo * plan.lac_size + start, mb, slab

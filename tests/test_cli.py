@@ -291,6 +291,10 @@ _DEEP = "[" * 200000 + "]" * 200000
         ["report", "--in", _DEEP],
         ["report", "--in", "[" * 700 + "]" * 700],
         ["partial-sum", "--spec", _SPEC_HUGE, "--n", "1"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--lambda-count", "1100"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--q", "1e308", "--lambda-count", "3"],
+        ["maximal-suite", "--trials", "1", "--q", "1e308"],
+        ["converge", "--trials", "1", "--config", "q = 1e308"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):

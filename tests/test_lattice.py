@@ -41,11 +41,6 @@ def test_make_lacunary_bad_ratio():
             LacunaryFamily(q=q, terms=(1,))
 
 
-def test_power_rule_valid():
-    fam = make_lacunary(1.5, 6, rule="power")
-    assert validate_lacunary(fam.terms, 1.5).ok
-
-
 def test_validate_examples():
     assert validate_lacunary([1, 2, 4, 8], 2.0).ok
     bad = validate_lacunary([1, 2, 3], 2.0)
@@ -63,10 +58,9 @@ def test_validate_rejects_nonincreasing():
 @given(
     q=st.floats(min_value=1.01, max_value=4.0, allow_nan=False),
     count=st.integers(min_value=1, max_value=12),
-    rule=st.sampled_from(["minimal", "power"]),
 )
-def test_generated_families_always_validate(q, count, rule):
-    fam = make_lacunary(q, count, rule=rule)
+def test_generated_families_always_validate(q, count):
+    fam = make_lacunary(q, count)
     assert len(fam.terms) == count
     assert validate_lacunary(fam.terms, q).ok
 

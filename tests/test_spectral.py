@@ -21,7 +21,12 @@ from lacsum import (
     synthesize,
     zero_spectrum,
 )
-from lacsum.spectral import iter_prefix_slabs, plan_prefix_blocks
+from lacsum.spectral import (
+    _phase_pair_cached,
+    _shell_expand,
+    iter_prefix_slabs,
+    plan_prefix_blocks,
+)
 
 
 def random_spectrum(rng, bandwidth):
@@ -233,23 +238,35 @@ def test_shell_tensor_budget_guard(monkeypatch):
 
 
 def test_prefix_slabs_match_partial_sums():
+    # one cut axis; three cut axes; cut axes 1 and 3 with free axis 2 between them
     rng = np.random.default_rng(14)
-    bw = (3, 4, 2)
-    s = Spectrum(bw, rng.standard_normal((7, 9, 5)) + 1j * rng.standard_normal((7, 9, 5)))
-    grid = TorusGrid((6, 8, 6))
-    plan = plan_prefix_blocks(s, grid, cut_space(3, (0,), ((1, 3),)))
-    cuts = (1, 3)
-    worst = 0.0
-    seen = set()
-    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
-        for r, prefix in enumerate(slab):
-            seen.add((row + r, mb))
-            combo, x1 = divmod(row + r, 6)
-            for ma in (0, 2, 4):
-                direct = partial_sum(s, (cuts[combo], ma, mb), grid, method="direct").values
-                worst = max(worst, float(np.max(np.abs(prefix[ma] - direct[x1]))))
-    assert seen == {(row, mb) for row in range(12) for mb in range(3)}
-    assert worst < 1e-10
+    for bw, res, cut_axes, cut_values in (
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),)),
+        ((2, 1, 2, 3), (4, 4, 6, 8), (0, 1, 2), ((1, 2), (1,), (1, 2))),
+        ((2, 3, 2, 2), (4, 8, 6, 4), (0, 2), ((1, 2), (1, 2))),
+    ):
+        s = random_spectrum(rng, bw)
+        grid = TorusGrid(res)
+        plan = plan_prefix_blocks(s, grid, cut_space(len(bw), cut_axes, cut_values))
+        (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
+        worst, seen = 0.0, set()
+        for row, mb, slab in iter_prefix_slabs(s, grid, plan):
+            combo = np.unravel_index(row // plan.lac_size, plan.combo_shape)
+            n = [0] * len(bw)
+            for a, values, c in zip(plan.cut_axes, plan.cut_values, combo):
+                n[a] = values[c]
+            if len(plan.free_axes) == 2:
+                n[plan.free_axes[1]] = mb
+            lac = row % plan.lac_size
+            for ma in range(ba + 1):
+                n[plan.free_axes[0]] = ma
+                direct = partial_sum(s, n, grid, method="direct").values
+                direct = np.transpose(direct, plan.perm).reshape((plan.lac_size, la, lb))
+                err = np.abs(slab[:, ma] - direct[lac : lac + len(slab)])
+                worst = max(worst, float(np.max(err)))
+            seen.update((row + r, mb) for r in range(len(slab)))
+        assert seen == {(row, mb) for row in range(plan.rows) for mb in range(bb + 1)}
+        assert worst < 1e-10
 
 
 def test_prefix_slabs_one_free_axis():
@@ -364,12 +381,70 @@ def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, bat
         assert all(np.array_equal(slabs[key], reference[key]) for key in reference)
 
 
-def test_cut_stage_peak_memory():
-    # the lacsum maximal --Jk 1 2 geometry: B = 16, grid 64, two axes cut to
-    # five values each; the full shell expansion would need about 8x the output
-    import tracemalloc
+def _whole_array_cut(spectrum, grid, plan):
+    """Every cut axis pinned at once: ``(rows, 2 B_a + 1, 2 B_b + 1)``, all
+    combos' rows in one array, summed shell by shell like the stream."""
+    arr = np.transpose(spectrum.coeffs, plan.perm)
+    for t, (axis, values) in enumerate(zip(plan.cut_axes, plan.cut_values)):
+        b = spectrum.bandwidth[axis]
+        ep, en = _phase_pair_cached(b, grid.resolution[axis])
+        coef = np.expand_dims(np.moveaxis(arr, 2 * t, 0), 2 * t + 1)
+        phase_shape = ep.shape[1:] + (1,) * (arr.ndim - 2 * t - 1)
+        acc = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
+        shell, tmp = np.empty_like(acc), np.empty_like(acc)
+        out = np.empty(acc.shape[:t] + (len(values),) + acc.shape[t:], dtype=complex)
+        dest = np.moveaxis(out, t, 0)
+        for i in range(values[-1] + 1):
+            np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=shell)
+            np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
+            shell += tmp
+            if i:
+                acc += shell
+            else:
+                np.copyto(acc, shell)
+            if i in values:
+                dest[values.index(i)] = acc
+        arr = out
+    return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in plan.free_limits))
 
-    from lacsum.spectral import _cut_stage
+
+@pytest.mark.parametrize(
+    "bw, res, cut_axes, cut_values",
+    [
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),)),
+        ((2, 3, 2, 2), (4, 8, 6, 4), (0, 2), ((1, 2), (1, 2))),
+        ((2, 1, 2, 3), (4, 4, 6, 8), (0, 1, 2), ((1, 2), (1,), (1, 2))),
+    ],
+)
+def test_streamed_slabs_match_whole_array_cut(bw, res, cut_axes, cut_values, monkeypatch):
+    # one, two (with a free axis between them) and three cut axes; a budget
+    # of five rows splits every combo into several batches
+    s = random_spectrum(np.random.default_rng(20), bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, cut_space(len(bw), cut_axes, cut_values))
+    (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
+    monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", 5 * (ba + 1) * la * lb * 16)
+    rows = _whole_array_cut(s, grid, plan)
+    epa, ena = _phase_pair_cached(ba, la)
+    epb, enb = _phase_pair_cached(bb, lb)
+    seen = 0
+    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
+        if mb == 0:
+            w = np.cumsum(_shell_expand(rows[row : row + len(slab)], 1, epa, ena), axis=1)
+            expected = np.repeat(w[..., bb, None], lb, axis=-1)
+        else:
+            expected += w[..., bb + mb, None] * epb[mb]
+            expected += w[..., bb - mb, None] * enb[mb]
+        assert np.array_equal(slab, expected), (row, mb)
+        seen += len(slab)
+    assert seen == plan.rows * (bb + 1)
+
+
+def test_slab_stream_peak_memory():
+    # the lacsum maximal --Jk 1 2 geometry: B = 16, grid 64, two axes cut to
+    # five values each, 102,400 rows. Holding every combo's rows would take
+    # rows x 33 x 16 bytes; the stream holds one combo's rows at a time.
+    import tracemalloc
 
     s = random_spectrum(np.random.default_rng(18), (16, 16, 16))
     grid = TorusGrid((64, 64, 64))
@@ -377,12 +452,15 @@ def test_cut_stage_peak_memory():
     plan = plan_prefix_blocks(s, grid, JkIndexSpace(SampleJk(3, (1, 2)), (family, family), (32,)))
     tracemalloc.start()
     try:
-        out = _cut_stage(s, grid, plan)
+        # past the first leading cut value's five combos into the next one's
+        for row, _, _ in iter_prefix_slabs(s, grid, plan):
+            if row >= 6 * plan.lac_size:
+                break
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (plan.rows, 33, 1)
-    assert peak <= 3 * out.nbytes, (peak, out.nbytes)
+    assert row >= 6 * plan.lac_size
+    assert peak < plan.rows * 33 * 16 // 2, (peak, plan.rows)
 
 
 def test_plan_clamps_merges_and_skips_terms():
