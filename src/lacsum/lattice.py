@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyFamilyError, LacsumError
 
@@ -133,32 +133,39 @@ def _next_term(prev: int, q: float) -> int:
     return nxt
 
 
-def make_lacunary(q: float, count: int) -> LacunaryFamily:
-    """Generate the densest lacunary family with exactly ``count`` terms,
-    stepping to ceil(q * previous)."""
+# most terms make_lacunary builds; past it a family is an input error
+_MAX_TERMS = 4096
+
+
+def _grow_lacunary(q: float, more: Callable[[list[int]], bool]) -> LacunaryFamily:
+    """The densest lacunary family, stepping to ceil(q * previous) while
+    ``more(terms)`` holds."""
     if not 1 < q < math.inf:
         raise LacsumError(f"lacunary ratio must be finite and exceed 1, got {q}")
-    if count < 1:
-        raise LacsumError(f"count must be >= 1, got {count}")
     terms = [1]
-    for s in range(1, count):
+    while more(terms):
         try:
             terms.append(_next_term(terms[-1], q))
         except OverflowError:
-            raise LacsumError(f"lacunary term {s + 1} of ratio {q} is past float range") from None
+            raise LacsumError(
+                f"lacunary term {len(terms) + 1} of ratio {q} is past float range"
+            ) from None
     return LacunaryFamily(q=q, terms=tuple(terms))
+
+
+def make_lacunary(q: float, count: int) -> LacunaryFamily:
+    """Generate the densest lacunary family with exactly ``count`` terms,
+    stepping to ceil(q * previous)."""
+    if count < 1 or count > _MAX_TERMS:
+        raise LacsumError(f"count must be in 1..{_MAX_TERMS}, got {count}")
+    return _grow_lacunary(q, lambda terms: len(terms) < count)
 
 
 def make_lacunary_covering(q: float, bound: int) -> LacunaryFamily:
     """Generate a family whose largest term reaches at least ``bound``."""
     if bound < 1:
         raise LacsumError(f"bound must be >= 1, got {bound}")
-    count = 1
-    family = make_lacunary(q, count)
-    while family.terms[-1] < bound:
-        count += 1
-        family = make_lacunary(q, count)
-    return family
+    return _grow_lacunary(q, lambda terms: terms[-1] < bound)
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,14 @@ under; nested cap schedules are swept in one pass, which makes the
 "enlarging the space never decreases M" monotonicity exact in floating
 point, not just up to rounding.
 
-Two engines compute the same numbers:
-
-* the blocked engine streams `iter_prefix_slabs` (lacunary axes cut to
-  their clamped term values, free axes carrying a full prefix range) and
-  is what makes grid-scale sweeps affordable; it reduces each batch of
-  rows into a slice of its running maxima, and one pass serves several
-  weights, so ``weak_type_table`` also returns the weighted report it
-  swept beside the unweighted maximum;
-* the gather engine materializes a ``ShellTensor`` and looks up an explicit
-  index list; it covers shapes the blocked engine does not (three or more
-  free axes, non-monotone weights) and doubles as the oracle in tests.
+One blocked sweep serves every shape of space: it streams
+`iter_prefix_slabs` (lacunary axes and the free axes past the second cut to
+their clamped values, the first two free axes carrying a full prefix range),
+reduces each batch of rows into a slice of its running maxima, and serves
+several weights and cap levels in one pass, so ``weak_type_table`` also
+returns the weighted report it swept beside the unweighted maximum.
+``gather_max`` looks up an explicit index list in a ``ShellTensor`` instead;
+it is the independent oracle the tests check the sweep against.
 
 Both clamp indices at the spectrum bandwidth first: a partial sum does not
 change past the last coefficient, and any admissible weight is
@@ -26,8 +23,8 @@ coordinatewise nondecreasing, so the maximum over a clamp group is attained
 at its smallest member.
 
 A sample with every axis lacunary (``k = N``) is the trivial case: the
-space is the lacunary term combinations alone, with no free axes, the gather
-engine takes it, and the product weight is the empty product 1.
+space is the lacunary term combinations alone, with no free axes, the sweep
+streams two phantom axes, and the product weight is the empty product 1.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, LacsumError
-from .lattice import Index, JkIndexSpace, check_index, enumerate_jk_indices
+from .lattice import Index, JkIndexSpace, check_index
 from .spectral import (
     GridFunction,
     ShellTensor,
@@ -76,16 +73,15 @@ class MaximalReport:
     ratio: float
     argmax_ids: np.ndarray | None = None
     index_table: np.ndarray | None = None
-    engine: str = "blocked"
 
     def argmax_index(self, point: Sequence[int]) -> Index:
         """An enumerated index attaining the maximum at one grid point.
 
-        When several indices tie, the engines keep different ones: the
-        blocked engine the first in stream order (cut combo, then the second
-        free axis, then the first), the gather engine the first in
-        enumeration order (cut combo, then the first free axis, then the
-        second). Values agree; the index is engine-dependent on ties.
+        When several indices tie, the sweep keeps the first in stream order:
+        cut-value combo (lacunary terms, then the values of the free axes
+        past the second), then the second free axis, then the first.
+        ``gather_max`` keeps the first in enumeration order instead. Values
+        agree; the index depends on the order on ties.
         """
         if self.argmax_ids is None or self.index_table is None:
             raise LacsumError("argmax tracking was disabled for this sweep")
@@ -113,30 +109,34 @@ def sweep_space(
 ) -> SweepResult:
     """Blocked maximal sweep; cap levels must be nondecreasing per axis.
 
-    Requires one or two free axes and coordinatewise-monotone weights (the
-    clamp-at-bandwidth reduction is only exact under monotonicity). All cap
-    levels are served from one prefix pass over the grid.
+    Takes any number of free axes and needs coordinatewise-monotone weights
+    (the clamp-at-bandwidth reduction is only exact under monotonicity). All
+    cap levels are served from one prefix pass over the grid; the top level
+    sets how far the free axes past the second are cut.
     """
     if not all(w.monotone for w in weights):
-        raise LacsumError("blocked sweep needs monotone weights; use the gather engine")
-    plan = plan_prefix_blocks(spectrum, grid, space)
+        raise LacsumError("blocked sweep needs monotone weights")
     if cap_schedule is None:
         cap_schedule = [space.free_caps]
     levels = [tuple(int(c) for c in level) for level in cap_schedule]
-    if any(len(level) != len(plan.free_axes) for level in levels):
+    if any(len(level) != len(space.free_caps) for level in levels):
         raise LacsumError("each cap level needs one cap per free axis")
     for prev, cur in zip(levels, levels[1:]):
         if any(c < p for p, c in zip(prev, cur)):
             raise LacsumError(f"cap schedule must be nondecreasing, got {levels}")
+    plan = plan_prefix_blocks(
+        spectrum, grid, JkIndexSpace(space.sample, space.families, levels[-1])
+    )
 
-    # caps clamped at the free bandwidths; a phantom axis (limit 0) caps at 0
-    caps = [tuple(min(c, b) for c, b in zip(level + (0,), plan.free_limits)) for level in levels]
+    # caps of the streamed axes clamped at the free bandwidths; a phantom
+    # axis (limit 0) caps at 0
+    caps = [tuple(min(c, b) for c, b in zip(level + (0, 0), plan.free_limits)) for level in levels]
     top = caps[-1]
     strides = tuple(t + 1 for t in top)
 
     # the indices the sweep visits span (*combo, ma, mb): one open axis vector
-    # per spectrum axis in stream order, the phantom axis left out; argmax row
-    # ids count through them in C order
+    # per spectrum axis in stream order, the phantom axes left out; argmax
+    # row ids count through them in C order
     dim = space.sample.dimension
     open_axes = np.ix_(*map(np.asarray, plan.cut_terms), *map(np.arange, strides))
     nu = [open_axes[plan.perm.index(a)] for a in range(dim)]
@@ -147,6 +147,13 @@ def sweep_space(
         None if w.kind == "unit" else np.broadcast_to(1.0 / w.fn(*nu), full).reshape(-1, *strides)
         for w in weights
     ]
+    # per level and flat combo: whether the combo's values on the cut free
+    # axes (after the lacunary ones) lie within the level's caps
+    in_level = np.ones((len(levels),) + plan.combo_shape, dtype=bool)
+    for li, level in enumerate(levels):
+        for t, cap in enumerate(level[2:], space.sample.k):
+            in_level[li] &= open_axes[t][..., 0, 0] <= cap
+    in_level = in_level.reshape(len(levels), -1).tolist()
 
     nw, nl = len(weights), len(levels)
     # running maxima per (cut-axis grid point, xa, xb), so a batch of rows is
@@ -167,7 +174,7 @@ def sweep_space(
         for wi, inv in enumerate(inv_tables):
             q = sq if inv is None else sq * inv[combo_flat, :, mb, None, None]
             for li, (ra, rb) in enumerate(caps):
-                if mb > rb:
+                if mb > rb or not in_level[li][combo_flat]:
                     continue
                 sub = q[:, : ra + 1]
                 cand = sub.max(axis=1)
@@ -195,7 +202,7 @@ def sweep_space(
 
 
 # ---------------------------------------------------------------------------
-# gather engine
+# gather oracle
 
 
 def gather_max(
@@ -244,76 +251,33 @@ def gather_max(
 # operator-level entry points
 
 
-def _report_from(
-    spectrum: Spectrum,
-    grid: TorusGrid,
-    space: dict,
-    weight_desc: str,
-    values: np.ndarray,
-    ids: np.ndarray | None,
-    table: np.ndarray | None,
-    engine: str,
-) -> MaximalReport:
-    m_l2 = grid_l2(values)
-    input_l2 = float(np.sqrt(spectrum.energy()))
-    ratio = m_l2 / input_l2 if input_l2 > 0 else 0.0
-    return MaximalReport(
-        grid=grid,
-        values=values,
-        space=space,
-        weight=weight_desc,
-        m_l2=m_l2,
-        input_l2=input_l2,
-        ratio=ratio,
-        argmax_ids=ids,
-        index_table=table,
-        engine=engine,
-    )
-
-
 def _maximal_reports(
     spectrum: Spectrum,
     space: JkIndexSpace,
     weights: Sequence[WeylWeight],
     grid: TorusGrid,
     record_argmax: bool,
-    engine: str,
 ) -> list[MaximalReport]:
-    """One report per weight: one blocked pass over all weights, or one
-    gather per weight where the blocked engine cannot take the space."""
-    if space.sample.dimension != spectrum.dimension:
-        raise LacsumError("space and spectrum dimension mismatch")
-    blocked_ok = len(space.sample.free_positions) in (1, 2) and all(w.monotone for w in weights)
-    if engine == "auto":
-        engine = "blocked" if blocked_ok else "gather"
+    """One report per weight, all from one blocked pass."""
+    sweep = sweep_space(spectrum, grid, space, weights, record_argmax=record_argmax)
     summary = space_summary(space)
-    if engine == "blocked":
-        if not blocked_ok:
-            raise LacsumError("space/weight not eligible for the blocked engine")
-        sweep = sweep_space(
-            spectrum, grid, space, weights, [space.free_caps], record_argmax=record_argmax
-        )
-        return [
-            _report_from(
-                spectrum,
-                grid,
-                summary,
-                w.description,
-                sweep.m_values[wi, 0],
-                sweep.argmax_ids[wi, 0] if sweep.argmax_ids is not None else None,
-                sweep.index_table,
-                "blocked",
-            )
-            for wi, w in enumerate(weights)
-        ]
-    if engine != "gather":
-        raise LacsumError(f"unknown engine {engine!r}")
-    indices = list(enumerate_jk_indices(space))
+    input_l2 = float(np.sqrt(spectrum.energy()))
     reports = []
-    for w in weights:
-        values, ids, reps = gather_max(spectrum, grid, indices, w, record_argmax)
+    for wi, w in enumerate(weights):
+        values = sweep.m_values[wi, 0]
+        m_l2 = grid_l2(values)
         reports.append(
-            _report_from(spectrum, grid, summary, w.description, values, ids, reps, "gather")
+            MaximalReport(
+                grid=grid,
+                values=values,
+                space=summary,
+                weight=w.description,
+                m_l2=m_l2,
+                input_l2=input_l2,
+                ratio=m_l2 / input_l2 if input_l2 > 0 else 0.0,
+                argmax_ids=sweep.argmax_ids[wi, 0] if sweep.argmax_ids is not None else None,
+                index_table=sweep.index_table,
+            )
         )
     return reports
 
@@ -324,10 +288,9 @@ def weighted_maximal(
     weight: WeylWeight,
     grid: TorusGrid,
     record_argmax: bool = True,
-    engine: str = "auto",
 ) -> MaximalReport:
     """Maximum of ``|S_n(x)| / sqrt(W(n))`` over every index of the space."""
-    return _maximal_reports(spectrum, space, [weight], grid, record_argmax, engine)[0]
+    return _maximal_reports(spectrum, space, [weight], grid, record_argmax)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +336,14 @@ def weak_type_table(
     ``M`` is the unweighted maximum over the space; ``Sigma`` is the weighted
     coefficient energy of the input. Without ``alphas`` the grid is 25
     geometric levels from ``max M / 1000`` to ``max M``. The table also
-    carries the weighted maximal report of the same space; when the blocked
-    engine can take the weight, one slab pass sweeps both weights.
+    carries the weighted maximal report of the same space; one slab pass
+    sweeps both weights.
     """
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
         raise DegenerateInputError("weighted energy is zero")
     report, unit_report = _maximal_reports(
-        spectrum, space, [weight, unit_weight(spectrum.dimension)], grid, False, "auto"
+        spectrum, space, [weight, unit_weight(spectrum.dimension)], grid, False
     )
     m = unit_report.values
     if alphas is None:

@@ -15,14 +15,15 @@ Rectangular partial sums are served by two engines:
   and stores their cumulative prefix sums per grid point, after which any
   box sum is a single lookup. ``plan_prefix_blocks``/``iter_prefix_slabs``
   stream the same prefix idea through memory-bounded slabs for sweeps over
-  a ``JkIndexSpace``: its lacunary axes are cut down to their clamped term
-  values, its one or two free axes keep the full prefix range; this is
-  what makes the all-index maximal and convergence sweeps tractable. The
-  plan owns that layout (cut values and terms, free axes with the phantom
-  second axis, row count, axis order), so the sweeps that consume the
-  stream only reduce its batches. Each yielded slab holds a batch of
-  consecutive rows (cut-axis grid points of one cut-value combo), as many
-  as fit a byte budget, so small one-free-axis slabs cost one numpy call
+  a ``JkIndexSpace`` of any shape: its lacunary axes are cut down to their
+  clamped term values, every free axis past the second is cut down to its
+  capped prefix values, and the first two free axes keep the full prefix
+  range; this is what makes the all-index maximal and convergence sweeps
+  tractable. The plan owns that layout (cut values and terms, streamed
+  free axes padded with phantom axes, row count, axis order), so the
+  sweeps that consume the stream only reduce its batches. Each yielded slab
+  holds a batch of consecutive rows (cut-axis grid points of one cut-value
+  combo), as many as fit a byte budget, so small slabs cost one numpy call
   per batch rather than per row. The last cut axis is summed inside the
   stream, once per combo of the others, so only one combo's rows are live
   and the next combo reuses their buffer.
@@ -346,18 +347,25 @@ class ShellTensor:
         shells = int(np.prod([b + 1 for b in spectrum.bandwidth]))
         need = shells * grid.npoints * 16
         if need > _SHELL_BYTES:
-            raise LacsumError(
-                f"shell tensor would take {need} bytes (> {_SHELL_BYTES}); "
-                "use the blocked prefix sweep for sizes like this"
-            )
+            raise LacsumError(f"shell tensor would take {need} bytes (> {_SHELL_BYTES})")
         dim = spectrum.dimension
         arr = spectrum.coeffs
-        # expand each coefficient axis into an adjacent (shell, coord) pair
+        # expand each coefficient axis into an adjacent (shell, coord) pair,
+        # one shell at a time into a preallocated output that holds each
+        # shell contiguously, so no full-size temporary is ever live
         for p, (b, L) in enumerate(zip(spectrum.bandwidth, grid.resolution)):
             ep, en = _phase_pair_cached(b, L)
-            arr = _shell_expand(arr, 2 * p, ep, en)
-        perm = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
-        arr = np.ascontiguousarray(np.transpose(arr, perm))
+            # nu first, then a length-1 slot where the grid coordinate goes
+            coef = np.expand_dims(np.moveaxis(arr, 2 * p, 0), 2 * p + 1)
+            phase_shape = (L,) + (1,) * (arr.ndim - 2 * p - 1)
+            shape = (b + 1,) + arr.shape[: 2 * p] + (L,) + arr.shape[2 * p + 1 :]
+            out = np.empty(shape, dtype=complex)
+            for i, dest in enumerate(out):
+                np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=dest)
+                dest += coef[b - i] * en[i].reshape(phase_shape)
+            arr = np.moveaxis(out, 0, 2 * p)
+        # shells first, grid coordinates last: a view, summed in place
+        arr = np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)))
         for p in range(dim):
             np.cumsum(arr, axis=p, out=arr)
         return cls(spectrum, arr, grid)
@@ -382,17 +390,19 @@ class ShellTensor:
 @dataclass(frozen=True)
 class PrefixBlockPlan:
     """Layout of a staged sweep over a ``JkIndexSpace``: the lacunary axes are
-    cut to their clamped term values, the free axes carry their full prefix
-    range.
+    cut to their clamped term values, every free axis past the second to its
+    prefix values, and the first two free axes carry their full prefix range.
 
+    ``cut_axes`` lists the lacunary axes, then the cut free axes.
     ``cut_values[t]`` holds the distinct values ``min(term, B)`` of cut axis
-    ``t`` and ``cut_terms[t]`` the smallest term behind each. ``free_limits``
-    and ``free_grid`` always have two entries: a plan with one free axis adds
-    a phantom second axis of bandwidth 0 on one grid point, so the stream has
-    one shape; ``free_axes`` lists only the real ones. ``free_start`` is the
-    lowest prefix value streamed per free axis, ``min(min_term, B)`` (0 on
-    the phantom axis and for ``min_term=0``). ``perm`` is the
-    spectrum axes in stream order, cut axes first.
+    ``t`` and ``cut_terms[t]`` the smallest term behind each; a cut free axis
+    takes the values ``min(min_term, B)..min(cap, B)`` as both. ``free_axes``
+    lists the streamed free axes, at most two. ``free_limits`` and
+    ``free_grid`` always have two entries: a plan with fewer streamed axes
+    adds phantom axes of bandwidth 0 on one grid point, so the stream has one
+    shape. ``free_start`` is the lowest prefix value streamed per free axis,
+    ``min(min_term, B)`` (0 on a phantom axis and for ``min_term=0``).
+    ``perm`` is the spectrum axes in stream order, cut axes first.
     Rows enumerate ``(cut-value combo, grid coordinates of the cut axes)`` in
     C order, combos outermost, ``lac_size`` grid points per combo.
     """
@@ -426,19 +436,18 @@ def plan_prefix_blocks(
 
     Terms below ``min_term`` are skipped; terms clamping to the same
     bandwidth value merge onto the smallest of them. The free axes start at
-    ``min_term``, clamped to their bandwidth. The space needs one or two
-    free axes, and every cut axis a term ``>= min_term``.
+    ``min_term``, clamped to their bandwidth; free axes past the second are
+    cut at their cap, clamped the same way. A lacunary axis needs a term
+    ``>= min_term`` and a cut free axis a cap that reaches its start.
     """
     dim = spectrum.dimension
     if grid.dimension != dim or space.sample.dimension != dim:
         raise LacsumError("grid, space and spectrum dimension mismatch")
-    cut, free = space.sample.lacunary_positions, space.sample.free_positions
-    if len(free) not in (1, 2):
-        raise LacsumError(f"blocked sweep needs 1 or 2 free axes, got {len(free)}")
     if min_term < 0:
         raise LacsumError(f"min_term must be >= 0, got {min_term}")
+    lac, free = space.sample.lacunary_positions, space.sample.free_positions
     values, terms = [], []
-    for axis, family in zip(cut, space.families):
+    for axis, family in zip(lac, space.families):
         b = spectrum.bandwidth[axis]
         kept = [t for t in family.terms if t >= min_term]
         # terms increase, so a term after one already clamped to b adds nothing
@@ -447,6 +456,16 @@ def plan_prefix_blocks(
             raise LacsumError(f"no lacunary terms >= {min_term} on axis {axis + 1}")
         terms.append(tuple(kept))
         values.append(tuple(min(t, b) for t in kept))
+    # a free axis past the second is cut like a lacunary axis whose terms are
+    # its prefix values
+    for axis, cap in zip(free[2:], space.free_caps[2:]):
+        b = spectrum.bandwidth[axis]
+        kept = tuple(range(min(min_term, b), min(cap, b) + 1))
+        if not kept:
+            raise LacsumError(f"free cap {cap} below min_term {min_term} on axis {axis + 1}")
+        terms.append(kept)
+        values.append(kept)
+    cut, free = lac + free[2:], free[:2]
     phantom = 2 - len(free)
     limits = tuple(spectrum.bandwidth[a] for a in free) + (0,) * phantom
     return PrefixBlockPlan(
@@ -529,9 +548,10 @@ def iter_prefix_slabs(
     plan's ``free_start``. A batch never crosses a cut-combo boundary, so
     its rows share one combo and cover consecutive cut-axis grid points. The
     free axes are the plan's two ``free_limits`` and ``free_grid`` entries,
-    so a one-free-axis plan streams its phantom axis: ``mb`` is always 0 and
-    ``xb`` has length 1. The slab buffer is grown in place between yields (a
-    running prefix), so consumers must reduce it before advancing.
+    so a plan with one streamed free axis streams its phantom axis: ``mb``
+    is always 0 and ``xb`` has length 1 (with none, ``xa`` too). The slab
+    buffer is grown in place between yields (a running prefix), so
+    consumers must reduce it before advancing.
 
     ``_cut_stage`` pins the leading cut axes; the last one's running shell
     sum runs here, once per leading combo, so its buffer holds one combo's

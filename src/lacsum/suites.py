@@ -500,12 +500,13 @@ def sup_error_table(
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Sup-grid error ``max_x |S_n(x) - f(x)|`` for a whole family of boxes.
 
-    Returns the original lacunary terms used per axis (terms below
+    Returns the original lacunary terms used per cut axis (terms below
     ``min_term`` are skipped, terms clamping to the same bandwidth value are
-    merged onto their smallest representative) and an array indexed by the
-    term combo and then ``m_a`` (and ``m_b``). The free axes start at
-    ``min(min_term, B)``: entry ``i`` of free axis ``j`` is ``m_j =
-    min(min_term, B_j) + i``, up to ``B_j``.
+    merged onto their smallest representative; a free axis past the second
+    contributes its values ``min(min_term, B)..min(cap, B)``) and an array
+    indexed by that combo and then ``m_a`` (and ``m_b``) of the first two
+    free axes. Those start at ``min(min_term, B)``: entry ``i`` of free axis
+    ``j`` is ``m_j = min(min_term, B_j) + i``, up to ``B_j``.
     """
     plan = plan_prefix_blocks(spectrum, grid, space, min_term)
     f = synthesize(spectrum, grid).values
@@ -520,7 +521,7 @@ def sup_error_table(
         cand = (diff.real**2 + diff.imag**2).max(axis=(0, 2, 3))
         col = flat_table[combo_flat][:, mb - plan.free_start[1]]
         np.maximum(col, cand, out=col)
-    # the returned table leaves out a one-free-axis plan's phantom axis
+    # the returned table leaves out the plan's phantom axes
     free_shape = prefix_shape[: len(plan.free_axes)]
     return plan.cut_terms, np.sqrt(table.reshape(plan.combo_shape + free_shape))
 
@@ -605,8 +606,10 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
             ]
             if not eligible:
                 raise LacsumError(f"no lacunary terms reach level {level}")
-            tops = [min(cap, b) for cap, b in zip(caps, (bw[p] for p in free_pos))]
-            # the table's free axes start at the lowest level, levels[0]
+            # the table's streamed free axes (the first two) start at the
+            # lowest level, levels[0]; the cut ones are combo values above
+            streamed = table.ndim - len(originals)
+            tops = [min(cap, bw[p]) for cap, p in zip(caps, free_pos[:streamed])]
             box = tuple(slice(level - levels[0], t + 1 - levels[0]) for t in tops)
             err = max(float(flat[ci][box].max()) for ci in eligible)
             tail = coefficient_tail(s, level)

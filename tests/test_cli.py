@@ -185,7 +185,15 @@ def test_partial_sum_csv_pins_lowest_axes(n, fix, header, tmp_path, capsys):
 def test_maximal_all_lacunary_space(tmp_path, capsys):
     # k = N: no free axes, so the index space is the lacunary terms alone and
     # the product weight is the empty product 1
-    from lacsum import JkIndexSpace, SampleJk, TorusGrid, make_lacunary, weighted_maximal
+    from lacsum import (
+        JkIndexSpace,
+        SampleJk,
+        TorusGrid,
+        enumerate_jk_indices,
+        gather_max,
+        make_lacunary,
+        weighted_maximal,
+    )
     from lacsum.weyl import product_weight
 
     spec = tmp_path / "f.json"
@@ -202,9 +210,65 @@ def test_maximal_all_lacunary_space(tmp_path, capsys):
     assert product_weight(sample).evaluate((5, 7, 9)) == 1.0
     assert doc["weak_type"]["sigma"] == s.energy()
     space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * 3, ())
-    report = weighted_maximal(s, space, product_weight(sample), TorusGrid((12,) * 3))
-    assert report.engine == "gather"
+    grid = TorusGrid((12,) * 3)
+    report = weighted_maximal(s, space, product_weight(sample), grid)
     assert doc["m_l2"] == report.m_l2
+    values, _, _ = gather_max(s, grid, list(enumerate_jk_indices(space)), product_weight(sample))
+    assert np.max(np.abs(report.values - values)) < 1e-10
+    capsys.readouterr()
+
+
+def test_maximal_three_free_axes(tmp_path, capsys):
+    # N = 4, k = 1: the paper's N - k = 3 free axes. The shell tensor the
+    # gather oracle builds would take 655 MB here, so the oracle is the loop
+    # over the clamped indices: every term and cap past B = 4 clamps onto an
+    # index the space already holds, whose weight is the group's smallest.
+    import itertools
+
+    from lacsum import SampleJk, TorusGrid, partial_sum
+    from lacsum.weyl import product_weight
+
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", "4", "--B", "4", "--seed", "5", "--out", str(spec)]) == 0
+    out = tmp_path / "max.json"
+    assert run(["maximal", "--spec", str(spec), "--Jk", "1", "--grid", "16", "--out", str(out)]) == 0
+    s = spectrum_from_dict(load_json(spec))
+    grid = TorusGrid((16,) * 4)
+    w = product_weight(SampleJk(4, (1,)))
+    best = np.zeros(grid.resolution)
+    for idx in itertools.product((1, 2, 4), *[range(5)] * 3):
+        vals = np.abs(partial_sum(s, idx, grid).values) / np.sqrt(w.evaluate(np.asarray(idx)))
+        np.maximum(best, vals, out=best)
+    assert abs(load_json(out)["m_l2"] - np.sqrt(np.mean(best**2))) < 1e-10
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jk", [["2"], ["1", "2", "3", "4"]])
+def test_maximal_four_dimensional_spaces(jk, tmp_path, capsys):
+    # three free axes, and none (k = N)
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", "4", "--B", "5", "--seed", "3", "--out", str(spec)]) == 0
+    out = tmp_path / "max.json"
+    assert run(["maximal", "--spec", str(spec), "--Jk", *jk, "--grid", "12", "--out", str(out)]) == 0
+    assert load_json(out)["m_l2"] > 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "cmd, config",
+    [
+        ("converge", "levels = 1,2\nfree_cap = 3\n"),
+        ("maximal-suite", "cap_schedule = 1,2,3\nalpha_points = 5\n"),
+    ],
+)
+def test_suites_take_three_free_axes(cmd, config, tmp_path, capsys):
+    # N = 4, jk = 1 runs to a verdict: 0 or 1, never an input error
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dimension = 4\njk = 1\nlambda_count = 3\nbandwidth = 3\ngrid = 12\n"
+                   "trials = 1\n" + config)
+    out = tmp_path / "r.json"
+    assert run([cmd, "--config", str(cfg), "--seed", "1", "--out", str(out)]) in (0, 1)
+    assert load_json(out)["config"]["dimension"] == 4
     capsys.readouterr()
 
 
@@ -295,6 +359,7 @@ _DEEP = "[" * 200000 + "]" * 200000
         ["maximal", "--spec", "{spec}", "--Jk", "1", "--q", "1e308", "--lambda-count", "3"],
         ["maximal-suite", "--trials", "1", "--q", "1e308"],
         ["converge", "--trials", "1", "--config", "q = 1e308"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--q", "1.001", "--lambda-count", "4097"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
@@ -347,10 +412,9 @@ def test_argparse_usage_exit():
 @pytest.mark.parametrize(
     "n, jk, free_cap, grid_size, sweeps_expected",
     [
-        # one free axis: the blocked engine sweeps both weights in one pass
+        # one free axis, and three: one sweep carries both weights
         (3, (1, 2), 6, 16, [2]),
-        # three free axes: the gather engine, no blocked sweep at all
-        (4, (1,), 2, 8, []),
+        (4, (1,), 2, 8, [2]),
     ],
 )
 def test_maximal_one_pass_matches_two_calls(
@@ -384,7 +448,7 @@ def test_maximal_one_pass_matches_two_calls(
          "--out", str(out)]
     )
     assert rc == 0
-    assert sweeps == sweeps_expected  # at most one pass, carrying both weights
+    assert sweeps == sweeps_expected  # one pass, carrying both weights
     monkeypatch.undo()
 
     # the document the weighted report and the weak-type table give separately
@@ -545,7 +609,8 @@ def _argv(draw, cmd):
         required.append(("--in", st.just(["{doc}"])))
         optional["--format"] = _words("json", "csv")
     elif cmd != "verify identities":  # the commands that read a spectrum file
-        spec = _words("{spec}", "{doc}") if cmd == "partial-sum" else st.just(["{spec}"])
+        spec = {"partial-sum": _words("{spec}", "{doc}"), "maximal": _words("{spec}", "{spec4}")}
+        spec = spec.get(cmd, st.just(["{spec}"]))
         required.append(("--spec", spec))
         optional["--grid"] = _num(-1, 12)
         if cmd == "maximal":
@@ -572,6 +637,7 @@ def _argv(draw, cmd):
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     assert main(["gen", "--N", "3", "--B", "2", "--seed", "1", "--out", str(d / "f.json")]) == 0
+    assert main(["gen", "--N", "4", "--B", "2", "--seed", "1", "--out", str(d / "f4.json")]) == 0
     return d
 
 
@@ -589,7 +655,8 @@ def test_cli_fuzz_exit_code_contract(cmd, data, fuzz_dir):
     import io
 
     argv, config, doc, with_out = data.draw(_argv(cmd))
-    files = {"{spec}": fuzz_dir / "f.json", "{doc}": fuzz_dir / "doc.json"}
+    files = {"{spec}": fuzz_dir / "f.json", "{spec4}": fuzz_dir / "f4.json",
+             "{doc}": fuzz_dir / "doc.json"}
     if doc is not None:
         files["{doc}"].write_text(doc)
     argv = [str(files.get(a, a)) for a in argv]

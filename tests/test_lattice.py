@@ -70,6 +70,20 @@ def test_covering_reaches_bound():
     assert fam.terms[-1] >= 64
 
 
+@pytest.mark.parametrize("q, bound", [(1.5, 1), (1.5, 64), (2.0, 8), (2.0, 9), (1.01, 300), (7.0, 10**6)])
+def test_covering_is_the_shortest_family_reaching_the_bound(q, bound):
+    fam = make_lacunary_covering(q, bound)
+    assert fam == make_lacunary(q, len(fam))
+    assert fam.terms[-1] >= bound and (len(fam) == 1 or fam.terms[-2] < bound)
+
+
+def test_make_lacunary_count_bound():
+    assert len(make_lacunary(1.001, 4096)) == 4096
+    for count in (0, 4097, 10**12):
+        with pytest.raises(LacsumError, match="count must be in 1..4096"):
+            make_lacunary(2.0, count)
+
+
 def test_family_rejects_invalid_terms():
     with pytest.raises(LacsumError):
         LacunaryFamily(q=2.0, terms=(1, 2, 3))

@@ -76,23 +76,24 @@ def test_blocked_equals_gather_oracle():
     space, sample = small_space(caps=(5, 7))
     s = random_spectrum(rng, (4, 3, 4))
     w = product_weight(sample)
-    blocked = weighted_maximal(s, space, w, GRID, engine="blocked")
-    gathered = weighted_maximal(s, space, w, GRID, engine="gather")
-    assert np.max(np.abs(blocked.values - gathered.values)) < 1e-10
+    blocked = weighted_maximal(s, space, w, GRID)
+    values, ids, reps = gather_max(s, GRID, list(enumerate_jk_indices(space)), w)
+    assert np.max(np.abs(blocked.values - values)) < 1e-10
     for p in [(0, 0, 0), (1, 5, 2), (7, 7, 7), (3, 4, 6)]:
-        assert blocked.argmax_index(p) == gathered.argmax_index(p)
+        assert blocked.argmax_index(p) == tuple(reps[ids[p]])
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n_free=st.integers(min_value=1, max_value=3),
+    n_free=st.integers(min_value=0, max_value=3),
     data=st.data(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_brute_force_loop_oracle(n_free, data, seed):
-    # direct loop over the enumerated indices with plain partial sums: the
-    # third engine, which both the gather and the blocked engine must match
-    n = data.draw(st.integers(min_value=n_free + 1, max_value=4))
+    # direct loop over the enumerated indices with plain partial sums, which
+    # the blocked sweep must match for every number of free axes: none
+    # (k = N), one or two streamed, or a third one cut
+    n = data.draw(st.integers(min_value=max(n_free, 1), max_value=4))
     axes = data.draw(st.permutations(range(1, n + 1)))
     sample = SampleJk(n, tuple(sorted(axes[: n - n_free])))
     q = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
@@ -109,10 +110,8 @@ def test_brute_force_loop_oracle(n_free, data, seed):
     for idx in enumerate_jk_indices(space):
         vals = np.abs(partial_sum(s, idx, grid).values) / np.sqrt(w.evaluate(np.asarray(idx)))
         best = np.maximum(best, vals)
-    for engine in ("gather", "blocked") if n_free <= 2 else ("gather",):
-        rep = weighted_maximal(s, space, w, grid, engine=engine)
-        assert rep.engine == engine
-        assert np.max(np.abs(rep.values - best)) < 1e-10
+    rep = weighted_maximal(s, space, w, grid)
+    assert np.max(np.abs(rep.values - best)) < 1e-10
 
 
 def test_argmax_invariant_under_positive_scaling():
@@ -142,26 +141,31 @@ def test_monotone_under_space_enlargement():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    jk=st.sampled_from([(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]),
-    bandwidth=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3),
+    shape=st.sampled_from(
+        [(3, (1,)), (3, (2,)), (3, (3,)), (3, (1, 2)), (3, (1, 3)), (3, (2, 3)), (4, (1,)), (4, (3,))]
+    ),
+    bandwidth=st.tuples(*[st.integers(min_value=1, max_value=4)] * 4),
     q=st.sampled_from([1.5, 2.0, 3.0]),
     counts=st.tuples(*[st.integers(min_value=1, max_value=4)] * 2),
     raw_levels=st.lists(
-        st.tuples(*[st.integers(min_value=0, max_value=6)] * 2), min_size=2, max_size=3
+        st.tuples(*[st.integers(min_value=0, max_value=6)] * 3), min_size=2, max_size=3
     ),
     record_argmax=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_sweep_levels_match_gather(jk, bandwidth, q, counts, raw_levels, record_argmax, seed):
-    # caps up to 6 over bandwidths up to 4: levels often coincide after clamping
-    sample = SampleJk(3, jk)
+def test_sweep_levels_match_gather(shape, bandwidth, q, counts, raw_levels, record_argmax, seed):
+    # caps up to 6 over bandwidths up to 4: levels often coincide after
+    # clamping. At N = 4 the third free axis is cut, and each level caps it
+    # on its own.
+    n, jk = shape
+    sample = SampleJk(n, jk)
     families = tuple(make_lacunary(q, c) for c in counts[: sample.k])
     n_free = len(sample.free_axes)
     per_axis = [sorted(caps) for caps in zip(*raw_levels)][:n_free]
     levels = [tuple(caps) for caps in zip(*per_axis)]
-    s = random_spectrum(np.random.default_rng(seed), bandwidth)
-    grid = TorusGrid((4, 6, 4))
-    weights = [product_weight(sample), unit_weight(3)]
+    s = random_spectrum(np.random.default_rng(seed), bandwidth[:n])
+    grid = TorusGrid((4, 6, 4, 4)[:n])
+    weights = [product_weight(sample), unit_weight(n)]
     space = JkIndexSpace(sample, families, levels[-1])
     sweep = sweep_space(s, grid, space, weights, levels, record_argmax=record_argmax)
     assert sweep.m_values.shape == (2, len(levels)) + grid.resolution
@@ -183,7 +187,6 @@ def test_single_free_maximal_dominates_function():
     fam = make_lacunary(2.0, 2)  # terms 1, 2 reach the bandwidth
     space = JkIndexSpace(sample, (fam, fam), (5,))
     rep = weighted_maximal(s, space, unit_weight(3), GRID)
-    assert rep.engine == "blocked"
     f = synthesize(s, GRID).values
     assert np.all(rep.values >= np.abs(f) - 1e-12)
 
@@ -195,7 +198,6 @@ def test_single_free_maximal_matches_enumeration():
     fam = make_lacunary(2.0, 3)
     space = JkIndexSpace(sample, (fam, fam), (4,))
     rep = weighted_maximal(s, space, unit_weight(3), GRID)
-    assert rep.engine == "blocked"
     best = np.zeros(GRID.resolution)
     for idx in enumerate_jk_indices(space):
         best = np.maximum(best, np.abs(partial_sum(s, idx, GRID).values))
@@ -212,12 +214,12 @@ def test_argmax_ties_each_engine_keeps_an_attaining_index():
     grid = TorusGrid((4, 8, 8))
     space = JkIndexSpace(SampleJk(3, (1,)), (make_lacunary(2.0, 1),), (2, 2))
     x = (2, 4, 4)
-    chosen = {}
-    for engine in ("blocked", "gather"):
-        rep = weighted_maximal(s, space, unit_weight(3), grid, engine=engine)
-        chosen[engine] = rep.argmax_index(x)
+    rep = weighted_maximal(s, space, unit_weight(3), grid)
+    values, ids, reps = gather_max(s, grid, list(enumerate_jk_indices(space)), unit_weight(3))
+    chosen = {"blocked": rep.argmax_index(x), "gather": tuple(reps[ids[x]])}
+    for engine, m in (("blocked", rep.values), ("gather", values)):
         reached = abs(partial_sum(s, chosen[engine], grid).values[x])
-        assert abs(reached - rep.values[x]) < 1e-12
+        assert abs(reached - m[x]) < 1e-12
     # the blocked engine keeps the first tie in stream order (combo, mb, ma)
     assert chosen["blocked"] == (1, 2, 0)
 
@@ -231,10 +233,10 @@ def test_four_dimensional_two_lacunary_axes():
     space = JkIndexSpace(sample, (fam, fam), (2, 2))
     grid = TorusGrid((6, 6, 6, 6))
     w = product_weight(sample)
-    blocked = weighted_maximal(s, space, w, grid, engine="blocked")
-    gathered = weighted_maximal(s, space, w, grid, engine="gather")
-    assert np.max(np.abs(blocked.values - gathered.values)) < 1e-10
-    assert blocked.argmax_index((1, 2, 3, 4)) == gathered.argmax_index((1, 2, 3, 4))
+    blocked = weighted_maximal(s, space, w, grid)
+    values, ids, reps = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
+    assert np.max(np.abs(blocked.values - values)) < 1e-10
+    assert blocked.argmax_index((1, 2, 3, 4)) == tuple(reps[ids[1, 2, 3, 4]])
 
 
 def test_level_set_measure_values():
@@ -295,12 +297,13 @@ def test_weak_type_degenerate_sigma():
 
 
 @pytest.mark.parametrize(
-    "n, jk, engine",
+    "n, jk, oracle",
     [((3, (1, 2), "blocked")), ((3, (1,), "blocked")), ((4, (1,), "gather"))],
 )
-def test_weak_type_matches_separate_maximals(n, jk, engine):
-    # one blocked pass over both weights (one or two free axes) or one gather
-    # per weight (three free axes) gives what two weighted_maximal calls give
+def test_weak_type_matches_separate_maximals(n, jk, oracle):
+    # one pass over both weights gives what two weighted_maximal calls give,
+    # for one, two or three free axes; the three-free-axis space is also
+    # checked against the gather oracle
     sample = SampleJk(n, jk)
     space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * len(jk), (3,) * (n - len(jk)))
     s = random_spectrum(np.random.default_rng(20), (2,) * n)
@@ -309,7 +312,6 @@ def test_weak_type_matches_separate_maximals(n, jk, engine):
     table = weak_type_table(s, space, w, grid)
     report = weighted_maximal(s, space, w, grid, record_argmax=False)
     m = weighted_maximal(s, space, unit_weight(n), grid, record_argmax=False).values
-    assert table.report.engine == report.engine == engine
     assert table.report.argmax_ids is None
     assert np.array_equal(table.report.values, report.values)
     assert not np.array_equal(report.values, m)  # the weight does change M
@@ -319,6 +321,9 @@ def test_weak_type_matches_separate_maximals(n, jk, engine):
         report.ratio,
     )
     assert np.array_equal(table.measures, [level_set_measure(m, a, grid) for a in table.alphas])
+    if oracle == "gather":
+        values, _, _ = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
+        assert np.max(np.abs(report.values - values)) < 1e-10
 
 
 def test_report_norms_are_consistent():
@@ -374,18 +379,3 @@ def test_sup_error_table_needs_a_term_above_min_term():
     )
     with pytest.raises(LacsumError, match="no lacunary terms >= 3 on axis 2"):
         sup_error_table(zero_spectrum((3, 3, 3)), TorusGrid((8, 8, 8)), space, min_term=3)
-
-
-@pytest.mark.parametrize("dimension, jk", [(2, (1, 2)), (4, (1,))])
-def test_blocked_sweeps_need_one_or_two_free_axes(dimension, jk):
-    # no free axis, or three: neither blocked sweep can lay out the space
-    from lacsum.suites import sup_error_table
-
-    n_free = dimension - len(jk)
-    space = JkIndexSpace(SampleJk(dimension, jk), (make_lacunary(2.0, 2),) * len(jk), (2,) * n_free)
-    s = zero_spectrum((2,) * dimension)
-    grid = TorusGrid((4,) * dimension)
-    with pytest.raises(LacsumError, match=f"1 or 2 free axes, got {n_free}"):
-        sweep_space(s, grid, space, [unit_weight(dimension)])
-    with pytest.raises(LacsumError, match=f"1 or 2 free axes, got {n_free}"):
-        sup_error_table(s, grid, space)

@@ -237,6 +237,52 @@ def test_shell_tensor_budget_guard(monkeypatch):
         ShellTensor.from_grid(s, grid)
 
 
+def _whole_array_shell_build(s, grid):
+    # every axis expanded at once, then a contiguous copy of the transposed
+    # tensor: the reference the shell-at-a-time build must match bit for bit
+    dim = s.dimension
+    arr = s.coeffs
+    for p, (b, L) in enumerate(zip(s.bandwidth, grid.resolution)):
+        ep, en = _phase_pair_cached(b, L)
+        arr = _shell_expand(arr, 2 * p, ep, en)
+    arr = np.ascontiguousarray(np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))))
+    for p in range(dim):
+        np.cumsum(arr, axis=p, out=arr)
+    return arr
+
+
+@pytest.mark.parametrize(
+    "bw, res",
+    [((4,), (8,)), ((0, 2), (2, 6)), ((2, 3, 1), (6, 8, 4)), ((3, 2, 3, 1), (6, 4, 8, 4))],
+)
+def test_shell_tensor_matches_whole_array_build(bw, res):
+    s = random_spectrum(np.random.default_rng(21), bw)
+    grid = TorusGrid(res)
+    tensor = ShellTensor.from_grid(s, grid)
+    reference = _whole_array_shell_build(s, grid)
+    boxes = list(np.ndindex(*(b + 1 for b in bw)))
+    assert np.array_equal(tensor.partial_sums(boxes), reference[tuple(np.transpose(boxes))])
+    for n in boxes:
+        assert np.array_equal(tensor.query(n), reference[n])
+
+
+def test_shell_tensor_build_memory():
+    # the build holds the tensor and one shell of it, not full-size
+    # temporaries beside a transposed copy
+    import tracemalloc
+
+    s = random_spectrum(np.random.default_rng(22), (7, 7, 7))
+    grid = TorusGrid((16, 16, 16))
+    ShellTensor.from_grid(s, grid)  # phase tables cached
+    tracemalloc.start()
+    try:
+        ShellTensor.from_grid(s, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8**3 * 16**3 * 16, peak
+
+
 def test_prefix_slabs_match_partial_sums():
     # one cut axis; three cut axes; cut axes 1 and 3 with free axis 2 between them
     rng = np.random.default_rng(14)
@@ -492,6 +538,28 @@ def test_plan_one_free_axis_adds_phantom_axis():
     assert plan.cut_values == ((1, 2, 4), (1, 2))
     assert plan.cut_terms == ((1, 2, 4), (1, 2))
     assert plan.rows == 3 * 2 * 32
+
+
+def test_plan_cuts_free_axes_past_the_second():
+    s = zero_spectrum((3, 4, 2, 5, 1))
+    grid = TorusGrid((4, 6, 8, 10, 2))
+    family = make_lacunary(2.0, 3)
+    space = JkIndexSpace(SampleJk(5, (2,)), (family,), (9, 9, 3, 3))
+    plan = plan_prefix_blocks(s, grid, space, min_term=2)
+    # axis 2 lacunary, axes 4 and 5 cut over min(2, B)..min(cap, B)
+    assert plan.cut_axes == (1, 3, 4)
+    assert plan.cut_values == ((2, 4), (2, 3), (1,))
+    assert plan.cut_terms == ((2, 4), (2, 3), (1,))
+    assert (plan.free_axes, plan.free_limits, plan.free_start) == ((0, 2), (3, 2), (2, 2))
+    assert plan.perm == (1, 3, 4, 0, 2)
+    assert (plan.lac_size, plan.rows) == (120, 480)
+    with pytest.raises(LacsumError, match="free cap 1 below min_term 2 on axis 4"):
+        plan_prefix_blocks(s, grid, JkIndexSpace(space.sample, (family,), (9, 9, 1, 3)), min_term=2)
+    # k = N: every axis cut, two phantom streamed axes
+    plan = plan_prefix_blocks(zero_spectrum((2, 2)), TorusGrid((4, 6)),
+                              JkIndexSpace(SampleJk(2, (1, 2)), (family, family), ()))
+    assert (plan.cut_axes, plan.free_axes) == ((0, 1), ())
+    assert (plan.free_limits, plan.free_grid, plan.lac_size) == ((0, 0), (1, 1), 24)
 
 
 def test_restrict_zeroes_outside():

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lacsum import (
@@ -230,7 +230,7 @@ def test_sup_error_table_matches_direct():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_free=st.integers(min_value=1, max_value=2),
+    n_free=st.integers(min_value=0, max_value=3),
     k=st.integers(min_value=0, max_value=2),
     min_term=st.sampled_from([0, 1, 2]),
     data=st.data(),
@@ -238,16 +238,19 @@ def test_sup_error_table_matches_direct():
 )
 def test_sup_error_table_property(n_free, k, min_term, data, seed):
     # every returned entry against a direct partial sum minus the synthesized
-    # function, one index at a time
+    # function, one index at a time; a third free axis is cut at its cap
     from lacsum import partial_sum, synthesize
 
     n = n_free + k
+    assume(1 <= n <= 4)
     axes = data.draw(st.permutations(range(1, n + 1)))
     sample = SampleJk(n, tuple(sorted(axes[:k])))
     q = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
     families = tuple(make_lacunary(q, data.draw(st.integers(1, 4))) for _ in range(k))
     bandwidth = data.draw(st.tuples(*[st.integers(min_value=0, max_value=4)] * n))
-    space = JkIndexSpace(sample, families, (0,) * n_free)
+    # the streamed free axes ignore their caps; a cut one stops at min(cap, B)
+    caps = data.draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * n_free))
+    space = JkIndexSpace(sample, families, caps)
     rng = np.random.default_rng(seed)
     shape = tuple(2 * b + 1 for b in bandwidth)
     s = Spectrum(bandwidth, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -259,23 +262,27 @@ def test_sup_error_table_property(n_free, k, min_term, data, seed):
         kept = [t for t in fam.terms if t >= min_term]
         b = bandwidth[p]
         expected_terms.append(tuple(t for i, t in enumerate(kept) if i == 0 or kept[i - 1] < b))
+    for p, cap in zip(free[2:], caps[2:]):
+        b = bandwidth[p]
+        expected_terms.append(tuple(range(min(min_term, b), min(cap, b) + 1)))
     if not all(expected_terms):
         with pytest.raises(LacsumError):
             sup_error_table(s, grid, space, min_term=min_term)
         return
     originals, table = sup_error_table(s, grid, space, min_term=min_term)
     assert originals == tuple(expected_terms)
-    # each free axis starts at min_term, clamped to its bandwidth
-    start = {p: min(min_term, bandwidth[p]) for p in free}
+    # each streamed free axis starts at min_term, clamped to its bandwidth
+    start = {p: min(min_term, bandwidth[p]) for p in free[:2]}
     assert table.shape == tuple(map(len, originals)) + tuple(
-        bandwidth[p] + 1 - start[p] for p in free
+        bandwidth[p] + 1 - start[p] for p in free[:2]
     )
     f = synthesize(s, grid).values
+    cut = lac + free[2:]
     for pos in np.ndindex(*table.shape):
         idx = [0] * n
-        for p, terms, i in zip(lac, originals, pos):
+        for p, terms, i in zip(cut, originals, pos):
             idx[p] = terms[i]
-        for p, i in zip(free, pos[k:]):
+        for p, i in zip(free[:2], pos[len(cut):]):
             idx[p] = start[p] + i
         err = np.max(np.abs(partial_sum(s, idx, grid).values - f))
         assert abs(table[pos] - err) < 1e-10, (idx, table[pos], err)
