@@ -26,10 +26,8 @@ from .spectral import (
     grid_l2,
     partial_sum,
     restrict,
-    single_mode_spectrum,
     split_lacunary_blocks,
     synthesize,
-    zero_spectrum,
 )
 from .weyl import (
     WeylWeight,

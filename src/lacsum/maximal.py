@@ -162,27 +162,41 @@ def sweep_space(
     ids = np.zeros(m2.shape, dtype=np.int64) if record_argmax else None
 
     # One reduction for every shape: each cap level (ra, rb) folds the max
-    # over ma <= ra of every slab with mb <= rb into its running maximum. On
-    # ties argmax keeps the first index in stream order (combo, mb, ma).
+    # over ma <= ra of every slab with mb <= rb into its running maximum. The
+    # slab is shell-major, (ma, row, xa, xb), so that max is an elementwise
+    # pass over whole contiguous shells. On ties argmax keeps the first index
+    # in stream order (combo, mb, ma).
+    bufs = None
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         if mb > top[1]:
             continue  # beyond every cap level on the second free axis
         combo_flat, lac_flat = divmod(row, plan.lac_size)
-        rows = slice(lac_flat, lac_flat + len(slab))
-        view = slab[:, : top[0] + 1]
-        sq = view.real**2 + view.imag**2
+        n = slab.shape[1]
+        rows = slice(lac_flat, lac_flat + n)
+        view = slab[: top[0] + 1]
+        if bufs is None:
+            # the stream's first batch is its largest: |z|^2 as squared
+            # (re, im) pairs, then per weight the quotient by W
+            pair_shape = view.shape[:-1] + (2 * view.shape[-1],)
+            bufs = np.empty(pair_shape), np.empty(view.shape), np.empty(view.shape)
+        pair, sq, q_buf = (b[:, :n] for b in bufs)
+        # |z|^2 = re*re + im*im, as the squared pairs of the float view
+        np.square(view.view(float), out=pair)
+        np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
         for wi, inv in enumerate(inv_tables):
-            q = sq if inv is None else sq * inv[combo_flat, :, mb, None, None]
+            q = sq
+            if inv is not None:
+                q = np.multiply(sq, inv[combo_flat, :, mb, None, None, None], out=q_buf)
             for li, (ra, rb) in enumerate(caps):
                 if mb > rb or not in_level[li][combo_flat]:
                     continue
-                sub = q[:, : ra + 1]
-                cand = sub.max(axis=1)
+                sub = q[: ra + 1]
+                cand = sub.max(axis=0)
                 dest = m2[wi, li, rows]
                 if ids is None:
                     np.maximum(dest, cand, out=dest)
                 else:
-                    rid = (combo_flat * strides[0] + sub.argmax(axis=1)) * strides[1] + mb
+                    rid = (combo_flat * strides[0] + sub.argmax(axis=0)) * strides[1] + mb
                     better = cand > dest
                     dest[better] = cand[better]
                     ids[wi, li, rows][better] = rid[better]

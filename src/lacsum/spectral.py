@@ -24,7 +24,8 @@ Rectangular partial sums are served by two engines:
   sweeps that consume the stream only reduce its batches. Each yielded slab
   holds a batch of consecutive rows (cut-axis grid points of one cut-value
   combo), as many as fit a byte budget, so small slabs cost one numpy call
-  per batch rather than per row. The last cut axis is summed inside the
+  per batch rather than per row; slabs are shell-major (each shell of a
+  batch is one contiguous block). The last cut axis is summed inside the
   stream, once per combo of the others, so only one combo's rows are live
   and the next combo reuses their buffer.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import mmap
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -118,20 +120,6 @@ class Spectrum:
         if any(abs(v) > b for v, b in zip(nu, self.bandwidth)):
             return 0.0 + 0.0j
         return complex(self.coeffs[tuple(v + b for v, b in zip(nu, self.bandwidth))])
-
-
-def zero_spectrum(bandwidth: Sequence[int]) -> Spectrum:
-    bw = tuple(int(b) for b in bandwidth)
-    return Spectrum(bw, np.zeros(tuple(2 * b + 1 for b in bw), dtype=complex))
-
-
-def single_mode_spectrum(bandwidth: Sequence[int], nu: Sequence[int], value: complex = 1.0) -> Spectrum:
-    bw = tuple(int(b) for b in bandwidth)
-    if any(abs(v) > b for v, b in zip(nu, bw)):
-        raise LacsumError(f"mode {tuple(nu)} outside bandwidth {bw}")
-    c = np.zeros(tuple(2 * b + 1 for b in bw), dtype=complex)
-    c[tuple(int(v) + b for v, b in zip(nu, bw))] = value
-    return Spectrum(bw, c)
 
 
 @dataclass(frozen=True)
@@ -310,20 +298,6 @@ def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return ep, en
 
 
-def _shell_expand(arr: np.ndarray, axis: int, ep: np.ndarray, en: np.ndarray) -> np.ndarray:
-    """Turn coefficient axis ``axis`` (size 2b+1) into a (shell, grid) pair.
-
-    Output axis ``axis`` indexes the shell ``i = |nu|`` and ``axis + 1`` the
-    grid coordinate; the shell value is ``c_{+i} e^{i i x} + c_{-i} e^{-i i x}``.
-    """
-    moved = np.moveaxis(arr, axis, -1)
-    b = ep.shape[0] - 1
-    pos = moved[..., b:]
-    neg = moved[..., b::-1]
-    out = pos[..., :, None] * ep + neg[..., :, None] * en
-    return np.moveaxis(out, (-2, -1), (axis, axis + 1))
-
-
 # largest shell tensor ShellTensor.from_grid builds, in bytes (256 MiB)
 _SHELL_BYTES = 1 << 28
 
@@ -359,7 +333,22 @@ class ShellTensor:
             coef = np.expand_dims(np.moveaxis(arr, 2 * p, 0), 2 * p + 1)
             phase_shape = (L,) + (1,) * (arr.ndim - 2 * p - 1)
             shape = (b + 1,) + arr.shape[: 2 * p] + (L,) + arr.shape[2 * p + 1 :]
-            out = np.empty(shape, dtype=complex)
+            if p < dim - 1:
+                out = np.empty(shape, dtype=complex)
+            else:
+                # the tensor itself gets an anonymous mapping of its own:
+                # freeing a large malloc'd tensor raises glibc's dynamic mmap
+                # threshold, after which the next one lands on the brk heap,
+                # in pages that may or may not be resident already, so the
+                # process's peak memory would depend on unrelated heap layout.
+                # Private pages, and huge ones where the kernel offers them
+                # (numpy asks the same for its large arrays), fault in
+                # cheaper than the shared pages mmap maps by default
+                nbytes = int(np.prod(shape)) * 16
+                buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+                if hasattr(mmap, "MADV_HUGEPAGE"):
+                    buf.madvise(mmap.MADV_HUGEPAGE)
+                out = np.frombuffer(buf, dtype=complex).reshape(shape)
             for i, dest in enumerate(out):
                 np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=dest)
                 dest += coef[b - i] * en[i].reshape(phase_shape)
@@ -542,11 +531,13 @@ def iter_prefix_slabs(
 
     Yields ``(row, mb, slab)`` for every batch of consecutive rows and every
     prefix value ``mb >= start_b`` of the second free axis in increasing
-    order, where ``slab[r, i, xa, xb]`` is the rectangular partial sum of row
+    order, where ``slab[i, r, xa, xb]`` is the rectangular partial sum of row
     ``row + r`` with that row's cut-value combo on the cut axes and
     ``(start_a + i, mb)`` on the free axes; ``(start_a, start_b)`` is the
-    plan's ``free_start``. A batch never crosses a cut-combo boundary, so
-    its rows share one combo and cover consecutive cut-axis grid points. The
+    plan's ``free_start``. Each shell ``i`` is one contiguous block, and
+    ``slab.shape[1]`` is the batch's row count. A batch never crosses a
+    cut-combo boundary, so its rows share one combo and cover consecutive
+    cut-axis grid points. The
     free axes are the plan's two ``free_limits`` and ``free_grid`` entries,
     so a plan with one streamed free axis streams its phantom axis: ``mb``
     is always 0 and ``xb`` has length 1 (with none, ``xa`` too). The slab
@@ -556,6 +547,11 @@ def iter_prefix_slabs(
     ``_cut_stage`` pins the leading cut axes; the last one's running shell
     sum runs here, once per leading combo, so its buffer holds one combo's
     ``lac_size`` rows at each cut value and the next combo reuses it.
+
+    Per batch, the first free axis's shells go into ``w[i, r, xa, nu_b]``
+    and are summed in place; the second free axis is added one ``mb`` at a
+    time into the slab, except on a phantom axis, where ``w`` is the slab
+    and is yielded itself. Every buffer is allocated once per stream.
 
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
     one. Keeping the slab at ``(B_a + 1 - start_a) * L_a * L_b`` entries per
@@ -578,18 +574,33 @@ def iter_prefix_slabs(
     else:
         combos = (arr,)
     epa, ena = _phase_pair_cached(ba, la)
+    epa, ena = epa[:, None, :, None], ena[:, None, :, None]  # (i, 1, xa, 1)
     epb, enb = _phase_pair_cached(bb, lb)
     batch = max(1, min(plan.lac_size, _SLAB_BYTES // ((ba + 1 - sa) * la * lb * 16)))
-    slab_buf = np.empty((batch, ba + 1 - sa, la, lb), dtype=complex)
-    tmp_buf = np.empty_like(slab_buf)
+    w_buf = np.empty((ba + 1, batch, la, 2 * bb + 1), dtype=complex)
+    wt_buf = np.empty_like(w_buf)
+    # on a phantom second axis w is the slab; a real free axis of bandwidth
+    # 0 has more than one grid point and still needs w broadcast over them
+    phantom = bb == 0 and lb == 1
+    if not phantom:
+        slab_buf = np.empty((ba + 1 - sa, batch, la, lb), dtype=complex)
+        tmp_buf = np.empty_like(slab_buf)
     for combo, rows in enumerate(combos):
         rows = rows.reshape((plan.lac_size, 2 * ba + 1, 2 * bb + 1))
         for start in range(0, plan.lac_size, batch):
             n = min(batch, plan.lac_size - start)
-            slab, tmp = slab_buf[:n], tmp_buf[:n]
-            w = _shell_expand(rows[start : start + n], 1, epa, ena)  # (r, ma, xa, nu_b)
-            np.cumsum(w, axis=1, out=w)
-            w = w[:, sa:]  # every ma shell is summed, only ma >= start_a kept
+            r = rows[start : start + n].transpose(1, 0, 2)[:, :, None, :]  # (nu_a, r, 1, nu_b)
+            w, wt = w_buf[:, :n], wt_buf[:, :n]
+            np.multiply(r[ba:], epa, out=w)
+            np.multiply(r[ba::-1], ena, out=wt)
+            w += wt
+            for i in range(1, ba + 1):
+                w[i] += w[i - 1]
+            w = w[sa:]  # every ma shell is summed, only ma >= start_a kept
+            if phantom:
+                yield combo * plan.lac_size + start, 0, w
+                continue
+            slab, tmp = slab_buf[:, :n], tmp_buf[:, :n]
             np.copyto(slab, w[..., bb, None])
             for mb in range(bb + 1):
                 if mb:

@@ -517,8 +517,8 @@ def sup_error_table(
     flat_table = table.reshape((-1,) + prefix_shape)
     for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         combo_flat, lac_flat = divmod(row, plan.lac_size)
-        diff = slab - f_perm[lac_flat : lac_flat + len(slab), None]
-        cand = (diff.real**2 + diff.imag**2).max(axis=(0, 2, 3))
+        diff = slab - f_perm[lac_flat : lac_flat + slab.shape[1]]
+        cand = (diff.real**2 + diff.imag**2).max(axis=(1, 2, 3))
         col = flat_table[combo_flat][:, mb - plan.free_start[1]]
         np.maximum(col, cand, out=col)
     # the returned table leaves out the plan's phantom axes

@@ -23,7 +23,6 @@ from lacsum import (
     make_lacunary_covering,
     min_pair_weight,
     product_weight,
-    single_mode_spectrum,
     split_lacunary_blocks,
     synthesize,
     weak_type_table,
@@ -37,6 +36,7 @@ from lacsum.suites import (
     run_identity_suite,
     run_maximal_suite,
 )
+from spectra import single_mode_spectrum
 
 SEED = 20260809
 

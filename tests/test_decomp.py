@@ -16,10 +16,9 @@ from lacsum import (
     decompose_free_pair,
     min_log_inverse,
     min_pair_weight,
-    single_mode_spectrum,
     weighted_energy,
-    zero_spectrum,
 )
+from spectra import single_mode_spectrum, zero_spectrum
 
 GRID = TorusGrid((16, 16, 16))
 

@@ -17,16 +17,15 @@ from lacsum import (
     min_pair_weight,
     partial_sum,
     product_weight,
-    single_mode_spectrum,
     sweep_space,
     synthesize,
     unit_weight,
     weak_type_table,
     weighted_energy,
     weighted_maximal,
-    zero_spectrum,
 )
 from lacsum.weyl import weight_from_kind
+from spectra import single_mode_spectrum, zero_spectrum
 
 
 def random_spectrum(rng, bandwidth):

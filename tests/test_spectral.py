@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lacsum.spectral
 from lacsum import (
@@ -16,17 +18,15 @@ from lacsum import (
     make_lacunary,
     partial_sum,
     restrict,
-    single_mode_spectrum,
     split_lacunary_blocks,
     synthesize,
-    zero_spectrum,
 )
 from lacsum.spectral import (
     _phase_pair_cached,
-    _shell_expand,
     iter_prefix_slabs,
     plan_prefix_blocks,
 )
+from spectra import single_mode_spectrum, zero_spectrum
 
 
 def random_spectrum(rng, bandwidth):
@@ -237,6 +237,22 @@ def test_shell_tensor_budget_guard(monkeypatch):
         ShellTensor.from_grid(s, grid)
 
 
+def _shell_expand(arr, axis, ep, en):
+    """Turn coefficient axis ``axis`` (size 2b+1) into a (shell, grid) pair,
+    the whole array at once: the pipeline the shell-at-a-time tensor build
+    and the shell-major slab stream replaced, kept as their reference.
+
+    Output axis ``axis`` indexes the shell ``i = |nu|`` and ``axis + 1`` the
+    grid coordinate; the shell value is ``c_{+i} e^{i i x} + c_{-i} e^{-i i x}``.
+    """
+    moved = np.moveaxis(arr, axis, -1)
+    b = ep.shape[0] - 1
+    pos = moved[..., b:]
+    neg = moved[..., b::-1]
+    out = pos[..., :, None] * ep + neg[..., :, None] * en
+    return np.moveaxis(out, (-2, -1), (axis, axis + 1))
+
+
 def _whole_array_shell_build(s, grid):
     # every axis expanded at once, then a contiguous copy of the transposed
     # tensor: the reference the shell-at-a-time build must match bit for bit
@@ -268,7 +284,10 @@ def test_shell_tensor_matches_whole_array_build(bw, res):
 
 def test_shell_tensor_build_memory():
     # the build holds the tensor and one shell of it, not full-size
-    # temporaries beside a transposed copy
+    # temporaries beside a transposed copy. The tensor lives in an anonymous
+    # mapping of its own, which tracemalloc does not see, so the traced peak
+    # is the transient shells alone
+    import mmap
     import tracemalloc
 
     s = random_spectrum(np.random.default_rng(22), (7, 7, 7))
@@ -276,11 +295,15 @@ def test_shell_tensor_build_memory():
     ShellTensor.from_grid(s, grid)  # phase tables cached
     tracemalloc.start()
     try:
-        ShellTensor.from_grid(s, grid)
+        tensor = ShellTensor.from_grid(s, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8**3 * 16**3 * 16, peak
+    assert peak < 0.5 * 8**3 * 16**3 * 16, peak
+    base = tensor._prefix
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap), base
 
 
 def test_prefix_slabs_match_partial_sums():
@@ -308,9 +331,9 @@ def test_prefix_slabs_match_partial_sums():
                 n[plan.free_axes[0]] = ma
                 direct = partial_sum(s, n, grid, method="direct").values
                 direct = np.transpose(direct, plan.perm).reshape((plan.lac_size, la, lb))
-                err = np.abs(slab[:, ma] - direct[lac : lac + len(slab)])
+                err = np.abs(slab[ma] - direct[lac : lac + slab.shape[1]])
                 worst = max(worst, float(np.max(err)))
-            seen.update((row + r, mb) for r in range(len(slab)))
+            seen.update((row + r, mb) for r in range(slab.shape[1]))
         assert seen == {(row, mb) for row in range(plan.rows) for mb in range(bb + 1)}
         assert worst < 1e-10
 
@@ -325,7 +348,7 @@ def test_prefix_slabs_one_free_axis():
     seen = set()
     for row, mb, slab in iter_prefix_slabs(s, grid, plan):
         assert mb == 0  # the phantom second free axis has bandwidth 0
-        for r, prefix in enumerate(slab):
+        for r, prefix in enumerate(np.moveaxis(slab, 1, 0)):
             seen.add(row + r)
             combo, lac = divmod(row + r, 16)
             x1, x2 = lac // 4, lac % 4
@@ -360,8 +383,8 @@ def test_prefix_slabs_start_at_min_term(bw, res, cut_axes, cut_values, min_term,
     seen, sizes, worst = set(), set(), 0.0
     for row, mb, slab in iter_prefix_slabs(s, grid, plan):
         assert mb >= sb
-        assert slab.shape[1:] == (ba + 1 - sa, la, lb)
-        sizes.add(len(slab))
+        assert slab.shape[:1] + slab.shape[2:] == (ba + 1 - sa, la, lb)
+        sizes.add(slab.shape[1])
         combo = np.unravel_index(row // plan.lac_size, plan.combo_shape)
         n = [0, 0, 0]
         for a, values, c in zip(plan.cut_axes, plan.cut_values, combo):
@@ -372,7 +395,7 @@ def test_prefix_slabs_start_at_min_term(bw, res, cut_axes, cut_values, min_term,
             n[plan.free_axes[0]] = sa + i
             direct = partial_sum(s, n, grid, method="direct").values
             direct = np.transpose(direct, plan.perm).reshape((plan.lac_size, la, lb))
-            for r, prefix in enumerate(slab):
+            for r, prefix in enumerate(np.moveaxis(slab, 1, 0)):
                 seen.add((row + r, mb))
                 lac = (row + r) % plan.lac_size
                 worst = max(worst, float(np.max(np.abs(prefix[i] - direct[lac]))))
@@ -386,8 +409,8 @@ def _slabs_by_row(s, grid, plan):
     slabs, sizes = {}, []
     for row, mb, slab in iter_prefix_slabs(s, grid, plan):
         if mb == 0:
-            sizes.append(len(slab))
-        for r, prefix in enumerate(slab):
+            sizes.append(slab.shape[1])
+        for r, prefix in enumerate(np.moveaxis(slab, 1, 0)):
             slabs[row + r, mb] = prefix.copy()
     return slabs, sizes
 
@@ -476,14 +499,106 @@ def test_streamed_slabs_match_whole_array_cut(bw, res, cut_axes, cut_values, mon
     seen = 0
     for row, mb, slab in iter_prefix_slabs(s, grid, plan):
         if mb == 0:
-            w = np.cumsum(_shell_expand(rows[row : row + len(slab)], 1, epa, ena), axis=1)
+            w = np.cumsum(_shell_expand(rows[row : row + slab.shape[1]], 1, epa, ena), axis=1)
+            w = np.moveaxis(w, 1, 0)  # (ma, r, xa, nu_b), as the stream yields
             expected = np.repeat(w[..., bb, None], lb, axis=-1)
         else:
             expected += w[..., bb + mb, None] * epb[mb]
             expected += w[..., bb - mb, None] * enb[mb]
         assert np.array_equal(slab, expected), (row, mb)
-        seen += len(slab)
+        seen += slab.shape[1]
     assert seen == plan.rows * (bb + 1)
+
+
+def _row_major_stream(spectrum, grid, plan):
+    """The stream as the row-major pipeline built it, slabs copied out as
+    ``(row, mb, slab[r, i, xa, xb])``: per batch, the first free axis
+    expanded whole by ``_shell_expand`` and summed by ``np.cumsum``, then the
+    second free axis added one ``mb`` at a time, from the same rows and the
+    same batch sizes as the stream."""
+    rows = _whole_array_cut(spectrum, grid, plan)
+    (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
+    epa, ena = _phase_pair_cached(ba, la)
+    epb, enb = _phase_pair_cached(bb, lb)
+    batch = max(1, min(plan.lac_size, lacsum.spectral._SLAB_BYTES // ((ba + 1 - sa) * la * lb * 16)))
+    for first in range(0, plan.rows, plan.lac_size):
+        for start in range(0, plan.lac_size, batch):
+            row = first + start
+            w = _shell_expand(rows[row : row + min(batch, plan.lac_size - start)], 1, epa, ena)
+            np.cumsum(w, axis=1, out=w)
+            w = w[:, sa:]
+            slab = np.empty(w.shape[:-1] + (lb,), dtype=complex)
+            np.copyto(slab, w[..., bb, None])
+            for mb in range(bb + 1):
+                if mb:
+                    slab += w[..., bb + mb, None] * epb[mb]
+                    slab += w[..., bb - mb, None] * enb[mb]
+                if mb >= sb:
+                    yield row, mb, slab.copy()
+
+
+def _assert_stream_is_row_major_stream(s, grid, plan):
+    expected = list(_row_major_stream(s, grid, plan))
+    got = [(row, mb, slab.copy()) for row, mb, slab in iter_prefix_slabs(s, grid, plan)]
+    assert [key[:2] for key in got] == [key[:2] for key in expected]
+    for (row, mb, slab), (_, _, ref) in zip(got, expected):
+        assert np.array_equal(slab, np.moveaxis(ref, 0, 1)), (row, mb)
+
+
+@pytest.mark.parametrize(
+    "bw, res, cut_axes, cut_values, min_term, budget_rows",
+    [
+        # one free axis: the phantom second axis yields the shell buffer itself
+        ((2, 2, 3), (4, 4, 8), (0, 1), ((1, 2), (1, 2)), 0, None),
+        # two free axes, whole combos per batch
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), 0, None),
+        # a real second free axis of bandwidth 0 on four grid points
+        ((2, 3, 0), (4, 8, 4), (0,), ((1, 2),), 0, None),
+        # min_term > 0 on two free axes and on one
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), 3, None),
+        ((2, 2, 3), (4, 4, 8), (0, 1), ((1, 2), (1, 2)), 2, None),
+        # batches of 4 and 5 rows do not divide 6 and 16 rows per combo
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), 0, 4),
+        ((2, 2, 3), (4, 4, 8), (0, 1), ((1, 2), (1, 2)), 1, 5),
+        ((2, 3, 0), (4, 8, 4), (0,), ((1, 2),), 1, 5),
+    ],
+)
+def test_stream_is_bit_identical_to_row_major_stream(
+    bw, res, cut_axes, cut_values, min_term, budget_rows, monkeypatch
+):
+    s = random_spectrum(np.random.default_rng(23), bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, cut_space(len(bw), cut_axes, cut_values), min_term=min_term)
+    if budget_rows is not None:
+        (ba, _), (la, lb), (sa, _) = plan.free_limits, plan.free_grid, plan.free_start
+        monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", budget_rows * (ba + 1 - sa) * la * lb * 16)
+    _assert_stream_is_row_major_stream(s, grid, plan)
+
+
+FAMILIES = ((1,), (1, 2), (1, 3), (1, 2, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_stream_is_bit_identical_property(data, seed):
+    dim = data.draw(st.integers(2, 4), label="dim")
+    bw = tuple(data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), label="bw"))
+    res = tuple(2 * data.draw(st.integers(1, 4)) for _ in range(dim))
+    cut_axes = tuple(sorted(data.draw(
+        st.sets(st.integers(0, dim - 1), min_size=max(0, dim - 2), max_size=dim), label="cut")))
+    min_term = data.draw(st.integers(0, 2), label="min_term")
+    cut_values = tuple(
+        data.draw(st.sampled_from([f for f in FAMILIES if f[-1] >= min_term]), label="family")
+        for _ in cut_axes
+    )
+    s = random_spectrum(np.random.default_rng(seed), bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, cut_space(dim, cut_axes, cut_values), min_term=min_term)
+    (ba, _), (la, lb), (sa, _) = plan.free_limits, plan.free_grid, plan.free_start
+    budget_rows = data.draw(st.sampled_from([0.5, 1, 3, 5, plan.lac_size]), label="budget_rows")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lacsum.spectral, "_SLAB_BYTES", int(budget_rows * (ba + 1 - sa) * la * lb * 16))
+        _assert_stream_is_row_major_stream(s, grid, plan)
 
 
 def test_slab_stream_peak_memory():

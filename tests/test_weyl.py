@@ -19,9 +19,9 @@ from lacsum import (
     split_lacunary_blocks,
     unit_weight,
     weighted_energy,
-    zero_spectrum,
 )
 from lacsum.weyl import WEIGHT_KINDS, weight_from_kind
+from spectra import zero_spectrum
 
 
 def test_product_weight_values():
