@@ -209,16 +209,6 @@ class JkIndexSpace:
             n *= cap + 1
         return n
 
-    def contains(self, index: Sequence[int]) -> bool:
-        idx = check_index(index, self.sample.dimension)
-        for pos, fam in zip(self.sample.lacunary_positions, self.families):
-            if idx[pos] not in fam.terms:
-                return False
-        for pos, cap in zip(self.sample.free_positions, self.free_caps):
-            if idx[pos] > cap:
-                return False
-        return True
-
 
 def enumerate_jk_indices(space: JkIndexSpace) -> Iterator[Index]:
     """Yield every index of the space, lexicographic in (term tuple, free tuple).

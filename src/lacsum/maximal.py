@@ -11,9 +11,10 @@ point, not just up to rounding.
 One blocked sweep serves every shape of space: it streams
 `iter_prefix_slabs` (lacunary axes and the free axes past the second cut to
 their clamped values, the first two free axes carrying a full prefix range),
-reduces each batch of rows into a slice of its running maxima, and serves
-several weights and cap levels in one pass, so ``weak_type_table`` also
-returns the weighted report it swept beside the unweighted maximum.
+reduces each slab (a tile of shells of a batch of rows) into a slice of
+its running maxima, and serves several weights and cap levels in one pass,
+so ``weak_type_table`` also returns the weighted report it swept beside
+the unweighted maximum.
 ``gather_max`` looks up an explicit index list in a ``ShellTensor`` instead;
 it is the independent oracle the tests check the sweep against.
 
@@ -79,7 +80,8 @@ class MaximalReport:
 
         When several indices tie, the sweep keeps the first in stream order:
         cut-value combo (lacunary terms, then the values of the free axes
-        past the second), then the second free axis, then the first.
+        past the second), then the tile of first-free-axis shells, then the
+        second free axis, then the first.
         ``gather_max`` keeps the first in enumeration order instead. Values
         agree; the index depends on the order on ties.
         """
@@ -162,41 +164,52 @@ def sweep_space(
     ids = np.zeros(m2.shape, dtype=np.int64) if record_argmax else None
 
     # One reduction for every shape: each cap level (ra, rb) folds the max
-    # over ma <= ra of every slab with mb <= rb into its running maximum. The
-    # slab is shell-major, (ma, row, xa, xb), so that max is an elementwise
-    # pass over whole contiguous shells. On ties argmax keeps the first index
-    # in stream order (combo, mb, ma).
+    # over ma <= ra of every slab with mb <= rb into its running maximum. A
+    # slab is one tile of shells ma0.. of a batch of rows, shell-major
+    # (ma, row, xa, xb), so that max is an elementwise pass over whole
+    # contiguous shells; the levels share each distinct prefix of a tile's
+    # shells, and a max does not depend on how its shells are grouped. On
+    # ties argmax keeps the first index in stream order (combo, shell tile,
+    # mb, ma).
     bufs = None
-    for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
-        if mb > top[1]:
-            continue  # beyond every cap level on the second free axis
+    for (row, ma0), mb, slab in iter_prefix_slabs(spectrum, grid, plan):
+        if mb > top[1] or ma0 > top[0]:
+            continue  # beyond every cap level
         combo_flat, lac_flat = divmod(row, plan.lac_size)
         n = slab.shape[1]
         rows = slice(lac_flat, lac_flat + n)
-        view = slab[: top[0] + 1]
+        view = slab[: top[0] + 1 - ma0]
+        k = view.shape[0]
         if bufs is None:
-            # the stream's first batch is its largest: |z|^2 as squared
+            # the stream's first slab is its largest: |z|^2 as squared
             # (re, im) pairs, then per weight the quotient by W
             pair_shape = view.shape[:-1] + (2 * view.shape[-1],)
             bufs = np.empty(pair_shape), np.empty(view.shape), np.empty(view.shape)
-        pair, sq, q_buf = (b[:, :n] for b in bufs)
+        pair, sq, q_buf = (b[:k, :n] for b in bufs)
         # |z|^2 = re*re + im*im, as the squared pairs of the float view
         np.square(view.view(float), out=pair)
         np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
         for wi, inv in enumerate(inv_tables):
             q = sq
             if inv is not None:
-                q = np.multiply(sq, inv[combo_flat, :, mb, None, None, None], out=q_buf)
+                q = np.multiply(sq, inv[combo_flat, ma0 : ma0 + k, mb, None, None, None], out=q_buf)
+            # cand is the max over the tile's first `done` shells; cap levels
+            # rise, so each level extends the last one's prefix
+            cand, done = None, 0
             for li, (ra, rb) in enumerate(caps):
-                if mb > rb or not in_level[li][combo_flat]:
+                if mb > rb or ra < ma0 or not in_level[li][combo_flat]:
                     continue
-                sub = q[: ra + 1]
-                cand = sub.max(axis=0)
+                end = min(ra + 1 - ma0, k)
+                if end > done:
+                    more = q[done:end].max(axis=0)
+                    cand = more if cand is None else np.maximum(cand, more, out=more)
+                    done = end
                 dest = m2[wi, li, rows]
                 if ids is None:
                     np.maximum(dest, cand, out=dest)
                 else:
-                    rid = (combo_flat * strides[0] + sub.argmax(axis=0)) * strides[1] + mb
+                    arg = ma0 + q[:end].argmax(axis=0)
+                    rid = (combo_flat * strides[0] + arg) * strides[1] + mb
                     better = cand > dest
                     dest[better] = cand[better]
                     ids[wi, li, rows][better] = rid[better]

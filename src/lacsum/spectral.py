@@ -21,10 +21,12 @@ Rectangular partial sums are served by two engines:
   range; this is what makes the all-index maximal and convergence sweeps
   tractable. The plan owns that layout (cut values and terms, streamed
   free axes padded with phantom axes, row count, axis order), so the
-  sweeps that consume the stream only reduce its batches. Each yielded slab
+  sweeps that consume the stream only reduce its slabs. Each yielded slab
   holds a batch of consecutive rows (cut-axis grid points of one cut-value
   combo), as many as fit a byte budget, so small slabs cost one numpy call
-  per batch rather than per row; slabs are shell-major (each shell of a
+  per batch rather than per row; a row larger than the budget is yielded in
+  tiles of consecutive shells of the first free axis, so a slab stays
+  cache-resident while it grows. Slabs are shell-major (each shell of a
   batch is one contiguous block). The last cut axis is summed inside the
   stream, once per combo of the others, so only one combo's rows are live
   and the next combo reuses their buffer.
@@ -520,29 +522,33 @@ def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np
     return arr.reshape(lead + tuple(2 * b + 1 for b in plan.free_limits))
 
 
-# slab budget of one batch in bytes; about 1 MiB keeps a batch cache-resident
-_SLAB_BYTES = 1 << 20
+# slab budget of one yield in bytes; 256 KiB keeps a slab, its temporary and
+# a consumer's |z|^2 buffers within a 2 MiB L2
+_SLAB_BYTES = 1 << 18
 
 
 def iter_prefix_slabs(
     spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Stream partial-sum prefixes for the planned sweep, a batch of rows at a time.
+) -> Iterator[tuple[tuple[int, int], int, np.ndarray]]:
+    """Stream partial-sum prefixes for the planned sweep, a tile of shells of
+    a batch of rows at a time.
 
-    Yields ``(row, mb, slab)`` for every batch of consecutive rows and every
-    prefix value ``mb >= start_b`` of the second free axis in increasing
-    order, where ``slab[i, r, xa, xb]`` is the rectangular partial sum of row
+    Yields ``((row, ma), mb, slab)`` for every batch of consecutive rows,
+    every tile of consecutive first-free-axis shells of it and every prefix
+    value ``mb >= start_b`` of the second free axis in increasing order,
+    where ``slab[i, r, xa, xb]`` is the rectangular partial sum of row
     ``row + r`` with that row's cut-value combo on the cut axes and
-    ``(start_a + i, mb)`` on the free axes; ``(start_a, start_b)`` is the
-    plan's ``free_start``. Each shell ``i`` is one contiguous block, and
-    ``slab.shape[1]`` is the batch's row count. A batch never crosses a
-    cut-combo boundary, so its rows share one combo and cover consecutive
-    cut-axis grid points. The
-    free axes are the plan's two ``free_limits`` and ``free_grid`` entries,
-    so a plan with one streamed free axis streams its phantom axis: ``mb``
-    is always 0 and ``xb`` has length 1 (with none, ``xa`` too). The slab
-    buffer is grown in place between yields (a running prefix), so
-    consumers must reduce it before advancing.
+    ``(ma + i, mb)`` on the free axes; ``(start_a, start_b)`` is the plan's
+    ``free_start``, and the first tile starts at ``ma = start_a``. Each
+    shell ``i`` is one contiguous block, ``slab.shape[1]`` is the batch's
+    row count and ``slab.shape[0]`` the tile's shell count. A batch never
+    crosses a cut-combo boundary, so its rows share one combo and cover
+    consecutive cut-axis grid points. The free axes are the plan's two
+    ``free_limits`` and ``free_grid`` entries, so a plan with one streamed
+    free axis streams its phantom axis: ``mb`` is always 0 and ``xb`` has
+    length 1 (with none, ``xa`` too). The slab buffer is grown in place
+    between yields (a running prefix), so consumers must reduce it before
+    advancing.
 
     ``_cut_stage`` pins the leading cut axes; the last one's running shell
     sum runs here, once per leading combo, so its buffer holds one combo's
@@ -550,14 +556,16 @@ def iter_prefix_slabs(
 
     Per batch, the first free axis's shells go into ``w[i, r, xa, nu_b]``
     and are summed in place; the second free axis is added one ``mb`` at a
-    time into the slab, except on a phantom axis, where ``w`` is the slab
-    and is yielded itself. Every buffer is allocated once per stream.
+    time into the slab, one tile of shells after the other, except on a
+    phantom axis, where ``w`` is the slab and is yielded itself, whole.
+    Every buffer is allocated once per stream.
 
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
-    one. Keeping the slab at ``(B_a + 1 - start_a) * L_a * L_b`` entries per
-    row instead of materializing the full ``(B_a + 1, L_a, B_b + 1, L_b)``
-    block is what keeps the sweep cache-resident at grid scale; batching
-    rows keeps the number of numpy calls down when those slabs are small.
+    one; a row too large for the budget is split into tiles of as many
+    shells as fit, and at least one. So a tile, its temporary and what a
+    consumer derives from it stay cache-resident while the ``mb`` loop
+    revisits them, and batching rows keeps the number of numpy calls down
+    when rows are small.
     """
     arr = _cut_stage(spectrum, grid, plan)
     (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
@@ -576,19 +584,22 @@ def iter_prefix_slabs(
     epa, ena = _phase_pair_cached(ba, la)
     epa, ena = epa[:, None, :, None], ena[:, None, :, None]  # (i, 1, xa, 1)
     epb, enb = _phase_pair_cached(bb, lb)
-    batch = max(1, min(plan.lac_size, _SLAB_BYTES // ((ba + 1 - sa) * la * lb * 16)))
+    kept = ba + 1 - sa
+    batch = max(1, min(plan.lac_size, _SLAB_BYTES // (kept * la * lb * 16)))
+    tile = max(1, min(kept, _SLAB_BYTES // (batch * la * lb * 16)))
     w_buf = np.empty((ba + 1, batch, la, 2 * bb + 1), dtype=complex)
     wt_buf = np.empty_like(w_buf)
     # on a phantom second axis w is the slab; a real free axis of bandwidth
     # 0 has more than one grid point and still needs w broadcast over them
     phantom = bb == 0 and lb == 1
     if not phantom:
-        slab_buf = np.empty((ba + 1 - sa, batch, la, lb), dtype=complex)
+        slab_buf = np.empty((tile, batch, la, lb), dtype=complex)
         tmp_buf = np.empty_like(slab_buf)
     for combo, rows in enumerate(combos):
         rows = rows.reshape((plan.lac_size, 2 * ba + 1, 2 * bb + 1))
         for start in range(0, plan.lac_size, batch):
             n = min(batch, plan.lac_size - start)
+            row = combo * plan.lac_size + start
             r = rows[start : start + n].transpose(1, 0, 2)[:, :, None, :]  # (nu_a, r, 1, nu_b)
             w, wt = w_buf[:, :n], wt_buf[:, :n]
             np.multiply(r[ba:], epa, out=w)
@@ -596,17 +607,19 @@ def iter_prefix_slabs(
             w += wt
             for i in range(1, ba + 1):
                 w[i] += w[i - 1]
-            w = w[sa:]  # every ma shell is summed, only ma >= start_a kept
             if phantom:
-                yield combo * plan.lac_size + start, 0, w
+                # every ma shell is summed, only ma >= start_a kept
+                yield (row, sa), 0, w[sa:]
                 continue
-            slab, tmp = slab_buf[:, :n], tmp_buf[:, :n]
-            np.copyto(slab, w[..., bb, None])
-            for mb in range(bb + 1):
-                if mb:
-                    np.multiply(w[..., bb + mb, None], epb[mb], out=tmp)
-                    slab += tmp
-                    np.multiply(w[..., bb - mb, None], enb[mb], out=tmp)
-                    slab += tmp
-                if mb >= sb:
-                    yield combo * plan.lac_size + start, mb, slab
+            for ma in range(sa, ba + 1, tile):
+                part = w[ma : ma + tile]
+                slab, tmp = slab_buf[: len(part), :n], tmp_buf[: len(part), :n]
+                np.copyto(slab, part[..., bb, None])
+                for mb in range(bb + 1):
+                    if mb:
+                        np.multiply(part[..., bb + mb, None], epb[mb], out=tmp)
+                        slab += tmp
+                        np.multiply(part[..., bb - mb, None], enb[mb], out=tmp)
+                        slab += tmp
+                    if mb >= sb:
+                        yield (row, ma), mb, slab

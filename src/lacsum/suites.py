@@ -515,12 +515,23 @@ def sup_error_table(
     prefix_shape = tuple(b + 1 - s for b, s in zip(plan.free_limits, plan.free_start))
     table = np.zeros(plan.combo_shape + prefix_shape)
     flat_table = table.reshape((-1,) + prefix_shape)
-    for row, mb, slab in iter_prefix_slabs(spectrum, grid, plan):
+    bufs = None
+    for (row, ma), mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         combo_flat, lac_flat = divmod(row, plan.lac_size)
-        diff = slab - f_perm[lac_flat : lac_flat + slab.shape[1]]
-        cand = (diff.real**2 + diff.imag**2).max(axis=(1, 2, 3))
-        col = flat_table[combo_flat][:, mb - plan.free_start[1]]
-        np.maximum(col, cand, out=col)
+        k, n = slab.shape[:2]
+        if bufs is None:
+            # the stream's first slab is its largest: S_n - f, then |.|^2 as
+            # squared (re, im) pairs
+            pair_shape = slab.shape[:-1] + (2 * slab.shape[-1],)
+            bufs = np.empty(slab.shape, dtype=complex), np.empty(pair_shape), np.empty(slab.shape)
+        diff, pair, sq = (b[:k, :n] for b in bufs)
+        np.subtract(slab, f_perm[lac_flat : lac_flat + n], out=diff)
+        # |z|^2 = re*re + im*im, as the squared pairs of the float view
+        np.square(diff.view(float), out=pair)
+        np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
+        first = ma - plan.free_start[0]
+        col = flat_table[combo_flat][first : first + k, mb - plan.free_start[1]]
+        np.maximum(col, sq.max(axis=(1, 2, 3)), out=col)
     # the returned table leaves out the plan's phantom axes
     free_shape = prefix_shape[: len(plan.free_axes)]
     return plan.cut_terms, np.sqrt(table.reshape(plan.combo_shape + free_shape))

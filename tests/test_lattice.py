@@ -130,13 +130,28 @@ def test_enumeration_two_lacunary_axes():
     assert len(got) == 18 == space.count
 
 
+def _is_member(space, index):
+    """The space's definition: each lacunary component is one of its
+    family's terms, each free component lies in ``0..cap``."""
+    lacunary = all(
+        index[p] in fam.terms for p, fam in zip(space.sample.lacunary_positions, space.families)
+    )
+    free = all(
+        0 <= index[p] <= cap for p, cap in zip(space.sample.free_positions, space.free_caps)
+    )
+    return lacunary and free
+
+
 def test_every_index_is_member():
     fam = make_lacunary(1.5, 3)
     space = JkIndexSpace(SampleJk(3, (1, 3)), (fam, fam), (2,))
-    for idx in enumerate_jk_indices(space):
-        assert space.contains(idx)
-    assert not space.contains((7, 0, 1))
-    assert not space.contains((1, 3, 1))
+    got = list(enumerate_jk_indices(space))
+    assert all(_is_member(space, idx) for idx in got)
+    assert not _is_member(space, (7, 0, 1))
+    assert not _is_member(space, (1, 3, 1))
+    # and every member of a box around the space is enumerated, once
+    box = [idx for idx in np.ndindex(7, 7, 7) if _is_member(space, idx)]
+    assert sorted(got) == box
 
 
 @settings(max_examples=40, deadline=None)

@@ -370,6 +370,55 @@ def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_slab_budget_changes_nothing(n, monkeypatch):
+    # budgets of one shell, three shells (tiles that do not divide the five
+    # streamed shells) and a whole combo per slab give the same arrays as
+    # the default budget, and every recorded argmax attains its maximum
+    import lacsum.spectral
+    from lacsum import ShellTensor
+    from lacsum.suites import sup_error_table
+
+    sample = SampleJk(n, (1,))
+    n_free = n - 1
+    space = JkIndexSpace(sample, (make_lacunary(2.0, 3),), (4,) * n_free)
+    s = random_spectrum(np.random.default_rng(21), (3, 4, 3, 2)[:n])
+    grid = TorusGrid((6, 8, 6, 4)[:n])
+    weights = [product_weight(sample), unit_weight(n)]
+    # level 3 cuts inside the second tile of three shells, level 1 inside
+    # the first
+    levels = [(1,) * n_free, (3,) * n_free, (4,) * n_free]
+    shell_bytes = 8 * 6 * 16
+    rows = lacsum.spectral.plan_prefix_blocks(s, grid, space).lac_size
+    budgets = {
+        "default": lacsum.spectral._SLAB_BYTES,
+        "one shell": shell_bytes,
+        "three shells": 3 * shell_bytes,
+        "whole combo": rows * 5 * shell_bytes,
+    }
+    results = {}
+    for name, budget in budgets.items():
+        monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", budget)
+        sweep = sweep_space(s, grid, space, weights, levels, record_argmax=True)
+        plain = sweep_space(s, grid, space, weights, levels)
+        _, table = sup_error_table(s, grid, space, min_term=1)
+        results[name] = (sweep, plain.m_values, table)
+    tensor = ShellTensor.from_grid(s, grid)
+    points = np.indices(grid.resolution).reshape(n, -1)
+    ref_sweep, ref_plain, ref_table = results["default"]
+    for name, (sweep, plain, table) in results.items():
+        assert np.array_equal(sweep.m_values, ref_sweep.m_values), name
+        assert np.array_equal(plain, ref_plain), name
+        assert np.array_equal(table, ref_table), name
+        for wi, w in enumerate(weights):
+            for li in range(len(levels)):
+                chosen = sweep.index_table[sweep.argmax_ids[wi, li]].reshape(-1, n)
+                sums = tensor.partial_sums(chosen)[(np.arange(len(chosen)), *points)]
+                attained = np.abs(sums) / np.sqrt([w.evaluate(idx) for idx in chosen])
+                m = sweep.m_values[wi, li].reshape(-1)
+                assert np.allclose(attained, m, rtol=1e-12, atol=0), (name, wi, li)
+
+
 def test_sup_error_table_needs_a_term_above_min_term():
     from lacsum.suites import sup_error_table
 

@@ -306,8 +306,10 @@ def test_shell_tensor_build_memory():
     assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap), base
 
 
-def test_prefix_slabs_match_partial_sums():
-    # one cut axis; three cut axes; cut axes 1 and 3 with free axis 2 between them
+def test_prefix_slabs_match_partial_sums(monkeypatch):
+    # one cut axis; three cut axes; cut axes 1 and 3 with free axis 2 between
+    # them; each under the default budget and under a budget of two shells,
+    # which splits every row of two free axes into tiles
     rng = np.random.default_rng(14)
     for bw, res, cut_axes, cut_values in (
         ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),)),
@@ -318,24 +320,35 @@ def test_prefix_slabs_match_partial_sums():
         grid = TorusGrid(res)
         plan = plan_prefix_blocks(s, grid, cut_space(len(bw), cut_axes, cut_values))
         (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
-        worst, seen = 0.0, set()
-        for row, mb, slab in iter_prefix_slabs(s, grid, plan):
-            combo = np.unravel_index(row // plan.lac_size, plan.combo_shape)
-            n = [0] * len(bw)
-            for a, values, c in zip(plan.cut_axes, plan.cut_values, combo):
-                n[a] = values[c]
-            if len(plan.free_axes) == 2:
-                n[plan.free_axes[1]] = mb
-            lac = row % plan.lac_size
-            for ma in range(ba + 1):
-                n[plan.free_axes[0]] = ma
-                direct = partial_sum(s, n, grid, method="direct").values
-                direct = np.transpose(direct, plan.perm).reshape((plan.lac_size, la, lb))
-                err = np.abs(slab[ma] - direct[lac : lac + slab.shape[1]])
-                worst = max(worst, float(np.max(err)))
-            seen.update((row + r, mb) for r in range(slab.shape[1]))
-        assert seen == {(row, mb) for row in range(plan.rows) for mb in range(bb + 1)}
-        assert worst < 1e-10
+        directs = {}
+        for budget in (lacsum.spectral._SLAB_BYTES, 2 * la * lb * 16):
+            monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", budget)
+            worst, seen = 0.0, set()
+            for (row, ma0), mb, slab in iter_prefix_slabs(s, grid, plan):
+                combo = np.unravel_index(row // plan.lac_size, plan.combo_shape)
+                n = [0] * len(bw)
+                for a, values, c in zip(plan.cut_axes, plan.cut_values, combo):
+                    n[a] = values[c]
+                if len(plan.free_axes) == 2:
+                    n[plan.free_axes[1]] = mb
+                lac = row % plan.lac_size
+                for i, ma in enumerate(range(ma0, ma0 + slab.shape[0])):
+                    n[plan.free_axes[0]] = ma
+                    if tuple(n) not in directs:
+                        direct = partial_sum(s, n, grid, method="direct").values
+                        directs[tuple(n)] = np.transpose(direct, plan.perm).reshape(
+                            (plan.lac_size, la, lb)
+                        )
+                    err = np.abs(slab[i] - directs[tuple(n)][lac : lac + slab.shape[1]])
+                    worst = max(worst, float(np.max(err)))
+                    seen.update((row + r, ma, mb) for r in range(slab.shape[1]))
+            assert seen == {
+                (row, ma, mb)
+                for row in range(plan.rows)
+                for ma in range(ba + 1)
+                for mb in range(bb + 1)
+            }
+            assert worst < 1e-10
 
 
 def test_prefix_slabs_one_free_axis():
@@ -346,8 +359,8 @@ def test_prefix_slabs_one_free_axis():
     plan = plan_prefix_blocks(s, grid, cut_space(3, (0, 1), ((1, 2), (1, 2))))
     worst = 0.0
     seen = set()
-    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
-        assert mb == 0  # the phantom second free axis has bandwidth 0
+    for (row, ma0), mb, slab in iter_prefix_slabs(s, grid, plan):
+        assert (ma0, mb) == (0, 0)  # the phantom second free axis has bandwidth 0
         for r, prefix in enumerate(np.moveaxis(slab, 1, 0)):
             seen.add(row + r)
             combo, lac = divmod(row + r, 16)
@@ -381,8 +394,8 @@ def test_prefix_slabs_start_at_min_term(bw, res, cut_axes, cut_values, min_term,
     # a budget of four rows of ma >= sa: batches are sized from the kept rows
     monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", 4 * (ba + 1 - sa) * la * lb * 16)
     seen, sizes, worst = set(), set(), 0.0
-    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
-        assert mb >= sb
+    for (row, ma0), mb, slab in iter_prefix_slabs(s, grid, plan):
+        assert ma0 == sa and mb >= sb
         assert slab.shape[:1] + slab.shape[2:] == (ba + 1 - sa, la, lb)
         sizes.add(slab.shape[1])
         combo = np.unravel_index(row // plan.lac_size, plan.combo_shape)
@@ -405,33 +418,44 @@ def test_prefix_slabs_start_at_min_term(bw, res, cut_axes, cut_values, min_term,
 
 
 def _slabs_by_row(s, grid, plan):
-    """Copy of every row's slab per ``mb``, and the batch sizes streamed."""
-    slabs, sizes = {}, []
-    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
-        if mb == 0:
+    """Copy of every row's prefix per ``(ma, mb)``, the batch sizes streamed
+    and the tile sizes streamed."""
+    slabs, sizes, tiles = {}, [], []
+    for (row, ma0), mb, slab in iter_prefix_slabs(s, grid, plan):
+        if mb == 0 and ma0 == 0:
             sizes.append(slab.shape[1])
-        for r, prefix in enumerate(np.moveaxis(slab, 1, 0)):
-            slabs[row + r, mb] = prefix.copy()
-    return slabs, sizes
+        if mb == 0 and row == 0:
+            tiles.append(slab.shape[0])
+        for i, shell in enumerate(slab):
+            for r, prefix in enumerate(shell):
+                slabs[row + r, ma0 + i, mb] = prefix.copy()
+    return slabs, sizes, tiles
 
 
 @pytest.mark.parametrize(
     "bw, res, cut_axes, cut_values, batches",
     [
         # two free axes, 6 cut-axis grid points per combo, 2 combos
-        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), {0.5: [1] * 12, 4: [4, 2] * 2, 6: [6] * 2}),
+        (
+            (3, 4, 2),
+            (6, 8, 6),
+            (0,),
+            ((1, 3),),
+            {0.5: ([1] * 12, [2, 2, 1]), 4: ([4, 2] * 2, [5]), 6: ([6] * 2, [5])},
+        ),
         # one free axis, 16 cut-axis grid points per combo, 4 combos
         (
             (2, 2, 3),
             (4, 4, 8),
             (0, 1),
             ((1, 2), (1, 2)),
-            {0.5: [1] * 64, 5: [5, 5, 5, 1] * 4, 16: [16] * 4},
+            {0.5: ([1] * 64, [4]), 5: ([5, 5, 5, 1] * 4, [4]), 16: ([16] * 4, [4])},
         ),
     ],
 )
 def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, batches, monkeypatch):
-    # budgets in rows: below one row still streams one row; 4 and 5 do not
+    # budgets in rows: below one row streams one row in tiles of shells (the
+    # phantom axis's stream yields every shell at once); 4 and 5 do not
     # divide the grid points per combo; the last takes a whole combo per batch
     rng = np.random.default_rng(17)
     s = random_spectrum(rng, bw)
@@ -440,12 +464,12 @@ def test_prefix_slab_batches_match_row_by_row(bw, res, cut_axes, cut_values, bat
     (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
     row_bytes = (ba + 1) * la * lb * 16
     monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", row_bytes)
-    reference, _ = _slabs_by_row(s, grid, plan)
-    assert len(reference) == plan.rows * (bb + 1)
-    for budget_rows, sizes in batches.items():
+    reference, _, _ = _slabs_by_row(s, grid, plan)
+    assert len(reference) == plan.rows * (ba + 1) * (bb + 1)
+    for budget_rows, (sizes, tiles) in batches.items():
         monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", int(budget_rows * row_bytes))
-        slabs, got = _slabs_by_row(s, grid, plan)
-        assert got == sizes
+        slabs, got, got_tiles = _slabs_by_row(s, grid, plan)
+        assert (got, got_tiles) == (sizes, tiles)
         assert slabs.keys() == reference.keys()
         assert all(np.array_equal(slabs[key], reference[key]) for key in reference)
 
@@ -497,52 +521,56 @@ def test_streamed_slabs_match_whole_array_cut(bw, res, cut_axes, cut_values, mon
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
     seen = 0
-    for row, mb, slab in iter_prefix_slabs(s, grid, plan):
+    for (row, ma), mb, slab in iter_prefix_slabs(s, grid, plan):
         if mb == 0:
             w = np.cumsum(_shell_expand(rows[row : row + slab.shape[1]], 1, epa, ena), axis=1)
-            w = np.moveaxis(w, 1, 0)  # (ma, r, xa, nu_b), as the stream yields
+            w = np.moveaxis(w, 1, 0)[ma : ma + len(slab)]  # (ma, r, xa, nu_b), as streamed
             expected = np.repeat(w[..., bb, None], lb, axis=-1)
         else:
             expected += w[..., bb + mb, None] * epb[mb]
             expected += w[..., bb - mb, None] * enb[mb]
-        assert np.array_equal(slab, expected), (row, mb)
-        seen += slab.shape[1]
-    assert seen == plan.rows * (bb + 1)
+        assert np.array_equal(slab, expected), (row, ma, mb)
+        seen += slab.shape[0] * slab.shape[1]
+    assert seen == plan.rows * (ba + 1) * (bb + 1)
 
 
 def _row_major_stream(spectrum, grid, plan):
     """The stream as the row-major pipeline built it, slabs copied out as
-    ``(row, mb, slab[r, i, xa, xb])``: per batch, the first free axis
-    expanded whole by ``_shell_expand`` and summed by ``np.cumsum``, then the
-    second free axis added one ``mb`` at a time, from the same rows and the
-    same batch sizes as the stream."""
+    ``((row, ma), mb, slab[r, i, xa, xb])``: per batch, the first free axis
+    expanded whole by ``_shell_expand`` and summed by ``np.cumsum``, then,
+    per tile of its shells, the second free axis added one ``mb`` at a time,
+    from the same rows and the same batch and tile sizes as the stream (a
+    phantom second axis takes every shell at once)."""
     rows = _whole_array_cut(spectrum, grid, plan)
     (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
     epa, ena = _phase_pair_cached(ba, la)
     epb, enb = _phase_pair_cached(bb, lb)
-    batch = max(1, min(plan.lac_size, lacsum.spectral._SLAB_BYTES // ((ba + 1 - sa) * la * lb * 16)))
+    budget, kept = lacsum.spectral._SLAB_BYTES, ba + 1 - sa
+    batch = max(1, min(plan.lac_size, budget // (kept * la * lb * 16)))
+    tile = kept if bb == 0 and lb == 1 else max(1, min(kept, budget // (batch * la * lb * 16)))
     for first in range(0, plan.rows, plan.lac_size):
         for start in range(0, plan.lac_size, batch):
             row = first + start
             w = _shell_expand(rows[row : row + min(batch, plan.lac_size - start)], 1, epa, ena)
             np.cumsum(w, axis=1, out=w)
-            w = w[:, sa:]
-            slab = np.empty(w.shape[:-1] + (lb,), dtype=complex)
-            np.copyto(slab, w[..., bb, None])
-            for mb in range(bb + 1):
-                if mb:
-                    slab += w[..., bb + mb, None] * epb[mb]
-                    slab += w[..., bb - mb, None] * enb[mb]
-                if mb >= sb:
-                    yield row, mb, slab.copy()
+            for ma in range(sa, ba + 1, tile):
+                part = w[:, ma : ma + tile]
+                slab = np.empty(part.shape[:-1] + (lb,), dtype=complex)
+                np.copyto(slab, part[..., bb, None])
+                for mb in range(bb + 1):
+                    if mb:
+                        slab += part[..., bb + mb, None] * epb[mb]
+                        slab += part[..., bb - mb, None] * enb[mb]
+                    if mb >= sb:
+                        yield (row, ma), mb, slab.copy()
 
 
 def _assert_stream_is_row_major_stream(s, grid, plan):
     expected = list(_row_major_stream(s, grid, plan))
-    got = [(row, mb, slab.copy()) for row, mb, slab in iter_prefix_slabs(s, grid, plan)]
+    got = [(key, mb, slab.copy()) for key, mb, slab in iter_prefix_slabs(s, grid, plan)]
     assert [key[:2] for key in got] == [key[:2] for key in expected]
-    for (row, mb, slab), (_, _, ref) in zip(got, expected):
-        assert np.array_equal(slab, np.moveaxis(ref, 0, 1)), (row, mb)
+    for (key, mb, slab), (_, _, ref) in zip(got, expected):
+        assert np.array_equal(slab, np.moveaxis(ref, 0, 1)), (key, mb)
 
 
 @pytest.mark.parametrize(
@@ -575,6 +603,38 @@ def test_stream_is_bit_identical_to_row_major_stream(
     _assert_stream_is_row_major_stream(s, grid, plan)
 
 
+@pytest.mark.parametrize(
+    "bw, res, cut_axes, cut_values, min_term, budget_shells, tiles",
+    [
+        # 14 shells in tiles of 3: the last tile holds the 2 left over
+        ((2, 13, 3), (4, 6, 8), (0,), ((1, 2),), 0, 3, [3, 3, 3, 3, 2]),
+        # min_term > 0 under tiling: shells 4..17 of both free axes' start
+        ((8, 17, 5), (4, 6, 8), (0,), ((1, 4, 8),), 4, 3, [3, 3, 3, 3, 2]),
+        # one shell per tile, on a real second free axis of bandwidth 0
+        ((2, 3, 0), (4, 8, 4), (0,), ((1, 2),), 1, 1, [1, 1, 1]),
+        # a budget of 1.5 shells still tiles whole shells
+        ((3, 4, 2), (6, 8, 6), (0,), ((1, 3),), 0, 1.5, [1, 1, 1, 1, 1]),
+        # a phantom second axis yields every shell at once
+        ((2, 2, 3), (4, 4, 8), (0, 1), ((1, 2), (1, 2)), 1, 2, [3]),
+    ],
+)
+def test_stream_tiles_are_bit_identical_to_row_major_stream(
+    bw, res, cut_axes, cut_values, min_term, budget_shells, tiles, monkeypatch
+):
+    s = random_spectrum(np.random.default_rng(24), bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, cut_space(len(bw), cut_axes, cut_values), min_term=min_term)
+    (la, lb), (sa, sb) = plan.free_grid, plan.free_start
+    monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", int(budget_shells * la * lb * 16))
+    first = [
+        (len(slab), slab.shape[1], ma)
+        for (row, ma), mb, slab in iter_prefix_slabs(s, grid, plan)
+        if row == 0 and mb == sb
+    ]
+    assert first == [(t, 1, sa + sum(tiles[:i])) for i, t in enumerate(tiles)]
+    _assert_stream_is_row_major_stream(s, grid, plan)
+
+
 FAMILIES = ((1,), (1, 2), (1, 3), (1, 2, 4))
 
 
@@ -595,7 +655,9 @@ def test_stream_is_bit_identical_property(data, seed):
     grid = TorusGrid(res)
     plan = plan_prefix_blocks(s, grid, cut_space(dim, cut_axes, cut_values), min_term=min_term)
     (ba, _), (la, lb), (sa, _) = plan.free_limits, plan.free_grid, plan.free_start
-    budget_rows = data.draw(st.sampled_from([0.5, 1, 3, 5, plan.lac_size]), label="budget_rows")
+    budget_rows = data.draw(
+        st.sampled_from([0.25, 0.5, 1, 3, 5, plan.lac_size]), label="budget_rows"
+    )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lacsum.spectral, "_SLAB_BYTES", int(budget_rows * (ba + 1 - sa) * la * lb * 16))
         _assert_stream_is_row_major_stream(s, grid, plan)
@@ -614,7 +676,7 @@ def test_slab_stream_peak_memory():
     tracemalloc.start()
     try:
         # past the first leading cut value's five combos into the next one's
-        for row, _, _ in iter_prefix_slabs(s, grid, plan):
+        for (row, _), _, _ in iter_prefix_slabs(s, grid, plan):
             if row >= 6 * plan.lac_size:
                 break
         _, peak = tracemalloc.get_traced_memory()
