@@ -18,8 +18,10 @@ result broadcasts to the mesh shape. ``evaluate`` takes stacked vectors.
 
 ``check_weyl_conditions`` verifies positivity, evenness and coordinatewise
 monotonicity exhaustively on a finite box, returning the first violating
-witness per condition. ``weighted_energy`` is the coefficient functional
-``sum |c_nu|^2 W(nu)`` over a spectrum's box.
+witness per condition (in C order over the orthant). It runs on a weight's
+distinct values, cutting every axis that the weight does not read to length
+1, so only the full product walks the whole box. ``weighted_energy`` is the
+coefficient functional ``sum |c_nu|^2 W(nu)`` over a spectrum's box.
 """
 
 from __future__ import annotations
@@ -75,11 +77,15 @@ class WeylWeight:
 
 
 def _log_product(nu: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
-    """Product of log(|nu_a| + 2) over ``axes`` in order; ones for no axes."""
-    out = 1.0
+    """Product of log(|nu_a| + 2) over ``axes`` in order; a 0-d one for no axes.
+
+    The result reads only ``axes``, so it broadcasts to the mesh shape
+    without repeating itself along the other axes.
+    """
+    out = np.ones(())
     for a in axes:
         out = out * _log_plus2(np.abs(nu[a]))
-    return out if axes else np.ones(np.broadcast_shapes(*map(np.shape, nu)))
+    return out
 
 
 def product_weight(sample: SampleJk) -> WeylWeight:
@@ -185,6 +191,11 @@ class WeylConditionReport:
         return bool(self.positivity and self.symmetry and self.monotonicity)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``values`` cut to length 1 along every axis that it repeats (stride 0)."""
+    return values[tuple(slice(0, 1) if st == 0 else slice(None) for st in values.strides)]
+
+
 def check_weyl_conditions(
     weight: WeylWeight, box: int, dimension: int | None = None
 ) -> WeylConditionReport:
@@ -196,10 +207,18 @@ def check_weyl_conditions(
     negates some axis vectors of the orthant mesh, and every ``W(nu)`` it
     gives is compared against the orthant value at ``|nu|``.
 
+    Each comparison runs on the weight's distinct values: an axis along which
+    ``fn``'s result only broadcasts (one that the weight does not read) is cut
+    to length 1, so the min-pair and product weights scan two or ``N - k``
+    axes and the unit weight one point. The full product reads every axis and
+    still walks the whole box.
+
     Witnesses: positivity and monotonicity report the first violation in C
     order over the orthant. Evenness takes the flips in ``np.ndindex`` order
     and reports the first differing orthant point (C order) of the first
-    failing flip, signed by that flip.
+    failing flip, signed by that flip. Cutting axes keeps these witnesses: a
+    violation repeats along a cut axis, so its first copy has coordinate 0
+    there, which is where ``np.argwhere`` puts it.
     """
     dim = dimension if dimension is not None else weight.dimension
     if dim is None:
@@ -209,7 +228,7 @@ def check_weyl_conditions(
 
     shape = (box + 1,) * dim
     axes = np.ix_(*[np.arange(box + 1)] * dim)
-    values = np.broadcast_to(weight.fn(*axes), shape)
+    values = _distinct(np.broadcast_to(weight.fn(*axes), shape))
 
     pos_witness = None
     if not np.all(values > 0):
@@ -220,12 +239,14 @@ def check_weyl_conditions(
     for s in np.ndindex(*(2,) * dim):
         if not any(s):
             continue
-        w = np.broadcast_to(weight.fn(*(-a if b else a for a, b in zip(axes, s))), shape)
-        if not np.array_equal(w, values):
+        w = _distinct(np.broadcast_to(weight.fn(*(-a if b else a for a, b in zip(axes, s))), shape))
+        # both arrays are cut; broadcasting lines them up point for point
+        if (w != values).any():
             first = np.argwhere(w != values)[0]
             sym_witness = tuple(-int(x) if b else int(x) for x, b in zip(first, s))
             break
 
+    # an axis cut to length 1 has no drop
     mono_witness = None
     for axis in range(dim):
         drops = np.argwhere(np.diff(values, axis=axis) < 0)

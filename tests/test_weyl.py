@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacsum import (
+    JkIndexSpace,
     LacsumError,
     SampleJk,
     Spectrum,
+    TorusGrid,
     WeylWeight,
     check_weyl_conditions,
     full_product_weight,
@@ -17,6 +20,7 @@ from lacsum import (
     min_pair_weight,
     product_weight,
     split_lacunary_blocks,
+    sweep_space,
     unit_weight,
     weighted_energy,
 )
@@ -116,19 +120,124 @@ def test_evenness_witness_order_over_two_failing_flips():
 
 
 def test_scan_peak_memory():
-    # the orthant's values are the largest array the scan needs; the stacked
-    # int64 mesh and its flipped copies would take several times that
+    # a weight that reads two or N - k axes is scanned on its distinct
+    # values, far below one orthant of values; the full product reads every
+    # axis, and the orthant's values are then the largest array the scan
+    # needs (the stacked int64 mesh and its flipped copies would take several
+    # times that)
     box = 32
     orthant_bytes = (box + 1) ** 4 * 8
-    w = min_pair_weight(SampleJk(4, (1, 2)))
-    tracemalloc.start()
-    try:
-        report = check_weyl_conditions(w, box=box)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.all_passed
-    assert peak <= 4 * orthant_bytes, (peak, orthant_bytes)
+    bounds = [
+        (min_pair_weight(SampleJk(4, (1, 2))), orthant_bytes / 64),
+        (product_weight(SampleJk(4, (1, 3))), orthant_bytes / 64),
+        (unit_weight(4), orthant_bytes / 64),
+        (full_product_weight(4), 4 * orthant_bytes),
+    ]
+    for w, bound in bounds:
+        tracemalloc.start()
+        try:
+            report = check_weyl_conditions(w, box=box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed, w.kind
+        assert peak <= bound, (w.kind, peak, orthant_bytes)
+
+
+def _full_mesh_scan(fn, dim, box):
+    # the scan on the broadcast (box + 1)^dim orthant, never cutting an axis:
+    # (passed, witness) per positivity, evenness and monotonicity
+    shape = (box + 1,) * dim
+    axes = np.ix_(*[np.arange(box + 1)] * dim)
+    values = np.broadcast_to(fn(*axes), shape)
+    pos = None
+    if not np.all(values > 0):
+        pos = tuple(int(x) for x in np.argwhere(~(values > 0))[0])
+    sym = None
+    for s in np.ndindex(*(2,) * dim):
+        if not any(s):
+            continue
+        w = np.broadcast_to(fn(*(-a if b else a for a, b in zip(axes, s))), shape)
+        if not np.array_equal(w, values):
+            first = np.argwhere(w != values)[0]
+            sym = tuple(-int(x) if b else int(x) for x, b in zip(first, s))
+            break
+    mono = None
+    for axis in range(dim):
+        drops = np.argwhere(np.diff(values, axis=axis) < 0)
+        if drops.size:
+            first = tuple(int(x) for x in drops[0])
+            mono = first[:axis] + (first[axis] + 1,) + first[axis + 1 :]
+            break
+    return [(pos is None, pos), (sym is None, sym), (mono is None, mono)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scan_witnesses_match_full_mesh(data):
+    # a table weight reads a random subset of the axes (none: a scalar), an
+    # even nondecreasing table with planted negative entries (on every sign
+    # flip of a point), odd spots (one signed point) and drops (on every sign
+    # flip); its result is left open on the other axes or materialized on
+    # the whole mesh
+    dim = data.draw(st.integers(min_value=1, max_value=4), label="dim")
+    box = data.draw(st.integers(min_value=1, max_value=5), label="box")
+    read = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=dim - 1)), label="read"))
+    materialize = data.draw(st.booleans(), label="materialize")
+    signed = np.arange(-box, box + 1)
+    table = np.ones((2 * box + 1,) * len(read))
+    for g in np.meshgrid(*[signed] * len(read), indexing="ij"):
+        table += np.abs(g)
+    point = st.tuples(*[st.integers(min_value=-box, max_value=box)] * len(read))
+    plants = data.draw(
+        st.lists(st.tuples(st.sampled_from(["negative", "odd", "drop"]), point), max_size=3),
+        label="plants",
+    )
+    for kind, p in plants:
+        if kind == "odd":
+            table[tuple(v + box for v in p)] += 0.5
+            continue
+        for signs in itertools.product((1, -1), repeat=len(p)):
+            table[tuple(sign * v + box for sign, v in zip(signs, p))] = (
+                -1.0 if kind == "negative" else 0.5
+            )
+
+    def fn(*nu):
+        out = table[tuple(nu[a] + box for a in read)]
+        if materialize:
+            out = np.array(np.broadcast_to(out, np.broadcast_shapes(*map(np.shape, nu))))
+        return out
+
+    report = check_weyl_conditions(WeylWeight("table", "planted", dim, False, fn), box=box)
+    got = [(c.passed, c.witness) for c in (report.positivity, report.symmetry, report.monotonicity)]
+    assert got == _full_mesh_scan(fn, dim, box)
+
+
+def test_unit_weight_evaluates_to_input_shape():
+    w = unit_weight(4)
+    nu = np.arange(2 * 3 * 5 * 4).reshape(2, 3, 5, 4)
+    values = w.evaluate(nu)
+    assert values.shape == (2, 3, 5) and np.all(values == 1.0)
+    one = w.evaluate((3, -1, 0, 2))
+    assert type(one) is float and one == 1.0
+
+
+def test_product_weight_at_k_equals_n_sweeps_as_ones():
+    # with no free axis the product weight is a 0-d one; the sweep gives the
+    # same bytes as with a weight whose fn is a full mesh of ones
+    sample = SampleJk(3, (1, 2, 3))
+    ones = WeylWeight(
+        "product", "mesh of ones", 3, True,
+        lambda *nu: np.ones(np.broadcast_shapes(*map(np.shape, nu))),
+    )
+    rng = np.random.default_rng(5)
+    s = Spectrum((3, 2, 3), rng.standard_normal((7, 5, 7)) + 1j * rng.standard_normal((7, 5, 7)))
+    space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * 3, ())
+    grid = TorusGrid((6, 4, 6))
+    got = sweep_space(s, grid, space, [product_weight(sample)], record_argmax=True)
+    want = sweep_space(s, grid, space, [ones], record_argmax=True)
+    assert np.array_equal(got.m_values, want.m_values)
+    assert np.array_equal(got.argmax_ids, want.argmax_ids)
 
 
 def _closed_form(kind: str, sample: SampleJk, nu) -> float:
