@@ -343,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         parser.error(f"unknown command {args.command!r}")
-    except LacsumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LacsumError, MemoryError) as exc:  # MemoryError: a backstop that misses OOM kills
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 2
 

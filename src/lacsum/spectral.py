@@ -12,8 +12,9 @@ Rectangular partial sums are served by two engines:
 * ``partial_sum`` restricts the coefficient box and synthesizes (FFT with a
   direct-evaluation fallback used as the test oracle);
 * ``ShellTensor`` groups coefficients into shells ``(|nu_1|, ..., |nu_N|)``
-  and stores their cumulative prefix sums per grid point, after which any
-  box sum is a single lookup. ``plan_prefix_blocks``/``iter_prefix_slabs``
+  and stores their cumulative prefix sums per grid point (each axis's shells
+  summed while that axis is expanded), after which any box sum is a single
+  lookup. ``plan_prefix_blocks``/``iter_prefix_slabs``
   stream the same prefix idea through memory-bounded slabs for sweeps over
   a ``JkIndexSpace`` of any shape: its lacunary axes are cut down to their
   clamped term values, every free axis past the second is cut down to its
@@ -308,7 +309,8 @@ class ShellTensor:
     """Cumulative shell sums giving O(1) rectangular partial-sum queries.
 
     After an ``O(prod(2B_j + 1))`` pass per grid point, ``query(n)`` returns
-    ``S_n`` at every grid point by a single lookup.
+    ``S_n`` at every grid point by a single lookup. The build expands one
+    axis at a time into (shell, grid coordinate), summing its shells as it goes.
     """
 
     def __init__(self, spectrum: Spectrum, prefix: np.ndarray, grid: TorusGrid):
@@ -328,7 +330,8 @@ class ShellTensor:
         arr = spectrum.coeffs
         # expand each coefficient axis into an adjacent (shell, coord) pair,
         # one shell at a time into a preallocated output that holds each
-        # shell contiguously, so no full-size temporary is ever live
+        # shell contiguously (adding the running sum of the shells before it),
+        # so no full-size temporary is ever live
         for p, (b, L) in enumerate(zip(spectrum.bandwidth, grid.resolution)):
             ep, en = _phase_pair_cached(b, L)
             # nu first, then a length-1 slot where the grid coordinate goes
@@ -354,11 +357,11 @@ class ShellTensor:
             for i, dest in enumerate(out):
                 np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=dest)
                 dest += coef[b - i] * en[i].reshape(phase_shape)
+                if i:
+                    dest += out[i - 1]
             arr = np.moveaxis(out, 0, 2 * p)
-        # shells first, grid coordinates last: a view, summed in place
+        # shells first, grid coordinates last: a view
         arr = np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)))
-        for p in range(dim):
-            np.cumsum(arr, axis=p, out=arr)
         return cls(spectrum, arr, grid)
 
     def _clamped(self, n: Sequence[int]) -> Index:

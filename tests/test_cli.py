@@ -382,6 +382,28 @@ def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 56.8 PiB for an array"), "Unable to allocate 56.8 PiB for an array"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_memory_error_is_an_input_error(exc, message, tmp_path, monkeypatch, capsys):
+    # the handler raises as numpy does on an impossible size; nothing large
+    # is allocated
+    import lacsum.cli
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(lacsum.cli, "_cmd_gen", fail)
+    assert run(["gen", "--N", "3", "--B", "2", "--out", str(tmp_path / "f.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_usage_error_exit_code(tmp_path):
     # unknown config key -> config error -> exit 2
     other = tmp_path / "unknown.cfg"

@@ -254,22 +254,26 @@ def _shell_expand(arr, axis, ep, en):
 
 
 def _whole_array_shell_build(s, grid):
-    # every axis expanded at once, then a contiguous copy of the transposed
-    # tensor: the reference the shell-at-a-time build must match bit for bit
+    # every axis expanded at once and its shells cumulated right after, then
+    # a contiguous copy of the transposed tensor: the reference the
+    # shell-at-a-time build must match bit for bit
     dim = s.dimension
     arr = s.coeffs
     for p, (b, L) in enumerate(zip(s.bandwidth, grid.resolution)):
         ep, en = _phase_pair_cached(b, L)
-        arr = _shell_expand(arr, 2 * p, ep, en)
-    arr = np.ascontiguousarray(np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))))
-    for p in range(dim):
-        np.cumsum(arr, axis=p, out=arr)
-    return arr
+        arr = np.cumsum(_shell_expand(arr, 2 * p, ep, en), axis=2 * p)
+    return np.ascontiguousarray(np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))))
 
 
 @pytest.mark.parametrize(
     "bw, res",
-    [((4,), (8,)), ((0, 2), (2, 6)), ((2, 3, 1), (6, 8, 4)), ((3, 2, 3, 1), (6, 4, 8, 4))],
+    [
+        ((4,), (8,)),
+        ((0, 2), (2, 6)),
+        ((2, 3, 1), (6, 8, 4)),
+        ((3, 2, 3, 1), (6, 4, 8, 4)),
+        ((7, 7, 7), (16, 16, 16)),
+    ],
 )
 def test_shell_tensor_matches_whole_array_build(bw, res):
     s = random_spectrum(np.random.default_rng(21), bw)

@@ -124,10 +124,12 @@ def test_identity_suite_no_cases_marker():
     zeros=st.sampled_from([0.0, 0.5, 1.0]),
 )
 def test_shell_oracle_box_slice_is_bit_identical(n, seed, zeros):
-    # the identity suite's direct oracle sums the box's coefficients against
-    # the matching axis-matrix columns; the zero-padded full box adds only
-    # exact zeros to the same sums in the same order
-    from lacsum.spectral import _axis_matrix
+    # restricting the four-operand einsum to the box's coefficients and
+    # axis-matrix columns adds no rounding: the zero-padded full box adds only
+    # exact zeros to the same sums in the same order. The identity suite's
+    # oracle synthesizes the box's coefficients directly, one axis at a time,
+    # a different order that must agree to rounding
+    from lacsum.spectral import _axis_matrix, synthesize
 
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((9, 9, 9)) + 1j * rng.standard_normal((9, 9, 9))
@@ -140,6 +142,29 @@ def test_shell_oracle_box_slice_is_bit_identical(n, seed, zeros):
     padded = np.einsum("abc,xa,yb,zc->xyz", masked, *mats)
     sliced = np.einsum("abc,xa,yb,zc->xyz", coeffs[sl], *(m[:, k] for m, k in zip(mats, sl)))
     assert sliced.tobytes() == padded.tobytes()
+    per_axis = synthesize(Spectrum(n, coeffs[sl]), grid, method="direct").values
+    assert np.max(np.abs(per_axis - padded)) <= 1e-12
+
+
+def test_identity_suite_catches_a_shell_short_engine(monkeypatch):
+    # a tensor whose box lookup stops one shell short on its first nonzero
+    # axis must fail the shell oracle, and so the suite
+    from lacsum.spectral import ShellTensor
+
+    query = ShellTensor.query
+
+    def short(self, n):
+        n = list(n)
+        for p, v in enumerate(n):
+            if v > 0:
+                n[p] -= 1
+                break
+        return query(self, n)
+
+    monkeypatch.setattr(ShellTensor, "query", short)
+    rep = run_identity_suite(ExperimentConfig(seed=3, **SMALL_IDENTITY))
+    assert rep.results["checks"]["shell_vs_direct"]["max_deviation"] > rep.summary["tolerance"]
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
