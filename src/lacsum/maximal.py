@@ -1,6 +1,6 @@
 """Maximal operators over finite lacunary index spaces.
 
-``M(x) = max |S_n(x)| / sqrt(W(m))`` over every enumerated index of a
+``M(x) = max |S_n(x)| / sqrt(W(n))`` over every enumerated index of a
 ``JkIndexSpace`` (free components weighted, lacunary components not). The
 supremum of the underlying theory is replaced by a maximum over the
 explicit finite truncation, so every report carries the caps it was taken
@@ -13,8 +13,9 @@ One blocked sweep serves every shape of space: it streams
 their clamped values, the first two free axes carrying a full prefix range),
 reduces each slab (a tile of shells of a batch of rows) into a slice of
 its running maxima, and serves several weights and cap levels in one pass,
-so ``weak_type_table`` also returns the weighted report it swept beside
-the unweighted maximum.
+so ``weighted_maximal`` reports every weight it is given, and
+``weak_type_table`` the weighted report beside the unweighted maximum, from
+one stream. Only the maximal values are kept, not the indices attaining them.
 ``gather_max`` looks up an explicit index list in a ``ShellTensor`` instead;
 it is the independent oracle the tests check the sweep against.
 
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import DegenerateInputError, LacsumError
 from .lattice import Index, JkIndexSpace, check_index
 from .spectral import (
-    GridFunction,
     ShellTensor,
     Spectrum,
     TorusGrid,
@@ -49,56 +49,40 @@ from .spectral import (
 from .weyl import WeylWeight, unit_weight, weighted_energy
 
 
-def space_summary(space: JkIndexSpace) -> dict:
-    return {
-        "dimension": space.sample.dimension,
-        "lacunary_axes": list(space.sample.lacunary_axes),
-        "free_axes": list(space.sample.free_axes),
-        "ratios": [f.q for f in space.families],
-        "terms": [list(f.terms) for f in space.families],
-        "free_caps": list(space.free_caps),
-        "index_count": space.count,
-    }
-
-
 @dataclass(frozen=True)
 class MaximalReport:
     """Result of one maximal sweep over a fixed index space."""
 
-    grid: TorusGrid
     values: np.ndarray
     space: dict
     weight: str
     m_l2: float
     input_l2: float
     ratio: float
-    argmax_ids: np.ndarray | None = None
-    index_table: np.ndarray | None = None
-
-    def argmax_index(self, point: Sequence[int]) -> Index:
-        """An enumerated index attaining the maximum at one grid point.
-
-        When several indices tie, the sweep keeps the first in stream order:
-        cut-value combo (lacunary terms, then the values of the free axes
-        past the second), then the tile of first-free-axis shells, then the
-        second free axis, then the first.
-        ``gather_max`` keeps the first in enumeration order instead. Values
-        agree; the index depends on the order on ties.
-        """
-        if self.argmax_ids is None or self.index_table is None:
-            raise LacsumError("argmax tracking was disabled for this sweep")
-        row = int(self.argmax_ids[tuple(point)])
-        return tuple(int(v) for v in self.index_table[row])
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-weight, per-cap-level maximal values on the grid."""
+def _squared_modulus():
+    """``modulus(slab, minus=None)``: ``|slab - minus|^2`` for each slab of one
+    prefix stream, in buffers sized from the first slab, the stream's largest.
 
-    grid: TorusGrid
-    m_values: np.ndarray  # (n_weights, n_levels, *grid), real
-    argmax_ids: np.ndarray | None
-    index_table: np.ndarray | None
+    ``|z|^2`` is ``re*re + im*im``, taken as the squared ``(re, im)`` pairs of
+    the float view; the result is a view of a buffer the next call reuses.
+    """
+    bufs = []
+
+    def modulus(slab: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+        if not bufs:
+            pair_shape = slab.shape[:-1] + (2 * slab.shape[-1],)
+            diff = None if minus is None else np.empty(slab.shape, dtype=complex)
+            bufs.extend((diff, np.empty(pair_shape), np.empty(slab.shape)))
+        k, n = slab.shape[:2]
+        diff, pair, sq = (None if b is None else b[:k, :n] for b in bufs)
+        if minus is not None:
+            slab = np.subtract(slab, minus, out=diff)
+        np.square(slab.view(float), out=pair)
+        return np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
+
+    return modulus
 
 
 def sweep_space(
@@ -107,9 +91,9 @@ def sweep_space(
     space: JkIndexSpace,
     weights: Sequence[WeylWeight],
     cap_schedule: Sequence[Sequence[int]] | None = None,
-    record_argmax: bool = False,
-) -> SweepResult:
-    """Blocked maximal sweep; cap levels must be nondecreasing per axis.
+) -> np.ndarray:
+    """Blocked maximal sweep into an ``(n_weights, n_levels, *grid)`` array of
+    maximal values; cap levels must be nondecreasing per axis.
 
     Takes any number of free axes and needs coordinatewise-monotone weights
     (the clamp-at-bandwidth reduction is only exact under monotonicity). All
@@ -137,8 +121,7 @@ def sweep_space(
     strides = tuple(t + 1 for t in top)
 
     # the indices the sweep visits span (*combo, ma, mb): one open axis vector
-    # per spectrum axis in stream order, the phantom axes left out; argmax
-    # row ids count through them in C order
+    # per spectrum axis in stream order, the phantom axes left out
     dim = space.sample.dimension
     open_axes = np.ix_(*map(np.asarray, plan.cut_terms), *map(np.arange, strides))
     nu = [open_axes[plan.perm.index(a)] for a in range(dim)]
@@ -161,17 +144,14 @@ def sweep_space(
     # running maxima per (cut-axis grid point, xa, xb), so a batch of rows is
     # one slice
     m2 = np.zeros((nw, nl, plan.lac_size) + plan.free_grid)
-    ids = np.zeros(m2.shape, dtype=np.int64) if record_argmax else None
 
     # One reduction for every shape: each cap level (ra, rb) folds the max
     # over ma <= ra of every slab with mb <= rb into its running maximum. A
     # slab is one tile of shells ma0.. of a batch of rows, shell-major
     # (ma, row, xa, xb), so that max is an elementwise pass over whole
     # contiguous shells; the levels share each distinct prefix of a tile's
-    # shells, and a max does not depend on how its shells are grouped. On
-    # ties argmax keeps the first index in stream order (combo, shell tile,
-    # mb, ma).
-    bufs = None
+    # shells, and a max does not depend on how its shells are grouped.
+    modulus, q_buf = _squared_modulus(), None
     for (row, ma0), mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         if mb > top[1] or ma0 > top[0]:
             continue  # beyond every cap level
@@ -180,19 +160,14 @@ def sweep_space(
         rows = slice(lac_flat, lac_flat + n)
         view = slab[: top[0] + 1 - ma0]
         k = view.shape[0]
-        if bufs is None:
-            # the stream's first slab is its largest: |z|^2 as squared
-            # (re, im) pairs, then per weight the quotient by W
-            pair_shape = view.shape[:-1] + (2 * view.shape[-1],)
-            bufs = np.empty(pair_shape), np.empty(view.shape), np.empty(view.shape)
-        pair, sq, q_buf = (b[:k, :n] for b in bufs)
-        # |z|^2 = re*re + im*im, as the squared pairs of the float view
-        np.square(view.view(float), out=pair)
-        np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
+        sq = modulus(view)
+        if q_buf is None:
+            q_buf = np.empty(sq.shape)  # per weight, the quotient by W
         for wi, inv in enumerate(inv_tables):
             q = sq
             if inv is not None:
-                q = np.multiply(sq, inv[combo_flat, ma0 : ma0 + k, mb, None, None, None], out=q_buf)
+                inv_w = inv[combo_flat, ma0 : ma0 + k, mb, None, None, None]
+                q = np.multiply(sq, inv_w, out=q_buf[:k, :n])
             # cand is the max over the tile's first `done` shells; cap levels
             # rise, so each level extends the last one's prefix
             cand, done = None, 0
@@ -205,27 +180,11 @@ def sweep_space(
                     cand = more if cand is None else np.maximum(cand, more, out=more)
                     done = end
                 dest = m2[wi, li, rows]
-                if ids is None:
-                    np.maximum(dest, cand, out=dest)
-                else:
-                    arg = ma0 + q[:end].argmax(axis=0)
-                    rid = (combo_flat * strides[0] + arg) * strides[1] + mb
-                    better = cand > dest
-                    dest[better] = cand[better]
-                    ids[wi, li, rows][better] = rid[better]
+                np.maximum(dest, cand, out=dest)
 
     inverse = (0, 1) + tuple(2 + plan.perm.index(a) for a in range(dim))
     shape = (nw, nl) + tuple(grid.resolution[a] for a in plan.perm)
-    m_values = np.sqrt(np.transpose(m2.reshape(shape), inverse))
-    if ids is not None:
-        ids = np.transpose(ids.reshape(shape), inverse)
-    table = np.stack(np.broadcast_arrays(*nu), -1).reshape(-1, dim) if record_argmax else None
-    return SweepResult(
-        grid=grid,
-        m_values=m_values,
-        argmax_ids=ids,
-        index_table=table,
-    )
+    return np.sqrt(np.transpose(m2.reshape(shape), inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -237,108 +196,86 @@ def gather_max(
     grid: TorusGrid,
     indices: Sequence[Sequence[int]],
     weight: WeylWeight | None = None,
-    record_argmax: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+) -> np.ndarray:
     """Maximal values over an explicit index list via shell-tensor lookups.
 
     Indices are clamped at the bandwidth and grouped; each group is scored
-    by its smallest weight (the earliest enumerated member on ties), which
-    keeps the result exact for arbitrary weights. Returns
-    ``(m_values, argmax_ids, representatives)``.
+    by the smallest weight of its members, which keeps the result exact for
+    arbitrary weights.
     """
     if not len(indices):
         raise LacsumError("need at least one index")
     w = weight if weight is not None else unit_weight(spectrum.dimension)
-    groups: dict[Index, tuple[float, Index]] = {}
-    order: list[Index] = []
+    groups: dict[Index, float] = {}
     for raw in indices:
         idx = check_index(raw, spectrum.dimension)
         clamped = tuple(min(v, b) for v, b in zip(idx, spectrum.bandwidth))
         wv = float(w.evaluate(np.asarray(idx)))
         if wv <= 0:
             raise LacsumError(f"weight must be positive, got {wv} at {idx}")
-        if clamped not in groups:
-            groups[clamped] = (wv, idx)
-            order.append(clamped)
-        elif wv < groups[clamped][0]:
-            groups[clamped] = (wv, idx)
-    uniq = np.asarray(order, dtype=int)
-    inv_w = np.asarray([1.0 / groups[tuple(u)][0] for u in uniq])
-    reps = np.asarray([groups[tuple(u)][1] for u in uniq], dtype=int)
+        groups[clamped] = min(wv, groups.get(clamped, wv))
+    uniq = np.asarray(list(groups), dtype=int)
+    inv_w = 1.0 / np.asarray(list(groups.values()))
 
     tensor = ShellTensor.from_grid(spectrum, grid)
     vals = tensor.partial_sums(uniq)
     sq = (vals.real**2 + vals.imag**2) * inv_w.reshape((-1,) + (1,) * grid.dimension)
-    m2 = sq.max(axis=0)
-    ids = sq.argmax(axis=0).astype(np.int64) if record_argmax else None
-    return np.sqrt(m2), ids, reps
+    return np.sqrt(sq.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
-# operator-level entry points
+# operator-level entry point
 
 
-def _maximal_reports(
+def weighted_maximal(
     spectrum: Spectrum,
     space: JkIndexSpace,
     weights: Sequence[WeylWeight],
     grid: TorusGrid,
-    record_argmax: bool,
 ) -> list[MaximalReport]:
-    """One report per weight, all from one blocked pass."""
-    sweep = sweep_space(spectrum, grid, space, weights, record_argmax=record_argmax)
-    summary = space_summary(space)
+    """Maximum of ``|S_n(x)| / sqrt(W(n))`` over every index of the space,
+    one report per weight, all from one blocked pass."""
+    m_values = sweep_space(spectrum, grid, space, weights)
+    summary = {
+        "dimension": space.sample.dimension,
+        "lacunary_axes": list(space.sample.lacunary_axes),
+        "free_axes": list(space.sample.free_axes),
+        "ratios": [f.q for f in space.families],
+        "terms": [list(f.terms) for f in space.families],
+        "free_caps": list(space.free_caps),
+        "index_count": space.count,
+    }
     input_l2 = float(np.sqrt(spectrum.energy()))
     reports = []
     for wi, w in enumerate(weights):
-        values = sweep.m_values[wi, 0]
+        values = m_values[wi, 0]
         m_l2 = grid_l2(values)
         reports.append(
             MaximalReport(
-                grid=grid,
                 values=values,
                 space=summary,
                 weight=w.description,
                 m_l2=m_l2,
                 input_l2=input_l2,
                 ratio=m_l2 / input_l2 if input_l2 > 0 else 0.0,
-                argmax_ids=sweep.argmax_ids[wi, 0] if sweep.argmax_ids is not None else None,
-                index_table=sweep.index_table,
             )
         )
     return reports
-
-
-def weighted_maximal(
-    spectrum: Spectrum,
-    space: JkIndexSpace,
-    weight: WeylWeight,
-    grid: TorusGrid,
-    record_argmax: bool = True,
-) -> MaximalReport:
-    """Maximum of ``|S_n(x)| / sqrt(W(n))`` over every index of the space."""
-    return _maximal_reports(spectrum, space, [weight], grid, record_argmax)[0]
 
 
 # ---------------------------------------------------------------------------
 # level sets and weak-type tables
 
 
-def level_set_measure(m: GridFunction | np.ndarray, alpha: float, grid: TorusGrid | None = None) -> float:
-    """Discrete measure of ``{x : |M(x)| > alpha}`` on the torus.
+def level_set_measure(m: np.ndarray, alpha: float, grid: TorusGrid) -> float:
+    """Discrete measure of ``{x : |M(x)| > alpha}`` for values ``m`` on ``grid``.
 
     ``(2*pi)^N`` times the fraction of grid points exceeding the level.
     """
     if alpha <= 0:
         raise LacsumError("alpha must be positive")
-    if isinstance(m, GridFunction):
-        vals, dim = m.values, m.grid.dimension
-    else:
-        if grid is None:
-            raise LacsumError("grid required for raw arrays")
-        vals, dim = m, grid.dimension
-    frac = float(np.count_nonzero(np.abs(vals) > alpha)) / vals.size
-    return (2.0 * np.pi) ** dim * frac
+    frac = float(np.count_nonzero(np.abs(m) > alpha)) / m.size
+    return (2.0 * np.pi) ** grid.dimension * frac
 
 
 @dataclass(frozen=True)
@@ -348,7 +285,7 @@ class WeakTypeTable:
     ratios: np.ndarray
     sigma: float
     max_ratio: float
-    report: MaximalReport  # the weighted maximal over the same space, no argmax
+    report: MaximalReport  # the weighted maximal over the same space
 
 
 def weak_type_table(
@@ -369,8 +306,8 @@ def weak_type_table(
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
         raise DegenerateInputError("weighted energy is zero")
-    report, unit_report = _maximal_reports(
-        spectrum, space, [weight, unit_weight(spectrum.dimension)], grid, False
+    report, unit_report = weighted_maximal(
+        spectrum, space, [weight, unit_weight(spectrum.dimension)], grid
     )
     m = unit_report.values
     if alphas is None:

@@ -303,6 +303,10 @@ def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 # largest shell tensor ShellTensor.from_grid builds, in bytes (256 MiB)
 _SHELL_BYTES = 1 << 28
+# largest coefficient box a generated test spectrum may take, in bytes
+# (256 MiB), and numpy's limit on the number of array axes
+_SPECTRUM_BYTES = 1 << 28
+_MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 
 class ShellTensor:

@@ -22,6 +22,7 @@ Suites:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -31,10 +32,12 @@ import numpy as np
 from . import __version__
 from .errors import LacsumError
 from .lattice import JkIndexSpace, SampleJk, make_lacunary, make_lacunary_covering
-from .maximal import level_set_measure, sweep_space
+from .maximal import _squared_modulus, level_set_measure, sweep_space
 from .seqcalc import abel_identity_check, telescope_split
 from .decomp import decompose_free_pair, min_log_inverse
 from .spectral import (
+    _MAX_AXES,
+    _SPECTRUM_BYTES,
     ShellTensor,
     Spectrum,
     TorusGrid,
@@ -90,7 +93,6 @@ class ExperimentConfig:
     tail_slack: float = 1e-12
     alpha_points: int = 25
     identity_tolerance: float = 1e-10
-    record_argmax: bool = False
     abel_trials: int = 100
     abel_max_n: int = 6
     telescope_cases: int = 50
@@ -285,6 +287,11 @@ def gen_test_function(
         raise LacsumError("a test spectrum needs dimension >= 1")
     if any(b < 0 for b in bw):
         raise LacsumError(f"bandwidths must be nonnegative, got {bw}")
+    if len(bw) > _MAX_AXES:
+        raise LacsumError(f"a test spectrum has at most {_MAX_AXES} axes, got {len(bw)}")
+    need = math.prod(2 * b + 1 for b in bw) * 16
+    if need > _SPECTRUM_BYTES:
+        raise LacsumError(f"test spectrum would take {need} bytes (> {_SPECTRUM_BYTES})")
     gen = rng if rng is not None else np.random.default_rng(seed)
     shape = tuple(2 * b + 1 for b in bw)
 
@@ -511,20 +518,11 @@ def sup_error_table(
     prefix_shape = tuple(b + 1 - s for b, s in zip(plan.free_limits, plan.free_start))
     table = np.zeros(plan.combo_shape + prefix_shape)
     flat_table = table.reshape((-1,) + prefix_shape)
-    bufs = None
+    modulus = _squared_modulus()
     for (row, ma), mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         combo_flat, lac_flat = divmod(row, plan.lac_size)
         k, n = slab.shape[:2]
-        if bufs is None:
-            # the stream's first slab is its largest: S_n - f, then |.|^2 as
-            # squared (re, im) pairs
-            pair_shape = slab.shape[:-1] + (2 * slab.shape[-1],)
-            bufs = np.empty(slab.shape, dtype=complex), np.empty(pair_shape), np.empty(slab.shape)
-        diff, pair, sq = (b[:k, :n] for b in bufs)
-        np.subtract(slab, f_perm[lac_flat : lac_flat + n], out=diff)
-        # |z|^2 = re*re + im*im, as the squared pairs of the float view
-        np.square(diff.view(float), out=pair)
-        np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
+        sq = modulus(slab, f_perm[lac_flat : lac_flat + n])  # |S_n - f|^2
         first = ma - plan.free_start[0]
         col = flat_table[combo_flat][first : first + k, mb - plan.free_start[1]]
         np.maximum(col, sq.max(axis=(1, 2, 3)), out=col)
@@ -717,18 +715,16 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
         input_l2 = float(np.sqrt(s.energy()))
         sigma = weighted_energy(s, sigma_weight)
         sigma_pair = weighted_energy(s, pair_weight) if pair_weight is not None else None
-        sweep = sweep_space(
-            s, grid, space, weights, levels, record_argmax=cfg.record_argmax
-        )
+        m_values = sweep_space(s, grid, space, weights, levels)
         ratios, wt_maxima, pair_ratios = [], [], []
-        top_unweighted = sweep.m_values[1, -1]
+        top_unweighted = m_values[1, -1]
         m_top = float(top_unweighted.max())
         alphas = (
             np.geomspace(m_top / 1000.0, m_top, cfg.alpha_points) if m_top > 0 else None
         )
         for li in range(len(levels)):
-            m_w = sweep.m_values[0, li]
-            m_u = sweep.m_values[1, li]
+            m_w = m_values[0, li]
+            m_u = m_values[1, li]
             ratios.append(grid_l2(m_w) / input_l2)
             if pair_weight is not None and sigma_pair and sigma_pair > 0:
                 pair_ratios.append(grid_l2(m_u) ** 2 / sigma_pair)

@@ -211,9 +211,9 @@ def test_maximal_all_lacunary_space(tmp_path, capsys):
     assert doc["weak_type"]["sigma"] == s.energy()
     space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * 3, ())
     grid = TorusGrid((12,) * 3)
-    report = weighted_maximal(s, space, product_weight(sample), grid)
+    [report] = weighted_maximal(s, space, [product_weight(sample)], grid)
     assert doc["m_l2"] == report.m_l2
-    values, _, _ = gather_max(s, grid, list(enumerate_jk_indices(space)), product_weight(sample))
+    values = gather_max(s, grid, list(enumerate_jk_indices(space)), product_weight(sample))
     assert np.max(np.abs(report.values - values)) < 1e-10
     capsys.readouterr()
 
@@ -360,6 +360,16 @@ _DEEP = "[" * 200000 + "]" * 200000
         ["maximal-suite", "--trials", "1", "--q", "1e308"],
         ["converge", "--trials", "1", "--config", "q = 1e308"],
         ["maximal", "--spec", "{spec}", "--Jk", "1", "--q", "1.001", "--lambda-count", "4097"],
+        # coefficient boxes past the spectrum byte budget, and more axes than
+        # numpy arrays take
+        ["gen", "--N", "40", "--B", "1", "--family", "single_mode"],
+        ["gen", "--N", "40", "--B", "1", "--family", "random_decay"],
+        ["gen", "--N", "40", "--B", "1", "--family", "product_1d"],
+        ["gen", "--N", "40", "--B", "1", "--family", "weyl_borderline", "--Jk", "1"],
+        ["gen", "--N", "70", "--B", "0"],
+        ["maximal-suite", "--config", "dimension = 40\ntrials = 1"],
+        ["converge", "--config",
+         "dimension = 40\nbandwidth = 1\ngrid = 4\nlevels = 1\nfree_cap = 1\ntrials = 1"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
@@ -480,7 +490,7 @@ def test_maximal_one_pass_matches_two_calls(
     space = JkIndexSpace(sample, (family,) * len(jk), (free_cap,) * (n - len(jk)))
     grid = TorusGrid((grid_size,) * n)
     weight = weight_from_kind("product", sample)
-    report = weighted_maximal(s, space, weight, grid, record_argmax=False)
+    [report] = weighted_maximal(s, space, [weight], grid)
     table = weak_type_table(s, space, weight, grid)
     doc = {
         "schema": "lacsum.maximal/1",
@@ -520,8 +530,7 @@ _FUZZ_BASE = {
 # keys a fuzzed config line may set; each stays cheap at the values drawn
 _SUITE_KEYS = ["seed", "dimension", "jk", "q", "lambda_count", "bandwidth", "grid", "family",
                "beta", "eps", "mode", "normalize", "trials", "cap_schedule", "free_cap",
-               "levels", "weight", "stabilization_threshold", "tail_slack", "alpha_points",
-               "record_argmax"]
+               "levels", "weight", "stabilization_threshold", "tail_slack", "alpha_points"]
 _FUZZ_KEYS = {
     "converge": _SUITE_KEYS,
     "maximal-suite": _SUITE_KEYS,

@@ -25,7 +25,7 @@ from lacsum import (
     weighted_maximal,
 )
 from lacsum.weyl import weight_from_kind
-from spectra import single_mode_spectrum, zero_spectrum
+from spectra import chirp_spectrum, single_mode_spectrum, zero_spectrum
 
 
 def random_spectrum(rng, bandwidth):
@@ -43,7 +43,7 @@ GRID = TorusGrid((8, 8, 8))
 
 def test_zero_spectrum_gives_zero_maximal():
     space, sample = small_space()
-    rep = weighted_maximal(zero_spectrum((4, 4, 4)), space, product_weight(sample), GRID)
+    [rep] = weighted_maximal(zero_spectrum((4, 4, 4)), space, [product_weight(sample)], GRID)
     assert np.max(rep.values) == 0.0
     assert rep.ratio == 0.0
 
@@ -51,12 +51,10 @@ def test_zero_spectrum_gives_zero_maximal():
 def test_single_mode_closed_form():
     space, sample = small_space()
     s = single_mode_spectrum((4, 4, 4), (1, 2, 3))
-    rep = weighted_maximal(s, space, product_weight(sample), GRID)
+    [rep] = weighted_maximal(s, space, [product_weight(sample)], GRID)
     expected = 1.0 / np.sqrt(np.log(4.0) * np.log(5.0))
     assert np.max(np.abs(rep.values - expected)) < 1e-10
     assert rep.ratio == pytest.approx(expected, abs=1e-10)
-    # the achieved index has the smallest admissible free components
-    assert rep.argmax_index((0, 0, 0))[1:] == (2, 3)
 
 
 def test_weighted_dominated_by_unweighted_over_min_weight():
@@ -64,8 +62,7 @@ def test_weighted_dominated_by_unweighted_over_min_weight():
     space, sample = small_space()
     s = random_spectrum(rng, (4, 4, 4))
     w = product_weight(sample)
-    rw = weighted_maximal(s, space, w, GRID, record_argmax=False)
-    ru = weighted_maximal(s, space, unit_weight(3), GRID, record_argmax=False)
+    rw, ru = weighted_maximal(s, space, [w, unit_weight(3)], GRID)
     min_w = min(w.evaluate(np.asarray(i)) for i in enumerate_jk_indices(space))
     assert np.all(rw.values <= ru.values / np.sqrt(min_w) + 1e-12)
 
@@ -75,11 +72,9 @@ def test_blocked_equals_gather_oracle():
     space, sample = small_space(caps=(5, 7))
     s = random_spectrum(rng, (4, 3, 4))
     w = product_weight(sample)
-    blocked = weighted_maximal(s, space, w, GRID)
-    values, ids, reps = gather_max(s, GRID, list(enumerate_jk_indices(space)), w)
+    [blocked] = weighted_maximal(s, space, [w], GRID)
+    values = gather_max(s, GRID, list(enumerate_jk_indices(space)), w)
     assert np.max(np.abs(blocked.values - values)) < 1e-10
-    for p in [(0, 0, 0), (1, 5, 2), (7, 7, 7), (3, 4, 6)]:
-        assert blocked.argmax_index(p) == tuple(reps[ids[p]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -109,19 +104,24 @@ def test_brute_force_loop_oracle(n_free, data, seed):
     for idx in enumerate_jk_indices(space):
         vals = np.abs(partial_sum(s, idx, grid).values) / np.sqrt(w.evaluate(np.asarray(idx)))
         best = np.maximum(best, vals)
-    rep = weighted_maximal(s, space, w, grid)
+    [rep] = weighted_maximal(s, space, [w], grid)
     assert np.max(np.abs(rep.values - best)) < 1e-10
 
 
-def test_argmax_invariant_under_positive_scaling():
-    rng = np.random.default_rng(3)
-    space, sample = small_space()
-    s = random_spectrum(rng, (4, 4, 4))
-    w = product_weight(sample)
-    a = weighted_maximal(s, space, w, GRID)
-    scaled = Spectrum(s.bandwidth, 3.7 * s.coeffs)
-    b = weighted_maximal(scaled, space, w, GRID)
-    assert np.array_equal(a.argmax_ids, b.argmax_ids)
+def test_maximal_verdict_depends_on_the_weight():
+    # doubling the chirp's frequency raises the unweighted maximal ratio but
+    # lowers the product-weighted one: the 1/W factor decides the trend
+    sample = SampleJk(3, (1,))
+    weights = [unit_weight(3), product_weight(sample)]
+    ratios = []
+    for lam in (4, 8):
+        grid = TorusGrid((2, 12 * lam, 12 * lam))
+        space = JkIndexSpace(sample, (make_lacunary(2.0, 1),), (3 * lam, 3 * lam))
+        reports = weighted_maximal(chirp_spectrum(lam, grid), space, weights, grid)
+        ratios.append([r.ratio for r in reports])
+    (unit_4, product_4), (unit_8, product_8) = ratios
+    assert unit_8 > unit_4
+    assert product_8 < product_4
 
 
 def test_monotone_under_space_enlargement():
@@ -132,10 +132,10 @@ def test_monotone_under_space_enlargement():
     small = JkIndexSpace(sample, (make_lacunary(2.0, 2),), (2, 2))
     big_caps = JkIndexSpace(sample, (make_lacunary(2.0, 2),), (4, 4))
     big_terms = JkIndexSpace(sample, (make_lacunary(2.0, 3),), (2, 2))
-    m_small = weighted_maximal(s, small, w, GRID, record_argmax=False).values
+    [m_small] = weighted_maximal(s, small, [w], GRID)
     for bigger in (big_caps, big_terms):
-        m_big = weighted_maximal(s, bigger, w, GRID, record_argmax=False).values
-        assert np.all(m_big >= m_small)
+        [m_big] = weighted_maximal(s, bigger, [w], GRID)
+        assert np.all(m_big.values >= m_small.values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,10 +149,9 @@ def test_monotone_under_space_enlargement():
     raw_levels=st.lists(
         st.tuples(*[st.integers(min_value=0, max_value=6)] * 3), min_size=2, max_size=3
     ),
-    record_argmax=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_sweep_levels_match_gather(shape, bandwidth, q, counts, raw_levels, record_argmax, seed):
+def test_sweep_levels_match_gather(shape, bandwidth, q, counts, raw_levels, seed):
     # caps up to 6 over bandwidths up to 4: levels often coincide after
     # clamping. At N = 4 the third free axis is cut, and each level caps it
     # on its own.
@@ -166,17 +165,13 @@ def test_sweep_levels_match_gather(shape, bandwidth, q, counts, raw_levels, reco
     grid = TorusGrid((4, 6, 4, 4)[:n])
     weights = [product_weight(sample), unit_weight(n)]
     space = JkIndexSpace(sample, families, levels[-1])
-    sweep = sweep_space(s, grid, space, weights, levels, record_argmax=record_argmax)
-    assert sweep.m_values.shape == (2, len(levels)) + grid.resolution
-    assert (sweep.argmax_ids is None) == (not record_argmax)
+    m_values = sweep_space(s, grid, space, weights, levels)
+    assert m_values.shape == (2, len(levels)) + grid.resolution
     for li, caps in enumerate(levels):
         indices = list(enumerate_jk_indices(JkIndexSpace(sample, families, caps)))
         for wi, w in enumerate(weights):
-            values, ids, reps = gather_max(s, grid, indices, w)
-            assert np.max(np.abs(sweep.m_values[wi, li] - values)) < 1e-10
-            if record_argmax:
-                chosen = sweep.index_table[sweep.argmax_ids[wi, li]]
-                assert np.array_equal(chosen, reps[ids])
+            values = gather_max(s, grid, indices, w)
+            assert np.max(np.abs(m_values[wi, li] - values)) < 1e-10
 
 
 def test_single_free_maximal_dominates_function():
@@ -185,7 +180,7 @@ def test_single_free_maximal_dominates_function():
     sample = SampleJk(3, (1, 2))
     fam = make_lacunary(2.0, 2)  # terms 1, 2 reach the bandwidth
     space = JkIndexSpace(sample, (fam, fam), (5,))
-    rep = weighted_maximal(s, space, unit_weight(3), GRID)
+    [rep] = weighted_maximal(s, space, [unit_weight(3)], GRID)
     f = synthesize(s, GRID).values
     assert np.all(rep.values >= np.abs(f) - 1e-12)
 
@@ -196,15 +191,16 @@ def test_single_free_maximal_matches_enumeration():
     sample = SampleJk(3, (1, 2))
     fam = make_lacunary(2.0, 3)
     space = JkIndexSpace(sample, (fam, fam), (4,))
-    rep = weighted_maximal(s, space, unit_weight(3), GRID)
+    [rep] = weighted_maximal(s, space, [unit_weight(3)], GRID)
     best = np.zeros(GRID.resolution)
     for idx in enumerate_jk_indices(space):
         best = np.maximum(best, np.abs(partial_sum(s, idx, GRID).values))
     assert np.max(np.abs(rep.values - best)) < 1e-10
 
 
-def test_argmax_ties_each_engine_keeps_an_attaining_index():
-    # at x = 0 the indices (1, 2, 0), (1, 0, 2) and others all reach |S| = 1
+def test_tied_maximum_matches_gather():
+    # at x = (pi, pi, pi) the indices (1, 2, 0), (1, 0, 2) and others all
+    # reach |S| = 1: both engines give that tied maximum
     bw = (1, 2, 2)
     coeffs = np.zeros((3, 5, 5), dtype=complex)
     for nu, c in (((1, 2, 0), 1.0), ((1, 0, 2), 1.0), ((1, 2, 2), -1.0)):
@@ -212,15 +208,10 @@ def test_argmax_ties_each_engine_keeps_an_attaining_index():
     s = Spectrum(bw, coeffs)
     grid = TorusGrid((4, 8, 8))
     space = JkIndexSpace(SampleJk(3, (1,)), (make_lacunary(2.0, 1),), (2, 2))
-    x = (2, 4, 4)
-    rep = weighted_maximal(s, space, unit_weight(3), grid)
-    values, ids, reps = gather_max(s, grid, list(enumerate_jk_indices(space)), unit_weight(3))
-    chosen = {"blocked": rep.argmax_index(x), "gather": tuple(reps[ids[x]])}
-    for engine, m in (("blocked", rep.values), ("gather", values)):
-        reached = abs(partial_sum(s, chosen[engine], grid).values[x])
-        assert abs(reached - m[x]) < 1e-12
-    # the blocked engine keeps the first tie in stream order (combo, mb, ma)
-    assert chosen["blocked"] == (1, 2, 0)
+    [rep] = weighted_maximal(s, space, [unit_weight(3)], grid)
+    values = gather_max(s, grid, list(enumerate_jk_indices(space)), unit_weight(3))
+    assert np.max(np.abs(rep.values - values)) < 1e-12
+    assert abs(rep.values[2, 4, 4] - 1.0) < 1e-12
 
 
 def test_four_dimensional_two_lacunary_axes():
@@ -232,10 +223,9 @@ def test_four_dimensional_two_lacunary_axes():
     space = JkIndexSpace(sample, (fam, fam), (2, 2))
     grid = TorusGrid((6, 6, 6, 6))
     w = product_weight(sample)
-    blocked = weighted_maximal(s, space, w, grid)
-    values, ids, reps = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
+    [blocked] = weighted_maximal(s, space, [w], grid)
+    values = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
     assert np.max(np.abs(blocked.values - values)) < 1e-10
-    assert blocked.argmax_index((1, 2, 3, 4)) == tuple(reps[ids[1, 2, 3, 4]])
 
 
 def test_level_set_measure_values():
@@ -309,9 +299,8 @@ def test_weak_type_matches_separate_maximals(n, jk, oracle):
     grid = TorusGrid((8,) * n)
     w = product_weight(sample)
     table = weak_type_table(s, space, w, grid)
-    report = weighted_maximal(s, space, w, grid, record_argmax=False)
-    m = weighted_maximal(s, space, unit_weight(n), grid, record_argmax=False).values
-    assert table.report.argmax_ids is None
+    [report] = weighted_maximal(s, space, [w], grid)
+    m = weighted_maximal(s, space, [unit_weight(n)], grid)[0].values
     assert np.array_equal(table.report.values, report.values)
     assert not np.array_equal(report.values, m)  # the weight does change M
     assert (table.report.weight, table.report.m_l2, table.report.ratio) == (
@@ -321,7 +310,7 @@ def test_weak_type_matches_separate_maximals(n, jk, oracle):
     )
     assert np.array_equal(table.measures, [level_set_measure(m, a, grid) for a in table.alphas])
     if oracle == "gather":
-        values, _, _ = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
+        values = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
         assert np.max(np.abs(report.values - values)) < 1e-10
 
 
@@ -329,7 +318,7 @@ def test_report_norms_are_consistent():
     rng = np.random.default_rng(10)
     space, sample = small_space()
     s = random_spectrum(rng, (4, 4, 4))
-    rep = weighted_maximal(s, space, product_weight(sample), GRID, record_argmax=False)
+    [rep] = weighted_maximal(s, space, [product_weight(sample)], GRID)
     assert rep.input_l2 == pytest.approx(np.sqrt(s.energy()), rel=1e-12)
     assert rep.ratio == pytest.approx(rep.m_l2 / rep.input_l2, rel=1e-12)
     assert weighted_energy(s, unit_weight(3)) == pytest.approx(s.energy(), rel=1e-12)
@@ -362,10 +351,9 @@ def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
     results = []
     for rows in batch_rows:
         monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", rows * row_bytes)
-        with_ids = sweep_space(s, grid, space, weights, levels, record_argmax=True)
-        plain = sweep_space(s, grid, space, weights, levels)
+        m_values = sweep_space(s, grid, space, weights, levels)
         _, table = sup_error_table(s, grid, space)
-        results.append((with_ids.m_values, with_ids.argmax_ids, plain.m_values, table))
+        results.append((m_values, table))
     for other in results[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
 
@@ -374,9 +362,8 @@ def test_sweeps_match_across_slab_batches(jk, batch_rows, monkeypatch):
 def test_slab_budget_changes_nothing(n, monkeypatch):
     # budgets of one shell, three shells (tiles that do not divide the five
     # streamed shells) and a whole combo per slab give the same arrays as
-    # the default budget, and every recorded argmax attains its maximum
+    # the default budget, which the gather oracle checks
     import lacsum.spectral
-    from lacsum import ShellTensor
     from lacsum.suites import sup_error_table
 
     sample = SampleJk(n, (1,))
@@ -399,24 +386,18 @@ def test_slab_budget_changes_nothing(n, monkeypatch):
     results = {}
     for name, budget in budgets.items():
         monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", budget)
-        sweep = sweep_space(s, grid, space, weights, levels, record_argmax=True)
-        plain = sweep_space(s, grid, space, weights, levels)
+        m_values = sweep_space(s, grid, space, weights, levels)
         _, table = sup_error_table(s, grid, space, min_term=1)
-        results[name] = (sweep, plain.m_values, table)
-    tensor = ShellTensor.from_grid(s, grid)
-    points = np.indices(grid.resolution).reshape(n, -1)
-    ref_sweep, ref_plain, ref_table = results["default"]
-    for name, (sweep, plain, table) in results.items():
-        assert np.array_equal(sweep.m_values, ref_sweep.m_values), name
-        assert np.array_equal(plain, ref_plain), name
+        results[name] = (m_values, table)
+    ref_values, ref_table = results["default"]
+    for name, (m_values, table) in results.items():
+        assert np.array_equal(m_values, ref_values), name
         assert np.array_equal(table, ref_table), name
+    for li, caps in enumerate(levels):
+        indices = list(enumerate_jk_indices(JkIndexSpace(sample, space.families, caps)))
         for wi, w in enumerate(weights):
-            for li in range(len(levels)):
-                chosen = sweep.index_table[sweep.argmax_ids[wi, li]].reshape(-1, n)
-                sums = tensor.partial_sums(chosen)[(np.arange(len(chosen)), *points)]
-                attained = np.abs(sums) / np.sqrt([w.evaluate(idx) for idx in chosen])
-                m = sweep.m_values[wi, li].reshape(-1)
-                assert np.allclose(attained, m, rtol=1e-12, atol=0), (name, wi, li)
+            values = gather_max(s, grid, indices, w)
+            assert np.max(np.abs(ref_values[wi, li] - values)) < 1e-10, (wi, li)
 
 
 def test_sup_error_table_needs_a_term_above_min_term():
