@@ -15,7 +15,6 @@ from .lattice import (
     enumerate_jk_indices,
     make_lacunary,
     make_lacunary_covering,
-    validate_lacunary,
 )
 from .spectral import (
     GridFunction,

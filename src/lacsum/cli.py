@@ -8,6 +8,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .suites import (
     emit_report,
     gen_test_function,
     parse_config_file,
+    report_rows,
     run_convergence_suite,
     run_identity_suite,
     run_maximal_suite,
@@ -64,31 +66,12 @@ def _seed(args: argparse.Namespace, default: int) -> int:
 
 
 def _config_from_args(args: argparse.Namespace, suite: str) -> ExperimentConfig:
-    mapping: dict = {}
-    if getattr(args, "config", None):
-        mapping.update(parse_config_file(args.config))
-    for key in (
-        "seed",
-        "dimension",
-        "q",
-        "lambda_count",
-        "grid",
-        "bandwidth",
-        "trials",
-        "weight",
-        "family",
-        "beta",
-        "free_cap",
-    ):
-        value = getattr(args, key, None)
+    """``--config`` entries, overridden by every flag named after a config field."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            mapping[key] = value
-    if getattr(args, "jk", None):
-        mapping["jk"] = tuple(args.jk)
-    if getattr(args, "cap_schedule", None):
-        mapping["cap_schedule"] = tuple(args.cap_schedule)
-    if getattr(args, "levels", None):
-        mapping["levels"] = tuple(args.levels)
+            mapping[f.name] = value
     mapping["suite"] = suite
     return config_from_mapping(mapping)
 
@@ -111,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a test spectrum")
     _add_common(g)
+    g.set_defaults(run=_cmd_gen)
     g.add_argument("--family", default="random_decay")
     g.add_argument("--N", dest="dimension", type=int, default=3)
     g.add_argument("--B", dest="bandwidth", type=int, default=8)
@@ -122,12 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("partial-sum", help="evaluate a rectangular partial sum")
     _add_common(ps)
+    ps.set_defaults(run=_cmd_partial_sum)
     ps.add_argument("--spec", required=True, help="spectrum JSON file")
     ps.add_argument("--n", type=int, nargs="+", required=True, help="partial-sum index")
     ps.add_argument("--fix", type=int, nargs="*", default=None, help="axis index pairs to pin for CSV slices")
 
     mx = sub.add_parser("maximal", help="weighted maximal sweep over an index space")
     _add_common(mx)
+    mx.set_defaults(run=_cmd_maximal)
     mx.add_argument("--spec", required=True)
     mx.add_argument("--Jk", dest="jk", type=int, nargs="+", required=True)
     mx.add_argument("--q", type=float, default=2.0)
@@ -137,12 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dc = sub.add_parser("decompose", help="four-term decomposition of a partial sum")
     _add_common(dc)
+    dc.set_defaults(run=_cmd_decompose)
     dc.add_argument("--spec", required=True)
     dc.add_argument("--free-axes", dest="free_axes", type=int, nargs=2, required=True)
     dc.add_argument("--n", type=int, nargs="+", required=True)
 
     cv = sub.add_parser("converge", help="convergence suite")
     _add_common(cv)
+    cv.set_defaults(run=lambda args: _cmd_suite(args, run_convergence_suite, "convergence"))
     cv.add_argument("--trials", type=int, default=None)
     cv.add_argument("--levels", type=int, nargs="+", default=None)
     cv.add_argument("--Jk", dest="jk", type=int, nargs="+", default=None)
@@ -150,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="identity suites")
     _add_common(vf)
+    vf.set_defaults(run=_cmd_verify)
     vf.add_argument("target", choices=("abel", "identities"))
     vf.add_argument("--nu", type=int, default=3)
     vf.add_argument("--n", type=int, default=4)
@@ -157,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mxs = sub.add_parser("maximal-suite", help="maximal-ratio suite with cap doubling")
     _add_common(mxs)
+    mxs.set_defaults(run=lambda args: _cmd_suite(args, run_maximal_suite, "maximal"))
     mxs.add_argument("--trials", type=int, default=None)
     mxs.add_argument("--Jk", dest="jk", type=int, nargs="+", default=None)
     mxs.add_argument("--q", type=float, default=None)
@@ -165,15 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("report", help="re-emit a JSON report (optionally as CSV)")
     _add_common(rp)
+    rp.set_defaults(run=_cmd_report)
     rp.add_argument("--in", dest="infile", required=True)
 
     return parser
 
 
 def _cmd_gen(args) -> int:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = config_from_mapping(parse_config_file(args.config))
+    cfg = config_from_mapping(parse_config_file(args.config) if args.config else {})
     sample = SampleJk(args.dimension, tuple(args.jk)) if args.jk else None
     spectrum = gen_test_function(
         args.family,
@@ -302,17 +291,7 @@ def _cmd_suite(args, runner, suite) -> int:
 def _cmd_report(args) -> int:
     doc = load_json(args.infile)
     if args.fmt == "csv":
-        results = doc.get("results", {}) if isinstance(doc, dict) else None
-        if not isinstance(results, dict):
-            raise LacsumError("not a report: the document and its 'results' must be objects")
-        rows = results.get("cases") or results.get("checks") or []
-        if isinstance(rows, dict):
-            rows = [{"check": k, **v} if isinstance(v, dict) else v for k, v in rows.items()]
-        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-            raise LacsumError("report cases must be objects")
-        if not rows:
-            raise LacsumError("report holds no tabular cases")
-        names = list(rows[0].keys())
+        names, rows = report_rows(doc)
         if not args.out:
             raise LacsumError("--out required for CSV output")
         save_csv(names, rows, args.out)
@@ -323,30 +302,12 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "partial-sum":
-            return _cmd_partial_sum(args)
-        if args.command == "maximal":
-            return _cmd_maximal(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "converge":
-            return _cmd_suite(args, run_convergence_suite, "convergence")
-        if args.command == "maximal-suite":
-            return _cmd_suite(args, run_maximal_suite, "maximal")
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (LacsumError, MemoryError) as exc:  # MemoryError: a backstop that misses OOM kills
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -94,15 +94,12 @@ class DecompositionResult:
     is the largest pointwise deviation of that reassembly.
     """
 
-    grid: TorusGrid
     index: Index
     free_axes: tuple[int, int]
     diagonal_cut: int
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    total: np.ndarray
     reference: np.ndarray
     max_error: float
-    engine: str
 
     def term_l2(self) -> tuple[float, ...]:
         return tuple(grid_l2(t) for t in self.terms)
@@ -185,14 +182,11 @@ def decompose_free_pair(
     reference = partial_sum(f_spectrum, idx, grid).values
     max_error = float(np.max(np.abs(total - reference))) if total.size else 0.0
     return DecompositionResult(
-        grid=grid,
         index=idx,
         free_axes=(a + 1, b + 1),
         diagonal_cut=n0,
         terms=(term1, term2, term3, term4),
-        total=total,
         reference=reference,
         max_error=max_error,
-        engine=engine,
     )
 

@@ -75,38 +75,6 @@ class SampleJk:
 
 
 @dataclass(frozen=True)
-class LacunaryCheck:
-    ok: bool
-    violation_index: int | None = None
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_lacunary(terms: Sequence[int], q: float) -> LacunaryCheck:
-    """Check that ``terms`` starts at 1 and consecutive ratios are >= q.
-
-    Returns the index of the first offending term on failure.
-    """
-    terms = list(terms)
-    if not terms:
-        return LacunaryCheck(False, 0, "sequence is empty")
-    if terms[0] != 1:
-        return LacunaryCheck(False, 0, f"first term must be 1, got {terms[0]}")
-    for i in range(1, len(terms)):
-        if terms[i] != int(terms[i]) or terms[i] <= terms[i - 1]:
-            return LacunaryCheck(
-                False, i, f"terms must be strictly increasing integers, got {terms[i]} at {i}"
-            )
-        if terms[i] / terms[i - 1] < q:
-            return LacunaryCheck(
-                False, i, f"ratio {terms[i]}/{terms[i-1]} below q={q} at index {i}"
-            )
-    return LacunaryCheck(True)
-
-
-@dataclass(frozen=True)
 class LacunaryFamily:
     """One lacunary sequence: terms n(1)=1 < n(2) < ... with ratios >= q."""
 
@@ -116,10 +84,18 @@ class LacunaryFamily:
     def __post_init__(self) -> None:
         if not 1 < self.q < math.inf:
             raise LacsumError(f"lacunary ratio must be finite and exceed 1, got {self.q}")
-        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
-        check = validate_lacunary(self.terms, self.q)
-        if not check:
-            raise LacsumError(f"invalid lacunary sequence: {check.message}")
+        terms = tuple(int(t) for t in self.terms)
+        object.__setattr__(self, "terms", terms)
+        bad = "invalid lacunary sequence:"
+        if not terms:
+            raise LacsumError(f"{bad} sequence is empty")
+        if terms[0] != 1:
+            raise LacsumError(f"{bad} first term must be 1, got {terms[0]}")
+        for i in range(1, len(terms)):
+            if terms[i] <= terms[i - 1]:
+                raise LacsumError(f"{bad} terms must be strictly increasing integers, got {terms[i]} at {i}")
+            if terms[i] / terms[i - 1] < self.q:
+                raise LacsumError(f"{bad} ratio {terms[i]}/{terms[i-1]} below q={self.q} at index {i}")
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -164,10 +164,7 @@ class TelescopeSplit:
     supports are pairwise disjoint and sum to the full box restriction.
     """
 
-    index: Index
-    telescoped_axes: tuple[int, ...]
     anchors: tuple[int, ...]
-    anchor_exponents: tuple[int, ...]
     terms: tuple[Spectrum, ...]
     remainder: Spectrum
 
@@ -193,11 +190,7 @@ def telescope_split(spectrum: Spectrum, space: JkIndexSpace, index: Sequence[int
     tele = free[:-1]
     if any(idx[p] < 1 for p in tele):
         raise LacsumError("telescoped free components must be >= 1")
-    ms, alphas = [], []
-    for p in tele:
-        m, alpha = dyadic_square_anchor(idx[p])
-        ms.append(m)
-        alphas.append(alpha)
+    alphas = [dyadic_square_anchor(idx[p])[1] for p in tele]
 
     terms: list[Spectrum] = []
     current = list(idx)
@@ -210,10 +203,7 @@ def telescope_split(spectrum: Spectrum, space: JkIndexSpace, index: Sequence[int
         current = lowered
     remainder = restrict(spectrum, current)
     return TelescopeSplit(
-        index=idx,
-        telescoped_axes=tuple(space.sample.free_axes[:-1]),
         anchors=tuple(alphas),
-        anchor_exponents=tuple(ms),
         terms=tuple(terms),
         remainder=remainder,
     )

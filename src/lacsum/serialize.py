@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import LacsumError
-from .spectral import GridFunction, Spectrum, TorusGrid
+from .spectral import GridFunction, Spectrum
 
 SPECTRUM_SCHEMA = "lacsum.spectrum/1"
 GRIDFUNCTION_SCHEMA = "lacsum.gridfunction/1"
@@ -55,7 +55,7 @@ def _unpairs(pairs, shape) -> np.ndarray:
 
 
 def _open(doc: Any, schema: str, size_key: str, payload_key: str) -> tuple[tuple[int, ...], Any]:
-    """Schema-checked ``(sizes, payload)`` of a spectrum or grid-function document."""
+    """Schema-checked ``(sizes, payload)`` of a spectrum document."""
     if not isinstance(doc, dict) or doc.get("schema") != schema:
         found = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
         raise LacsumError(f"not a {schema} document: schema={found!r}")
@@ -90,12 +90,6 @@ def gridfunction_to_dict(f: GridFunction) -> dict:
         "L": list(f.grid.resolution),
         "values": _pairs(f.values),
     }
-
-
-def gridfunction_from_dict(doc: dict) -> GridFunction:
-    res, payload = _open(doc, GRIDFUNCTION_SCHEMA, "L", "values")
-    grid = TorusGrid(res)
-    return GridFunction(grid, _unpairs(payload, grid.resolution))
 
 
 def dumps(doc: dict) -> str:

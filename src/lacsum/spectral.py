@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import mmap
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -62,6 +63,8 @@ class TorusGrid:
             raise LacsumError("grid needs at least one axis")
         if any(r < 2 or r % 2 for r in res):
             raise LacsumError(f"grid resolutions must be even and >= 2, got {res}")
+        if self.npoints * 16 > _ARRAY_BYTES:
+            raise LacsumError(f"grid {res} would take {self.npoints * 16} bytes (> {_ARRAY_BYTES})")
 
     @property
     def dimension(self) -> int:
@@ -69,7 +72,7 @@ class TorusGrid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.resolution))
+        return math.prod(self.resolution)
 
     def axis_coords(self, position: int) -> np.ndarray:
         length = self.resolution[position]
@@ -303,9 +306,10 @@ def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 # largest shell tensor ShellTensor.from_grid builds, in bytes (256 MiB)
 _SHELL_BYTES = 1 << 28
-# largest coefficient box a generated test spectrum may take, in bytes
-# (256 MiB), and numpy's limit on the number of array axes
-_SPECTRUM_BYTES = 1 << 28
+# largest array an input may size, in bytes (256 MiB): a generated test
+# spectrum's coefficient box or a grid's complex samples; and numpy's limit
+# on the number of array axes
+_ARRAY_BYTES = 1 << 28
 _MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 

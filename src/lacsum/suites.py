@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,7 @@ from .seqcalc import abel_identity_check, telescope_split
 from .decomp import decompose_free_pair, min_log_inverse
 from .spectral import (
     _MAX_AXES,
-    _SPECTRUM_BYTES,
+    _ARRAY_BYTES,
     ShellTensor,
     Spectrum,
     TorusGrid,
@@ -198,8 +198,6 @@ class Report:
     results: dict
     summary: dict
     passed: bool
-    fieldnames: list[str] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -213,6 +211,24 @@ class Report:
             "summary": self.summary,
         }
 
+    @property
+    def rows(self) -> list[dict]:
+        return report_rows(self.to_dict())[1]
+
+
+def report_rows(doc) -> tuple[list[str], list[dict]]:
+    """CSV header and rows of a report document: its ``cases``, or one row per
+    named check. The header is the first row's keys."""
+    results = doc.get("results", {}) if isinstance(doc, dict) else None
+    if not isinstance(results, dict):
+        raise LacsumError("not a report: the document and its 'results' must be objects")
+    rows = results.get("cases") or results.get("checks") or []
+    if isinstance(rows, dict):
+        rows = [{"check": k, **v} if isinstance(v, dict) else v for k, v in rows.items()]
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise LacsumError("report cases must be objects")
+    return list(next(iter(rows), {})), rows
+
 
 def emit_report(report: Report, path: str | Path, fmt: str = "json") -> list[Path]:
     """Write a report to disk; ``fmt='csv'`` adds flat per-case rows beside it.
@@ -225,10 +241,10 @@ def emit_report(report: Report, path: str | Path, fmt: str = "json") -> list[Pat
     if fmt not in ("json", "csv"):
         raise LacsumError(f"unknown report format {fmt!r}")
     target = Path(path)
-    written = [save_json(report.to_dict(), target)]
+    doc = jsonify(report.to_dict())
+    written = [save_json(doc, target)]
     if fmt == "csv":
-        rows = [jsonify(r) for r in report.rows]
-        written.append(save_csv(report.fieldnames, rows, target.with_suffix(".csv")))
+        written.append(save_csv(*report_rows(doc), target.with_suffix(".csv")))
     return written
 
 
@@ -290,8 +306,8 @@ def gen_test_function(
     if len(bw) > _MAX_AXES:
         raise LacsumError(f"a test spectrum has at most {_MAX_AXES} axes, got {len(bw)}")
     need = math.prod(2 * b + 1 for b in bw) * 16
-    if need > _SPECTRUM_BYTES:
-        raise LacsumError(f"test spectrum would take {need} bytes (> {_SPECTRUM_BYTES})")
+    if need > _ARRAY_BYTES:
+        raise LacsumError(f"test spectrum would take {need} bytes (> {_ARRAY_BYTES})")
     gen = rng if rng is not None else np.random.default_rng(seed)
     shape = tuple(2 * b + 1 for b in bw)
 
@@ -341,6 +357,20 @@ def gen_test_function(
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
+
+
+def _trial_spectrum(cfg: ExperimentConfig, trial: int, bw: tuple[int, ...], sample: SampleJk) -> Spectrum:
+    """The test spectrum of one suite trial, from its own ``(seed, trial)`` stream."""
+    return gen_test_function(
+        cfg.family,
+        bandwidth=bw,
+        rng=_trial_rng(cfg.seed, trial),
+        beta=cfg.beta,
+        eps=cfg.eps,
+        mode=cfg.mode,
+        sample=sample,
+        normalize=cfg.normalize,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +506,12 @@ def run_identity_suite(config: ExperimentConfig) -> Report:
         "tolerance": tol,
         "no_cases": total_cases == 0,
     }
-    rows = [
-        {"check": name, "cases": c["cases"], "max_deviation": c["max_deviation"]}
-        for name, c in checks.items()
-    ]
     return Report(
         suite="identity",
         config=cfg.to_dict(),
         results={"checks": checks},
         summary=summary,
         passed=bool(passed),
-        fieldnames=["check", "cases", "max_deviation"],
-        rows=rows,
     )
 
 
@@ -588,17 +612,7 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
     all_pass = True
     worst_margin = -np.inf
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        s = gen_test_function(
-            cfg.family,
-            bandwidth=bw,
-            rng=rng,
-            beta=cfg.beta,
-            eps=cfg.eps,
-            mode=cfg.mode,
-            sample=sample,
-            normalize=cfg.normalize,
-        )
+        s = _trial_spectrum(cfg, trial, bw, sample)
         originals, table = sup_error_table(s, grid, space, min_term=levels[0])
         flat = table.reshape((-1,) + table.shape[len(originals) :])
         combo_shape = tuple(len(o) for o in originals)
@@ -646,8 +660,6 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
         results={"cases": trial_rows},
         summary=summary,
         passed=bool(all_pass),
-        fieldnames=["trial", "level", "sup_error", "tail_bound", "within_tail", "nonincreasing"],
-        rows=trial_rows,
     )
 
 
@@ -701,17 +713,7 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
     monotone_all = True
     max_ratio = 0.0
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        s = gen_test_function(
-            cfg.family,
-            bandwidth=bw,
-            rng=rng,
-            beta=cfg.beta,
-            eps=cfg.eps,
-            mode=cfg.mode,
-            sample=sample,
-            normalize=cfg.normalize,
-        )
+        s = _trial_spectrum(cfg, trial, bw, sample)
         input_l2 = float(np.sqrt(s.energy()))
         sigma = weighted_energy(s, sigma_weight)
         sigma_pair = weighted_energy(s, pair_weight) if pair_weight is not None else None
@@ -780,13 +782,4 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
         results={"cases": rows},
         summary=summary,
         passed=bool(passed),
-        fieldnames=[
-            "trial",
-            "cap",
-            "weighted_ratio",
-            "weak_type_max",
-            "pair_energy_ratio",
-            "monotone",
-        ],
-        rows=rows,
     )

@@ -73,8 +73,6 @@ class WeylWeight:
         out = np.broadcast_to(self.fn(*np.moveaxis(arr, -1, 0)), arr.shape[:-1])
         return float(out) if arr.ndim == 1 else out.copy()
 
-    __call__ = evaluate
-
 
 def _log_product(nu: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
     """Product of log(|nu_a| + 2) over ``axes`` in order; a 0-d one for no axes.

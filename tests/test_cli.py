@@ -86,6 +86,7 @@ def test_verify_identities(tmp_path, capsys):
     assert run(["verify", "identities", "--config", str(cfgfile), "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
+    assert doc["config"]["trials"] == 100  # the --trials default reaches the echo
 
 
 def test_converge_command(tmp_path):
@@ -126,6 +127,37 @@ def test_report_reemit(tmp_path):
     lines = out.read_text().splitlines()
     assert "trial" in lines[0].split(",")
     assert len(lines) == 1 + 3  # header + trials x cap levels
+
+
+@pytest.mark.parametrize(
+    "argv, config, count",
+    [
+        (["maximal-suite"], "lambda_count = 3\nbandwidth = 4,6,6\ngrid = 16,24,24\n"
+         "cap_schedule = 3,5,6\ntrials = 1\n", 3),
+        (["maximal-suite"], "trials = 0\n", 0),
+        (["verify", "identities"], "abel_trials = 3\ntelescope_cases = 1\ndecompose_cases = 1\n"
+         "shell_spectra = 1\nvanishing_box = 4\n", 7),
+    ],
+)
+def test_report_csv_matches_suite_csv(argv, config, count, tmp_path, capsys):
+    # the re-emitted CSV orders columns and checks by name (the JSON is
+    # written with sorted keys) but holds the suite's own rows
+    import csv
+
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config)
+    report = tmp_path / "r.json"
+    assert run(argv + ["--config", str(cfgfile), "--format", "csv", "--out", str(report)]) == 0
+    out = tmp_path / "again.csv"
+    assert run(["report", "--in", str(report), "--format", "csv", "--out", str(out)]) == 0
+
+    def rows(path):
+        with open(path, newline="") as fh:
+            return sorted((dict(r) for r in csv.DictReader(fh)), key=lambda r: sorted(r.items()))
+
+    assert rows(out) == rows(report.with_suffix(".csv"))
+    assert len(rows(out)) == count
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -513,6 +545,44 @@ def test_maximal_one_pass_matches_two_calls(
     assert out.read_bytes() == ref.read_bytes()
     assert out.with_suffix(".csv").read_bytes() == ref.with_suffix(".csv").read_bytes()
 
+
+
+# per config field a flag can set: (its --config value, the flag's words, the echo)
+_FLAG_FIELDS = {
+    "seed": ("4", ["5"], 5),
+    "grid": ("20", ["16"], 16),
+    "trials": ("1", ["0"], 0),
+    "jk": ("2", ["1"], [1]),
+    "q": ("2.5", ["3"], 3.0),
+    "levels": ("1,2", ["1", "3"], [1, 3]),
+    "free_cap": ("3", ["4"], 4),
+    "cap_schedule": ("1,2,3", ["2", "3"], [2, 3]),
+    "weight": ("product", ["unit"], "unit"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["converge", "maximal-suite", "verify identities"])
+def test_config_field_flags_reach_the_echo(cmd, tmp_path):
+    # every flag named after an ExperimentConfig field lands in the report's
+    # config echo and wins over the same key in --config
+    import argparse
+    import dataclasses
+
+    from lacsum.cli import build_parser
+    from lacsum.suites import ExperimentConfig
+
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices[cmd.split()[0]]._actions
+    flags = {a.dest: a.option_strings[0] for a in actions if a.dest in fields}
+    assert set(flags) <= set(_FLAG_FIELDS), sorted(set(flags) - set(_FLAG_FIELDS))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_FUZZ_BASE[cmd] + "".join(f"{k} = {_FLAG_FIELDS[k][0]}\n" for k in flags))
+    argv = cmd.split() + [w for k, flag in flags.items() for w in [flag, *_FLAG_FIELDS[k][1]]]
+    out = tmp_path / "r.json"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    echo = load_json(out)["config"]
+    assert {k: echo[k] for k in flags} == {k: _FLAG_FIELDS[k][2] for k in flags}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from lacsum import (
     enumerate_jk_indices,
     make_lacunary,
     make_lacunary_covering,
-    validate_lacunary,
 )
 
 
@@ -42,16 +41,18 @@ def test_make_lacunary_bad_ratio():
 
 
 def test_validate_examples():
-    assert validate_lacunary([1, 2, 4, 8], 2.0).ok
-    bad = validate_lacunary([1, 2, 3], 2.0)
-    assert not bad.ok and bad.violation_index == 2
-    bad = validate_lacunary([2, 4, 8], 2.0)
-    assert not bad.ok and bad.violation_index == 0
+    assert LacunaryFamily(q=2.0, terms=(1, 2, 4, 8)).terms == (1, 2, 4, 8)
+    with pytest.raises(LacsumError, match="ratio 3/2 below q=2.0 at index 2$"):
+        LacunaryFamily(q=2.0, terms=(1, 2, 3))
+    with pytest.raises(LacsumError, match="first term must be 1, got 2$"):
+        LacunaryFamily(q=2.0, terms=(2, 4, 8))
 
 
 def test_validate_rejects_nonincreasing():
-    assert not validate_lacunary([1, 3, 3], 1.5).ok
-    assert not validate_lacunary([], 2.0).ok
+    with pytest.raises(LacsumError, match="strictly increasing integers, got 3 at 2$"):
+        LacunaryFamily(q=1.5, terms=(1, 3, 3))
+    with pytest.raises(LacsumError, match="sequence is empty$"):
+        LacunaryFamily(q=2.0, terms=())
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,7 +63,7 @@ def test_validate_rejects_nonincreasing():
 def test_generated_families_always_validate(q, count):
     fam = make_lacunary(q, count)
     assert len(fam.terms) == count
-    assert validate_lacunary(fam.terms, q).ok
+    assert LacunaryFamily(q=q, terms=fam.terms) == fam
 
 
 def test_covering_reaches_bound():

@@ -758,3 +758,14 @@ def test_grid_validation():
         TorusGrid((0,))
     with pytest.raises(LacsumError):
         Spectrum((2,), np.zeros(4))
+
+
+def test_grid_byte_budget():
+    # a grid's complex samples, 16 bytes a point, may take 256 MiB; building
+    # a TorusGrid allocates nothing, so neither size is ever materialized
+    assert TorusGrid((256, 256, 256)).npoints * 16 == lacsum.spectral._ARRAY_BYTES
+    with pytest.raises(LacsumError, match=r"grid \(258, 258, 258\) would take 274776192 bytes"):
+        TorusGrid((258, 258, 258))
+    # the point count is exact past int64, so a huge grid cannot wrap under the budget
+    with pytest.raises(LacsumError, match="would take"):
+        TorusGrid((1 << 32,) * 3)

@@ -20,6 +20,7 @@ from lacsum.suites import (
     ExperimentConfig,
     coefficient_tail,
     config_from_mapping,
+    emit_report,
     parse_config_file,
     sup_error_table,
 )
@@ -343,12 +344,14 @@ def test_maximal_suite_small():
     assert rep.summary["median_stabilization_quotient"] >= 1.0
 
 
-def test_maximal_suite_zero_trials():
+def test_maximal_suite_zero_trials(tmp_path):
     cfg = ExperimentConfig(suite="maximal", seed=7, **{**SMALL_MAXIMAL, "trials": 0})
     rep = run_maximal_suite(cfg)
     assert rep.passed
     assert rep.summary["no_cases"]
     assert rep.rows == []
+    # no rows and so no header: the CSV is one empty line
+    assert emit_report(rep, tmp_path / "z.json", fmt="csv")[1].read_text() == "\n"
     json.loads(dumps(rep.to_dict()))  # schema still valid
     with pytest.raises(LacsumError, match="trials"):
         ExperimentConfig(suite="maximal", trials=-1)
