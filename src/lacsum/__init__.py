@@ -7,7 +7,7 @@ back them, with a CLI for convergence and maximal-ratio experiments.
 
 __version__ = "0.1.0"
 
-from .errors import AliasingError, DegenerateInputError, EmptyFamilyError, LacsumError
+from .errors import AliasingError, DegenerateInputError, LacsumError
 from .lattice import (
     JkIndexSpace,
     LacunaryFamily,

@@ -1,6 +1,8 @@
 """Command-line driver.
 
-Subcommands: gen, partial-sum, maximal, decompose, converge, verify, report.
+Subcommands: gen, partial-sum, maximal, decompose, converge, maximal-suite,
+verify abel, verify identities and report; each takes only the shared flags
+it reads.
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage, config or
 input error.
 """
@@ -58,62 +60,69 @@ def _grid_for(args: argparse.Namespace, spectrum) -> TorusGrid:
     return TorusGrid((res,) * spectrum.dimension)
 
 
-def _seed(args: argparse.Namespace, default: int) -> int:
-    seed = args.seed if args.seed is not None else default
-    if seed < 0:
-        raise LacsumError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _config_from_args(args: argparse.Namespace, suite: str) -> ExperimentConfig:
-    """``--config`` entries, overridden by every flag named after a config field."""
+def _config_from_args(args: argparse.Namespace, suite: str) -> tuple[ExperimentConfig, dict]:
+    """``--config`` entries, overridden by every flag named after a config
+    field, and the mapping of the keys so set."""
     mapping = parse_config_file(args.config) if args.config else {}
     for f in dataclasses.fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             mapping[f.name] = value
-    mapping["suite"] = suite
-    return config_from_mapping(mapping)
+    return config_from_mapping({**mapping, "suite": suite}), mapping
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in reports)")
-    p.add_argument("--grid", type=int, default=None, help="grid resolution per axis")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is an input error: one ``error:`` line, exit 2."""
+        raise LacsumError(f"{self.prog}: {message}")
+
+
+# the flags several commands share; each command names the ones it reads
+_SHARED = {
+    "--seed": dict(type=int, default=None, help="RNG seed (recorded in reports)"),
+    "--grid": dict(type=int, default=None, help="grid resolution per axis"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--config": dict(type=str, default=None, help="key = value config file"),
+}
+
+
+def _command(sub, name: str, run, shared: str = "", **kw) -> argparse.ArgumentParser:
+    """Subcommand ``name`` dispatching to ``run``, with ``--out`` and the
+    shared flags named in ``shared``."""
+    p = sub.add_parser(name, **kw)
+    p.set_defaults(run=run)
     p.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
+    for flag in shared.split():
+        p.add_argument(flag, **_SHARED[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lacsum",
         description="Rectangular partial sums of multiple Fourier series: "
         "experiments with lacunary index sweeps and convergence weights.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a test spectrum")
-    _add_common(g)
-    g.set_defaults(run=_cmd_gen)
-    g.add_argument("--family", default="random_decay")
-    g.add_argument("--N", dest="dimension", type=int, default=3)
-    g.add_argument("--B", dest="bandwidth", type=int, default=8)
-    g.add_argument("--beta", type=float, default=2.0)
-    g.add_argument("--eps", type=float, default=0.5)
+    g = _command(sub, "gen", _cmd_gen, "--seed --config", help="generate a test spectrum")
+    g.add_argument("--family", default=None)
+    g.add_argument("--N", dest="dimension", type=int, default=None)
+    g.add_argument("--B", dest="bandwidth", type=int, default=None)
+    g.add_argument("--beta", type=float, default=None)
+    g.add_argument("--eps", type=float, default=None)
     g.add_argument("--mode", type=int, nargs="+", default=None, help="single-mode frequency")
     g.add_argument("--Jk", dest="jk", type=int, nargs="+", default=None)
-    g.add_argument("--no-normalize", action="store_true")
+    g.add_argument("--no-normalize", dest="normalize", action="store_const", const=False, default=None)
 
-    ps = sub.add_parser("partial-sum", help="evaluate a rectangular partial sum")
-    _add_common(ps)
-    ps.set_defaults(run=_cmd_partial_sum)
+    ps = _command(sub, "partial-sum", _cmd_partial_sum, "--grid --format",
+                  help="evaluate a rectangular partial sum")
     ps.add_argument("--spec", required=True, help="spectrum JSON file")
     ps.add_argument("--n", type=int, nargs="+", required=True, help="partial-sum index")
     ps.add_argument("--fix", type=int, nargs="*", default=None, help="axis index pairs to pin for CSV slices")
 
-    mx = sub.add_parser("maximal", help="weighted maximal sweep over an index space")
-    _add_common(mx)
-    mx.set_defaults(run=_cmd_maximal)
+    mx = _command(sub, "maximal", _cmd_maximal, "--grid",
+                  help="weighted maximal sweep over an index space")
     mx.add_argument("--spec", required=True)
     mx.add_argument("--Jk", dest="jk", type=int, nargs="+", required=True)
     mx.add_argument("--q", type=float, default=2.0)
@@ -121,59 +130,59 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--free-cap", dest="free_cap", type=int, default=32)
     mx.add_argument("--weight", default="product")
 
-    dc = sub.add_parser("decompose", help="four-term decomposition of a partial sum")
-    _add_common(dc)
-    dc.set_defaults(run=_cmd_decompose)
+    dc = _command(sub, "decompose", _cmd_decompose, "--grid",
+                  help="four-term decomposition of a partial sum")
     dc.add_argument("--spec", required=True)
     dc.add_argument("--free-axes", dest="free_axes", type=int, nargs=2, required=True)
     dc.add_argument("--n", type=int, nargs="+", required=True)
 
-    cv = sub.add_parser("converge", help="convergence suite")
-    _add_common(cv)
-    cv.set_defaults(run=lambda args: _cmd_suite(args, run_convergence_suite, "convergence"))
+    suite = "--seed --grid --format --config"
+    cv = _command(sub, "converge", lambda args: _cmd_suite(args, run_convergence_suite, "convergence"),
+                  suite, help="convergence suite")
     cv.add_argument("--trials", type=int, default=None)
     cv.add_argument("--levels", type=int, nargs="+", default=None)
     cv.add_argument("--Jk", dest="jk", type=int, nargs="+", default=None)
     cv.add_argument("--free-cap", dest="free_cap", type=int, default=None)
 
-    vf = sub.add_parser("verify", help="identity suites")
-    _add_common(vf)
-    vf.set_defaults(run=_cmd_verify)
-    vf.add_argument("target", choices=("abel", "identities"))
-    vf.add_argument("--nu", type=int, default=3)
-    vf.add_argument("--n", type=int, default=4)
-    vf.add_argument("--trials", type=int, default=100)
+    vf = sub.add_parser("verify", help="identity suites").add_subparsers(dest="target", required=True)
+    va = _command(vf, "abel", _cmd_abel, "--seed", help="the double-Abel check alone")
+    va.set_defaults(seed=7)
+    va.add_argument("--nu", type=int, default=3)
+    va.add_argument("--n", type=int, default=4)
+    va.add_argument("--trials", type=int, default=100)
+    vi = _command(vf, "identities", lambda args: _cmd_suite(args, run_identity_suite, "identity"),
+                  "--seed --format --config", help="the exact-identity suite")
+    vi.add_argument("--trials", type=int, default=100)
 
-    mxs = sub.add_parser("maximal-suite", help="maximal-ratio suite with cap doubling")
-    _add_common(mxs)
-    mxs.set_defaults(run=lambda args: _cmd_suite(args, run_maximal_suite, "maximal"))
+    mxs = _command(sub, "maximal-suite", lambda args: _cmd_suite(args, run_maximal_suite, "maximal"),
+                   suite, help="maximal-ratio suite with cap doubling")
     mxs.add_argument("--trials", type=int, default=None)
     mxs.add_argument("--Jk", dest="jk", type=int, nargs="+", default=None)
     mxs.add_argument("--q", type=float, default=None)
     mxs.add_argument("--cap-schedule", dest="cap_schedule", type=int, nargs="+", default=None)
     mxs.add_argument("--weight", default=None)
 
-    rp = sub.add_parser("report", help="re-emit a JSON report (optionally as CSV)")
-    _add_common(rp)
-    rp.set_defaults(run=_cmd_report)
+    rp = _command(sub, "report", _cmd_report, "--format",
+                  help="re-emit a JSON report (optionally as CSV)")
     rp.add_argument("--in", dest="infile", required=True)
 
     return parser
 
 
 def _cmd_gen(args) -> int:
-    cfg = config_from_mapping(parse_config_file(args.config) if args.config else {})
-    sample = SampleJk(args.dimension, tuple(args.jk)) if args.jk else None
+    given, mapping = _config_from_args(args, "gen")
+    cfg = given.filled(dimension=3, bandwidth=8, beta=2.0)
     spectrum = gen_test_function(
-        args.family,
-        bandwidth=cfg.bandwidth if cfg.bandwidth is not None else args.bandwidth,
-        dimension=args.dimension,
-        seed=_seed(args, cfg.seed),
-        beta=args.beta,
-        eps=args.eps,
-        mode=tuple(args.mode) if args.mode else (1,) * args.dimension,
-        sample=sample,
-        normalize=not args.no_normalize,
+        cfg.family,
+        bandwidth=cfg.bandwidth,
+        dimension=cfg.dimension,
+        seed=cfg.seed,
+        beta=cfg.beta,
+        eps=cfg.eps,
+        # a single mode defaults to (1, ..., 1), not the suites' (1, 2, 3)
+        mode=cfg.mode if "mode" in mapping else (1,) * cfg.dimension,
+        sample=SampleJk(cfg.dimension, cfg.jk) if cfg.jk else None,
+        normalize=cfg.normalize,
     )
     _write(spectrum_to_dict(spectrum), args.out)
     return 0
@@ -259,27 +268,25 @@ def _cmd_decompose(args) -> int:
     return 0 if result.max_error <= 1e-10 else 1
 
 
-def _cmd_verify(args) -> int:
-    if args.target == "abel":
-        bounds = (("--nu", args.nu, 1), ("--n", args.n, 2), ("--trials", args.trials, 0))
-        for flag, value, low in bounds:
-            if value < low:
-                raise LacsumError(f"{flag} must be >= {low}, got {value}")
-        rng = np.random.default_rng(_seed(args, 7))
-        worst = abel_max_deviation(rng, args.trials, args.n, nu=args.nu)
-        doc = {
-            "schema": "lacsum.verify/1",
-            "target": "abel",
-            "trials": args.trials,
-            "max_abs_difference": worst,
-        }
-        _write(doc, args.out)
-        return 0 if worst <= 1e-10 else 1
-    return _cmd_suite(args, run_identity_suite, "identity")
+def _cmd_abel(args) -> int:
+    bounds = (("--seed", args.seed, 0), ("--nu", args.nu, 1), ("--n", args.n, 2),
+              ("--trials", args.trials, 0))
+    for flag, value, low in bounds:
+        if value < low:
+            raise LacsumError(f"{flag} must be >= {low}, got {value}")
+    worst = abel_max_deviation(np.random.default_rng(args.seed), args.trials, args.n, nu=args.nu)
+    doc = {
+        "schema": "lacsum.verify/1",
+        "target": "abel",
+        "trials": args.trials,
+        "max_abs_difference": worst,
+    }
+    _write(doc, args.out)
+    return 0 if worst <= 1e-10 else 1
 
 
 def _cmd_suite(args, runner, suite) -> int:
-    report = runner(_config_from_args(args, suite))
+    report = runner(_config_from_args(args, suite)[0])
     if args.out:
         emit_report(report, args.out, args.fmt)
         print(f"wrote {args.out}")
@@ -302,8 +309,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except (LacsumError, MemoryError) as exc:  # MemoryError: a backstop that misses OOM kills
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -9,9 +9,5 @@ class AliasingError(LacsumError):
     """Grid too coarse to resolve the requested frequency content."""
 
 
-class EmptyFamilyError(LacsumError):
-    """An index space referenced a lacunary family with no terms."""
-
-
 class DegenerateInputError(LacsumError):
     """Input is structurally valid but makes the requested quantity undefined."""

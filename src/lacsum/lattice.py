@@ -12,11 +12,12 @@ properties expose the 0-based array positions used internally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import EmptyFamilyError, LacsumError
+from .errors import LacsumError
 
 Index = tuple[int, ...]
 
@@ -84,9 +85,11 @@ class LacunaryFamily:
     def __post_init__(self) -> None:
         if not 1 < self.q < math.inf:
             raise LacsumError(f"lacunary ratio must be finite and exceed 1, got {self.q}")
-        terms = tuple(int(t) for t in self.terms)
-        object.__setattr__(self, "terms", terms)
         bad = "invalid lacunary sequence:"
+        terms = tuple(int(t) for t in self.terms)
+        if any(t != v for t, v in zip(self.terms, terms)):
+            raise LacsumError(f"{bad} terms must be integers, got {self.terms!r}")
+        object.__setattr__(self, "terms", terms)
         if not terms:
             raise LacsumError(f"{bad} sequence is empty")
         if terms[0] != 1:
@@ -166,8 +169,6 @@ class JkIndexSpace:
                 f"need one family per lacunary axis: {len(self.families)} families, "
                 f"{self.sample.k} lacunary axes"
             )
-        if any(len(f) == 0 for f in self.families):
-            raise EmptyFamilyError("every lacunary family must have at least one term")
         if len(self.free_caps) != len(self.sample.free_axes):
             raise LacsumError(
                 f"need one cap per free axis: {len(self.free_caps)} caps, "
@@ -193,26 +194,10 @@ def enumerate_jk_indices(space: JkIndexSpace) -> Iterator[Index]:
     fastest, also in axis order. The total count is the product of family
     lengths times the product of (cap + 1).
     """
-    if any(len(f) == 0 for f in space.families):
-        raise EmptyFamilyError("cannot enumerate a space with an empty family")
-    dim = space.sample.dimension
-    lac_pos = space.sample.lacunary_positions
-    free_pos = space.sample.free_positions
-
-    def rec_lac(i: int, base: list[int]) -> Iterator[Index]:
-        if i == len(lac_pos):
-            yield from rec_free(0, base)
-            return
-        for term in space.families[i].terms:
-            base[lac_pos[i]] = term
-            yield from rec_lac(i + 1, base)
-
-    def rec_free(i: int, base: list[int]) -> Iterator[Index]:
-        if i == len(free_pos):
-            yield tuple(base)
-            return
-        for m in range(space.free_caps[i] + 1):
-            base[free_pos[i]] = m
-            yield from rec_free(i + 1, base)
-
-    yield from rec_lac(0, [0] * dim)
+    positions = space.sample.lacunary_positions + space.sample.free_positions
+    axes = [f.terms for f in space.families] + [range(cap + 1) for cap in space.free_caps]
+    index = [0] * len(positions)
+    for values in itertools.product(*axes):
+        for p, v in zip(positions, values):
+            index[p] = v
+        yield tuple(index)

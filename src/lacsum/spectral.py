@@ -78,11 +78,6 @@ class TorusGrid:
         length = self.resolution[position]
         return -np.pi + 2.0 * np.pi * np.arange(length) / length
 
-    def meshgrid(self) -> list[np.ndarray]:
-        return list(
-            np.meshgrid(*(self.axis_coords(p) for p in range(self.dimension)), indexing="ij")
-        )
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -119,13 +114,6 @@ class Spectrum:
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def coefficient(self, nu: Sequence[int]) -> complex:
-        if len(nu) != self.dimension:
-            raise LacsumError(f"frequency {nu} has wrong dimension")
-        if any(abs(v) > b for v, b in zip(nu, self.bandwidth)):
-            return 0.0 + 0.0j
-        return complex(self.coeffs[tuple(v + b for v, b in zip(nu, self.bandwidth))])
 
 
 @dataclass(frozen=True)

@@ -340,11 +340,7 @@ def gen_test_function(
             raise LacsumError("weyl_borderline needs a matching axis sample")
         if eps <= 0:
             raise LacsumError(f"weyl_borderline needs eps > 0, got {eps}")
-        logs = np.ones(shape)
-        for p in sample.free_positions:
-            sh = [1] * len(bw)
-            sh[p] = 2 * bw[p] + 1
-            logs = logs * np.log(np.abs(np.arange(-bw[p], bw[p] + 1)) + 2.0).reshape(sh)
+        logs = product_weight(sample).fn(*np.ix_(*(np.arange(-b, b + 1) for b in bw)))
         mag2 = _decay_profile(bw, (1.0 + eps)) / logs
         coeffs = np.sqrt(mag2) * _random_phases(gen, shape)
 
@@ -371,6 +367,21 @@ def _trial_spectrum(cfg: ExperimentConfig, trial: int, bw: tuple[int, ...], samp
         sample=sample,
         normalize=cfg.normalize,
     )
+
+
+def _suite_layout(cfg: ExperimentConfig) -> tuple[SampleJk, tuple[int, ...], TorusGrid, tuple]:
+    """The axis sample, per-axis bandwidths, grid and lacunary families of a
+    suite run. An unset bandwidth is 17 on free axes and 8 on lacunary ones;
+    an unset grid takes four points per unit of bandwidth."""
+    n = cfg.dimension
+    sample = SampleJk(n, tuple(cfg.jk))
+    if cfg.bandwidth is None:
+        bw = tuple(17 if p in sample.free_positions else 8 for p in range(n))
+    else:
+        bw = _tupled(cfg.bandwidth, n)
+    res = _tupled(cfg.grid, n) if cfg.grid is not None else tuple(4 * b for b in bw)
+    families = tuple(make_lacunary(cfg.q, cfg.lambda_count) for _ in sample.lacunary_axes)
+    return sample, bw, TorusGrid(res), families
 
 
 # ---------------------------------------------------------------------------
@@ -581,23 +592,16 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
         trials=20,
         free_cap=17,
     )
-    n = cfg.dimension
-    bw = _tupled(cfg.bandwidth, n)
-    res = _tupled(cfg.grid, n)
-    for b, L in zip(bw, res):
+    sample, bw, grid, families = _suite_layout(cfg)
+    free_pos = sample.free_positions
+    for b, L in zip(bw, grid.resolution):
         if L < 4 * b:
             raise LacsumError(f"grid {L} below 4x bandwidth {b}; partial sums underresolved")
-    sample = SampleJk(n, tuple(cfg.jk))
-    free_pos = sample.free_positions
-    grid = TorusGrid(res)
     levels = tuple(int(v) for v in cfg.levels)
     if not levels or min(levels) < 0:
         raise LacsumError(f"levels must be one or more values >= 0, got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise LacsumError(f"levels must be strictly increasing, got {levels}")
-    families = tuple(
-        make_lacunary(cfg.q, cfg.lambda_count) for _ in sample.lacunary_axes
-    )
     for fam in families:
         if fam.terms[-1] < levels[-1]:
             raise LacsumError("lambda_count too small: no lacunary term reaches the top level")
@@ -679,29 +683,19 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
         dimension=3,
         jk=(1,),
         lambda_count=6,
-        bandwidth=None,
-        grid=None,
         beta=1.0,
         trials=20,
     )
+    sample, bw, grid, families = _suite_layout(cfg)
+    cfg = cfg.filled(bandwidth=bw, grid=grid.resolution)  # the report echoes both
     n = cfg.dimension
-    sample = SampleJk(n, tuple(cfg.jk))
     free_pos = sample.free_positions
-    if cfg.bandwidth is None:
-        bw = tuple(17 if p in free_pos else 8 for p in range(n))
-        cfg = dataclasses.replace(cfg, bandwidth=bw)
-    bw = _tupled(cfg.bandwidth, n)
-    if cfg.grid is None:
-        cfg = dataclasses.replace(cfg, grid=tuple(4 * b for b in bw))
-    res = _tupled(cfg.grid, n)
-    grid = TorusGrid(res)
     schedule = tuple(int(c) for c in cfg.cap_schedule)
     if len(schedule) < 2:
         raise LacsumError(f"cap schedule needs at least two levels, got {schedule}")
     if any(a > b for a, b in zip(schedule, schedule[1:])):
         raise LacsumError(f"cap schedule must be nondecreasing, got {schedule}")
     levels = [(c,) * len(free_pos) for c in schedule]
-    families = tuple(make_lacunary(cfg.q, cfg.lambda_count) for _ in sample.lacunary_axes)
     space = JkIndexSpace(sample, families, levels[-1])
     weight = weight_from_kind(cfg.weight, sample)
     sigma_weight = product_weight(sample)

@@ -29,7 +29,7 @@ def chirp_spectrum(lam: int, grid: TorusGrid) -> Spectrum:
     negligible past ``|n| = 3 lam``; raising ``lam`` moves the mass to larger
     frequencies while ``|g| = 1`` everywhere.
     """
-    _, x2, x3 = grid.meshgrid()
+    _, x2, x3 = np.meshgrid(*map(grid.axis_coords, range(3)), indexing="ij")
     g = GridFunction(grid, np.exp(1j * lam * np.sin(x2) * np.sin(x3)))
     s = analyze(g, (0, 3 * lam, 3 * lam))
     return Spectrum(s.bandwidth, s.coeffs / np.sqrt(s.energy()))

@@ -33,6 +33,50 @@ def test_gen_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_single_mode_defaults_to_the_ones_mode(tmp_path):
+    # without --mode a single mode sits at (1, ..., 1), not the suites' (1, 2, 3)
+    import hashlib
+
+    out = tmp_path / "f.json"
+    assert run(["gen", "--family", "single_mode", "--N", "2", "--B", "3", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "2da20e244ccd5a83a8c50afe518e6b778d06933d312c37c67cdd47c0de50c191"
+    s = spectrum_from_dict(load_json(out))
+    assert s.coeffs[4, 4] == 1.0 and s.energy() == 1.0
+
+
+@pytest.mark.parametrize(
+    "base, key, value, other, flag",
+    [
+        ([], "family", "product_1d", "single_mode", ["--family", "product_1d"]),
+        ([], "dimension", "2", "4", ["--N", "2"]),
+        ([], "beta", "4.0", "1.0", ["--beta", "4"]),
+        (["--family", "weyl_borderline", "--Jk", "1"], "eps", "2.0", "0.25", ["--eps", "2"]),
+        (["--family", "single_mode"], "mode", "1,0,-2", "0,0,0", ["--mode", "1", "0", "-2"]),
+        (["--family", "weyl_borderline"], "jk", "2", "3", ["--Jk", "2"]),
+        ([], "normalize", "false", "true", ["--no-normalize"]),
+    ],
+)
+def test_gen_reads_its_config(base, key, value, other, flag, tmp_path, capsys):
+    # a --config key reaches the spectrum as its flag does, and the flag wins
+    # over the same key
+    def gen(argv, config=None):
+        out, cfg = tmp_path / "f.json", tmp_path / "c.cfg"
+        out.unlink(missing_ok=True)
+        if config is not None:
+            cfg.write_text(config + "\n")
+            argv = argv + ["--config", str(cfg)]
+        rc = run(["gen", "--B", "2", "--seed", "1", *base, *argv, "--out", str(out)])
+        capsys.readouterr()
+        return out.read_bytes() if rc == 0 else None
+
+    flagged = gen(flag)
+    assert flagged is not None
+    assert gen([], f"{key} = {value}") == flagged
+    assert gen([]) != flagged
+    assert gen(flag, f"{key} = {other}") == flagged
+
+
 def test_partial_sum_csv_slice(tmp_path):
     spec = tmp_path / "f.json"
     run(["gen", "--family", "single_mode", "--N", "2", "--B", "3", "--mode", "1", "2", "--out", str(spec)])
@@ -402,6 +446,17 @@ _DEEP = "[" * 200000 + "]" * 200000
         ["maximal-suite", "--config", "dimension = 40\ntrials = 1"],
         ["converge", "--config",
          "dimension = 40\nbandwidth = 1\ngrid = 4\nlevels = 1\nfree_cap = 1\ntrials = 1"],
+        # a shared flag the command does not read, one per command, and a
+        # flag value argparse cannot parse
+        ["gen", "--grid", "8"],
+        ["partial-sum", "--spec", "{spec}", "--n", "1", "1", "1", "--seed", "1"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--format", "csv"],
+        ["decompose", "--spec", "{spec}", "--free-axes", "2", "3", "--n", "1", "1", "1",
+         "--config", "seed = 1"],
+        ["verify", "abel", "--trials", "1", "--grid", "8"],
+        ["verify", "identities", "--nu", "3"],
+        ["report", "--in", "{}", "--seed", "1"],
+        ["maximal", "--spec", "{spec}", "--Jk", "1", "--grid", "abc"],
     ],
 )
 def test_out_of_range_arguments_are_input_errors(argv, tmp_path, capsys):
@@ -467,10 +522,49 @@ def test_missing_spec_is_config_error(tmp_path):
     assert run(["partial-sum", "--spec", str(tmp_path / "absent.json"), "--n", "1", "1"]) == 2
 
 
-def test_argparse_usage_exit():
+def test_argparse_usage_exit(capsys):
+    # a usage error is an input error in one line; -h still exits 0
+    assert run(["definitely-not-a-command"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lacsum: argument command: invalid choice") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
-        run(["definitely-not-a-command"])
-    assert exc.value.code == 2
+        run(["verify", "abel", "-h"])
+    assert exc.value.code == 0
+    assert "--nu" in capsys.readouterr().out
+
+
+# the shared flags each command takes besides --out: the ones it reads
+_SHARED_FLAGS = {
+    "gen": {"--seed", "--config"},
+    "partial-sum": {"--grid", "--format"},
+    "maximal": {"--grid"},
+    "decompose": {"--grid"},
+    "converge": {"--seed", "--grid", "--format", "--config"},
+    "maximal-suite": {"--seed", "--grid", "--format", "--config"},
+    "verify abel": {"--seed"},
+    "verify identities": {"--seed", "--format", "--config"},
+    "report": {"--format"},
+}
+
+
+def _subparser(cmd):
+    """The parser of ``cmd``, descending through ``verify``'s targets."""
+    import argparse
+
+    from lacsum.cli import build_parser
+
+    parser = build_parser()
+    for word in cmd.split():
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("cmd", sorted(_SHARED_FLAGS))
+def test_commands_take_only_the_shared_flags_they_read(cmd):
+    options = {o for a in _subparser(cmd)._actions for o in a.option_strings}
+    assert options & {"--seed", "--grid", "--format", "--config"} == _SHARED_FLAGS[cmd]
+    assert "--out" in options
 
 
 @pytest.mark.parametrize(
@@ -565,16 +659,12 @@ _FLAG_FIELDS = {
 def test_config_field_flags_reach_the_echo(cmd, tmp_path):
     # every flag named after an ExperimentConfig field lands in the report's
     # config echo and wins over the same key in --config
-    import argparse
     import dataclasses
 
-    from lacsum.cli import build_parser
     from lacsum.suites import ExperimentConfig
 
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = sub.choices[cmd.split()[0]]._actions
-    flags = {a.dest: a.option_strings[0] for a in actions if a.dest in fields}
+    flags = {a.dest: a.option_strings[0] for a in _subparser(cmd)._actions if a.dest in fields}
     assert set(flags) <= set(_FLAG_FIELDS), sorted(set(flags) - set(_FLAG_FIELDS))
     cfg = tmp_path / "c.cfg"
     cfg.write_text(_FUZZ_BASE[cmd] + "".join(f"{k} = {_FLAG_FIELDS[k][0]}\n" for k in flags))
@@ -607,7 +697,8 @@ _FUZZ_KEYS = {
     "verify identities": ["seed", "trials", "abel_trials", "abel_max_n", "telescope_cases",
                           "block_ratios", "block_bandwidth", "vanishing_box",
                           "identity_tolerance", "perturb"],
-    "gen": ["seed", "bandwidth", "dimension", "q"],
+    "gen": ["seed", "bandwidth", "dimension", "q", "family", "beta", "eps", "mode", "jk",
+            "normalize"],
 }
 _VALUES = st.one_of(
     st.integers(-3, 6).map(str),
@@ -687,10 +778,12 @@ def _argv(draw, cmd):
     to one config line past a small base config, all at small values. The
     word ``{doc}`` stands for a file holding the drawn document text."""
     config = None
-    if cmd in _FUZZ_BASE:
+    if "--config" in _SHARED_FLAGS[cmd]:
         keys = draw(st.lists(st.sampled_from(_FUZZ_KEYS[cmd]), max_size=1))
         config = _FUZZ_BASE[cmd] + "".join(f"{k} = {draw(_VALUES)}\n" for k in keys)
-    required, optional = [], {"--seed": _num(-3, 6)}
+    shared = {"--seed": _num(-3, 6), "--grid": _num(-1, 12), "--format": _words("json", "csv")}
+    required = []
+    optional = {flag: values for flag, values in shared.items() if flag in _SHARED_FLAGS[cmd]}
     if cmd == "gen":
         optional.update({
             "--N": _num(-1, 4), "--B": _num(-1, 4),
@@ -708,12 +801,10 @@ def _argv(draw, cmd):
             optional["--levels"] = levels.map(lambda v: [str(x) for x in sorted(v)])
     elif cmd == "report":
         required.append(("--in", st.just(["{doc}"])))
-        optional["--format"] = _words("json", "csv")
     elif cmd != "verify identities":  # the commands that read a spectrum file
         spec = {"partial-sum": _words("{spec}", "{doc}"), "maximal": _words("{spec}", "{spec4}")}
         spec = spec.get(cmd, st.just(["{spec}"]))
         required.append(("--spec", spec))
-        optional["--grid"] = _num(-1, 12)
         if cmd == "maximal":
             required.append(("--Jk", _ints(-1, 4)))
             optional.update({
@@ -723,8 +814,7 @@ def _argv(draw, cmd):
             })
         elif cmd == "partial-sum":
             required.append(("--n", _ints(-3, 5, max_size=4)))
-            optional.update({"--fix": _ints(-1, 9, min_size=0, max_size=4),
-                             "--format": _words("json", "csv")})
+            optional["--fix"] = _ints(-1, 9, min_size=0, max_size=4)
         else:
             required += [("--free-axes", _ints(-1, 4, 2, 2)), ("--n", _ints(-2, 5, max_size=4))]
     chosen = draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True))

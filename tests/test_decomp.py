@@ -55,7 +55,7 @@ def test_transfer_round_trip_and_single_coefficient():
 
     one = single_mode_spectrum((2, 2, 2), (1, 0, 0))
     g1 = coefficient_transfer(one, (2, 3))
-    assert g1.coefficient((1, 0, 0)) == pytest.approx(np.log(2.0), abs=1e-14)
+    assert g1.coeffs[3, 2, 2] == pytest.approx(np.log(2.0), abs=1e-14)  # nu = (1, 0, 0)
 
 
 def test_transfer_energy_matches_pair_weighted_energy():

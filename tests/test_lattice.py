@@ -90,6 +90,10 @@ def test_family_rejects_invalid_terms():
         LacunaryFamily(q=2.0, terms=(1, 2, 3))
     with pytest.raises(LacsumError):
         LacunaryFamily(q=2.0, terms=())
+    # a fractional term is rejected, not truncated; an integral float is kept
+    with pytest.raises(LacsumError, match=r"terms must be integers, got \(1, 2.9, 5.5\)$"):
+        LacunaryFamily(q=2.0, terms=(1, 2.9, 5.5))
+    assert LacunaryFamily(q=2.0, terms=(1, 2.0, 4.0)).terms == (1, 2, 4)
 
 
 def test_sample_axis_split():
@@ -129,6 +133,9 @@ def test_enumeration_two_lacunary_axes():
     space = JkIndexSpace(SampleJk(3, (2, 3)), (fam, fam), (1,))
     got = list(enumerate_jk_indices(space))
     assert len(got) == 18 == space.count
+    # lacunary components (axes 2, 3) slowest, the free axis 1 fastest
+    assert got == sorted(got, key=lambda idx: (idx[1], idx[2], idx[0]))
+    assert got[:3] == [(0, 1, 1), (1, 1, 1), (0, 1, 2)]
 
 
 def _is_member(space, index):

@@ -46,7 +46,7 @@ def test_analyze_constant():
     f = synthesize(zero_spectrum((2, 2)), grid)
     ones = type(f)(grid, np.ones(grid.resolution, dtype=complex))
     s = analyze(ones, (2, 2))
-    assert abs(s.coefficient((0, 0)) - 1.0) < 1e-14
+    assert abs(s.coeffs[2, 2] - 1.0) < 1e-14
     coeffs = s.coeffs.copy()
     coeffs[2, 2] = 0
     assert np.max(np.abs(coeffs)) < 1e-14
@@ -56,7 +56,7 @@ def test_analyze_single_mode_16x16():
     grid = TorusGrid((16, 16))
     f = synthesize(single_mode_spectrum((3, 3), (1, 2)), grid)
     s = analyze(f, (3, 3))
-    assert abs(s.coefficient((1, 2)) - 1.0) < 1e-12
+    assert abs(s.coeffs[4, 5] - 1.0) < 1e-12  # nu = (1, 2)
     total = np.sum(np.abs(s.coeffs))
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -106,7 +106,7 @@ def test_fft_matches_direct():
 
 def brute_force_partial_sum(s, n, grid):
     total = np.zeros(grid.resolution, dtype=complex)
-    mesh = grid.meshgrid()
+    mesh = np.meshgrid(*map(grid.axis_coords, range(grid.dimension)), indexing="ij")
     for idx in np.ndindex(*s.coeffs.shape):
         nu = tuple(i - b for i, b in zip(idx, s.bandwidth))
         if all(abs(v) <= m for v, m in zip(nu, n)):
@@ -179,8 +179,8 @@ def test_block_split_supports():
     s = Spectrum((b,), np.arange(1, 10, dtype=complex))
     fam = make_lacunary(2.0, 3)  # 1, 2, 4
     g1, g2 = split_lacunary_blocks(s, 1, fam)
-    odd = {abs(k) for k in range(-b, b + 1) if abs(g1.coefficient((k,))) > 0}
-    even = {abs(k) for k in range(-b, b + 1) if abs(g2.coefficient((k,))) > 0}
+    odd = {abs(k) for k in range(-b, b + 1) if abs(g1.coeffs[k + b]) > 0}
+    even = {abs(k) for k in range(-b, b + 1) if abs(g2.coeffs[k + b]) > 0}
     assert odd == {1, 3, 4}
     assert even == {0, 2}
 
@@ -198,7 +198,7 @@ def test_block_split_coverage_gap_merges_into_last():
     fam = make_lacunary(2.0, 3)  # tops out at 4 < 8
     g1, g2 = split_lacunary_blocks(s, 1, fam)
     # block 3 covers 2 < |k| <= 4 and absorbs the tail 5..8
-    assert all(abs(g1.coefficient((k,))) > 0 for k in (3, 4, 5, 8))
+    assert all(abs(g1.coeffs[k + 8]) > 0 for k in (3, 4, 5, 8))
     assert np.max(np.abs(g1.coeffs + g2.coeffs - s.coeffs)) == 0.0
 
 
@@ -224,7 +224,7 @@ def test_shell_tensor_s0_is_c0():
     s = Spectrum((2, 2), rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     grid = TorusGrid((6, 6))
     tensor = ShellTensor.from_grid(s, grid)
-    assert np.max(np.abs(tensor.query((0, 0)) - s.coefficient((0, 0)))) < 1e-13
+    assert np.max(np.abs(tensor.query((0, 0)) - s.coeffs[2, 2])) < 1e-13
 
 
 def test_shell_tensor_budget_guard(monkeypatch):
@@ -747,8 +747,8 @@ def test_restrict_zeroes_outside():
     rng = np.random.default_rng(16)
     s = Spectrum((3, 3), rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
     r = restrict(s, (1, 2))
-    assert r.coefficient((2, 0)) == 0
-    assert r.coefficient((1, 2)) == s.coefficient((1, 2))
+    assert r.coeffs[5, 3] == 0  # nu = (2, 0)
+    assert r.coeffs[4, 5] == s.coeffs[4, 5]  # nu = (1, 2)
 
 
 def test_grid_validation():

@@ -34,7 +34,7 @@ SMALL_IDENTITY = dict(
 
 def test_gen_single_mode():
     s = gen_test_function("single_mode", bandwidth=4, mode=(1, -2, 3))
-    assert s.coefficient((1, -2, 3)) == 1.0
+    assert s.coeffs[5, 2, 7] == 1.0  # nu = (1, -2, 3) on the bandwidth-4 box
     assert s.energy() == pytest.approx(1.0)
 
 
