@@ -150,9 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--nu", type=int, default=3)
     va.add_argument("--n", type=int, default=4)
     va.add_argument("--trials", type=int, default=100)
-    vi = _command(vf, "identities", lambda args: _cmd_suite(args, run_identity_suite, "identity"),
-                  "--seed --format --config", help="the exact-identity suite")
-    vi.add_argument("--trials", type=int, default=100)
+    _command(vf, "identities", lambda args: _cmd_suite(args, run_identity_suite, "identity"),
+             "--seed --format --config", help="the exact-identity suite")
 
     mxs = _command(sub, "maximal-suite", lambda args: _cmd_suite(args, run_maximal_suite, "maximal"),
                    suite, help="maximal-ratio suite with cap doubling")

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import DegenerateInputError, LacsumError
 from .lattice import Index, JkIndexSpace, check_index
 from .spectral import (
+    _ARRAY_BYTES,
     ShellTensor,
     Spectrum,
     TorusGrid,
@@ -110,6 +111,9 @@ def sweep_space(
     for prev, cur in zip(levels, levels[1:]):
         if any(c < p for p, c in zip(prev, cur)):
             raise LacsumError(f"cap schedule must be nondecreasing, got {levels}")
+    need = len(weights) * len(levels) * grid.npoints * 8  # the running maxima m2
+    if need > _ARRAY_BYTES:
+        raise LacsumError(f"sweep maxima would take {need} bytes (> {_ARRAY_BYTES})")
     plan = plan_prefix_blocks(
         spectrum, grid, JkIndexSpace(space.sample, space.families, levels[-1])
     )

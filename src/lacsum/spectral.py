@@ -12,9 +12,10 @@ Rectangular partial sums are served by two engines:
 * ``partial_sum`` restricts the coefficient box and synthesizes (FFT with a
   direct-evaluation fallback used as the test oracle);
 * ``ShellTensor`` groups coefficients into shells ``(|nu_1|, ..., |nu_N|)``
-  and stores their cumulative prefix sums per grid point (each axis's shells
-  summed while that axis is expanded), after which any box sum is a single
-  lookup. ``plan_prefix_blocks``/``iter_prefix_slabs``
+  and stores their cumulative prefix sums per grid point, after which any
+  box sum is a single lookup. It and the stream's cut stage share one
+  kernel, ``_shell_prefixes``, the running sum over one axis's shells.
+  ``plan_prefix_blocks``/``iter_prefix_slabs``
   stream the same prefix idea through memory-bounded slabs for sweeps over
   a ``JkIndexSpace`` of any shape: its lacunary axes are cut down to their
   clamped term values, every free axis past the second is cut down to its
@@ -224,7 +225,7 @@ def restrict(spectrum: Spectrum, box: Sequence[int]) -> Spectrum:
     return Spectrum(spectrum.bandwidth, out)
 
 
-def partial_sum(spectrum: Spectrum, n: Sequence[int], grid: TorusGrid, method: str = "fft") -> GridFunction:
+def partial_sum(spectrum: Spectrum, n: Sequence[int], grid: TorusGrid) -> GridFunction:
     """Rectangular partial sum ``S_n``: all modes with ``|nu_j| <= n_j``.
 
     Components beyond the bandwidth are clamped (the missing modes are zero),
@@ -233,7 +234,7 @@ def partial_sum(spectrum: Spectrum, n: Sequence[int], grid: TorusGrid, method: s
     clamped, moved = clamp_index(n, spectrum.bandwidth)
     if moved:
         log.info("partial-sum index %s clamped to bandwidth %s", tuple(n), clamped)
-    return synthesize(restrict(spectrum, clamped), grid, method=method)
+    return synthesize(restrict(spectrum, clamped), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,8 @@ def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
 # largest shell tensor ShellTensor.from_grid builds, in bytes (256 MiB)
 _SHELL_BYTES = 1 << 28
 # largest array an input may size, in bytes (256 MiB): a generated test
-# spectrum's coefficient box or a grid's complex samples; and numpy's limit
+# spectrum's coefficient box, a grid's complex samples or a sweep's running
+# maxima; and numpy's limit
 # on the number of array axes
 _ARRAY_BYTES = 1 << 28
 _MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
@@ -305,60 +307,36 @@ class ShellTensor:
     """Cumulative shell sums giving O(1) rectangular partial-sum queries.
 
     After an ``O(prod(2B_j + 1))`` pass per grid point, ``query(n)`` returns
-    ``S_n`` at every grid point by a single lookup. The build expands one
-    axis at a time into (shell, grid coordinate), summing its shells as it goes.
+    ``S_n`` at every grid point by a single lookup. The build pins every axis
+    at every shell with the cut stage's kernel (``_pin_axes``), so the tensor
+    is one ``(shells..., grid...)`` array and each box a contiguous block.
     """
 
-    def __init__(self, spectrum: Spectrum, prefix: np.ndarray, grid: TorusGrid):
+    def __init__(self, spectrum: Spectrum, prefix: np.ndarray):
         self.spectrum = spectrum
-        self.grid = grid
         self._prefix = _freeze(prefix)
 
     @classmethod
     def from_grid(cls, spectrum: Spectrum, grid: TorusGrid) -> "ShellTensor":
         if grid.dimension != spectrum.dimension:
             raise LacsumError("grid and spectrum dimension mismatch")
-        shells = int(np.prod([b + 1 for b in spectrum.bandwidth]))
-        need = shells * grid.npoints * 16
+        shape = tuple(b + 1 for b in spectrum.bandwidth) + grid.resolution
+        need = math.prod(shape) * 16
         if need > _SHELL_BYTES:
             raise LacsumError(f"shell tensor would take {need} bytes (> {_SHELL_BYTES})")
-        dim = spectrum.dimension
-        arr = spectrum.coeffs
-        # expand each coefficient axis into an adjacent (shell, coord) pair,
-        # one shell at a time into a preallocated output that holds each
-        # shell contiguously (adding the running sum of the shells before it),
-        # so no full-size temporary is ever live
-        for p, (b, L) in enumerate(zip(spectrum.bandwidth, grid.resolution)):
-            ep, en = _phase_pair_cached(b, L)
-            # nu first, then a length-1 slot where the grid coordinate goes
-            coef = np.expand_dims(np.moveaxis(arr, 2 * p, 0), 2 * p + 1)
-            phase_shape = (L,) + (1,) * (arr.ndim - 2 * p - 1)
-            shape = (b + 1,) + arr.shape[: 2 * p] + (L,) + arr.shape[2 * p + 1 :]
-            if p < dim - 1:
-                out = np.empty(shape, dtype=complex)
-            else:
-                # the tensor itself gets an anonymous mapping of its own:
-                # freeing a large malloc'd tensor raises glibc's dynamic mmap
-                # threshold, after which the next one lands on the brk heap,
-                # in pages that may or may not be resident already, so the
-                # process's peak memory would depend on unrelated heap layout.
-                # Private pages, and huge ones where the kernel offers them
-                # (numpy asks the same for its large arrays), fault in
-                # cheaper than the shared pages mmap maps by default
-                nbytes = int(np.prod(shape)) * 16
-                buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-                if hasattr(mmap, "MADV_HUGEPAGE"):
-                    buf.madvise(mmap.MADV_HUGEPAGE)
-                out = np.frombuffer(buf, dtype=complex).reshape(shape)
-            for i, dest in enumerate(out):
-                np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=dest)
-                dest += coef[b - i] * en[i].reshape(phase_shape)
-                if i:
-                    dest += out[i - 1]
-            arr = np.moveaxis(out, 0, 2 * p)
-        # shells first, grid coordinates last: a view
-        arr = np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)))
-        return cls(spectrum, arr, grid)
+        # the tensor gets an anonymous mapping of its own: freeing a large
+        # malloc'd tensor raises glibc's dynamic mmap threshold, after which
+        # the next one lands on the brk heap, in pages that may or may not be
+        # resident already, so the process's peak memory would depend on
+        # unrelated heap layout. Private pages, and huge ones where the kernel
+        # offers them (numpy asks the same for its large arrays), fault in
+        # cheaper than the shared pages mmap maps by default
+        buf = mmap.mmap(-1, need, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        prefix = np.frombuffer(buf, dtype=complex).reshape(shape)
+        _pin_axes(spectrum, grid, range(grid.dimension), [range(b + 1) for b in spectrum.bandwidth], prefix)
+        return cls(spectrum, prefix)
 
     def _clamped(self, n: Sequence[int]) -> Index:
         clamped, _ = clamp_index(n, self.spectrum.bandwidth)
@@ -471,29 +449,56 @@ def plan_prefix_blocks(
 
 
 def _shell_prefixes(
-    arr: np.ndarray, axis: int, b: int, length: int, values: Sequence[int]
+    arr: np.ndarray, axis: int, b: int, length: int, values: Sequence[int], out: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
     """Yield the running sum over the shells ``|nu| = 0, 1, ...`` of axis
     ``axis`` of ``arr`` (size ``2b + 1``, becoming its grid coordinate) at
-    each of the increasing ``values``. Only one shell and the sum are live;
-    the next shell overwrites the yielded buffer.
+    each of the increasing ``values``; shell ``i`` is formed as
+    ``(c_{+i} e^{+i x} + c_{-i} e^{-i x}) + previous sum``.
+
+    Given ``out``, the sum at ``values[j]`` is formed in ``out[j]`` itself.
+    The shells no value keeps there go to two alternating spare buffers, so
+    a yielded spare is overwritten two shells later; besides them only one
+    shell's temporary is live.
     """
     ep, en = _phase_pair_cached(b, length)
     # nu first, then a length-1 slot where the grid coordinate goes
     coef = np.expand_dims(np.moveaxis(arr, axis, 0), axis + 1)
     phase_shape = (length,) + (1,) * (arr.ndim - axis - 1)
-    acc = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
-    shell, tmp = np.empty_like(acc), np.empty_like(acc)
+    tmp = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
+    kept = dict(zip(values, () if out is None else out))
+    spare = [np.empty_like(tmp) for _ in range(min(2, values[-1] + 1 - len(kept)))]
     for i in range(values[-1] + 1):
-        np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=shell)
+        dest = kept[i] if i in kept else spare[i % len(spare)]
+        np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=dest)
         np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
-        shell += tmp
+        dest += tmp
         if i:
-            acc += shell
-        else:
-            np.copyto(acc, shell)
+            dest += prev
+        prev = dest
         if i in values:
-            yield acc
+            yield dest
+
+
+def _pin_axes(
+    spectrum: Spectrum, grid: TorusGrid, perm: Sequence[int], values: Sequence, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pin the spectrum axes ``perm[:len(values)]`` at their ``values``:
+    returns ``(values..., their grid coordinates..., the other coefficient
+    axes in perm order)``, in ``out`` when given.
+
+    Each pinned axis in turn becomes a (value, grid coordinate) pair, its
+    running shell sums formed in place by ``_shell_prefixes``.
+    """
+    arr = np.transpose(spectrum.coeffs, perm)
+    for t, (axis, vals) in enumerate(zip(perm, values)):
+        length = grid.resolution[axis]
+        shape = arr.shape[:t] + (len(vals),) + arr.shape[t : 2 * t] + (length,) + arr.shape[2 * t + 1 :]
+        dest = out if out is not None and t == len(values) - 1 else np.empty(shape, dtype=complex)
+        for _ in _shell_prefixes(arr, 2 * t, spectrum.bandwidth[axis], length, vals, np.moveaxis(dest, t, 0)):
+            pass
+        arr = dest
+    return arr
 
 
 def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np.ndarray:
@@ -502,21 +507,10 @@ def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np
     the free coefficient axes in stream order (a phantom axis has length 1).
     With no cut axis only the two free axes remain.
 
-    Each leading cut axis in turn becomes a (cut value, grid coordinate)
-    pair: its running shell sum is copied out whenever it reaches a cut
-    value. The last cut axis is left to ``iter_prefix_slabs``, which runs
-    its shell sum once per leading combo, so only one combo's rows are live.
+    The last cut axis is left to ``iter_prefix_slabs``, which runs its shell
+    sum once per leading combo, so only one combo's rows are live.
     """
-    arr = np.transpose(spectrum.coeffs, plan.perm)
-    # arr is (cut values so far, their grid coordinates, coefficient axes left)
-    for t, (axis, values) in enumerate(zip(plan.cut_axes[:-1], plan.cut_values[:-1])):
-        b, length = spectrum.bandwidth[axis], grid.resolution[axis]
-        shape = arr.shape[:t] + (len(values),) + arr.shape[t : 2 * t] + (length,)
-        out = np.empty(shape + arr.shape[2 * t + 1 :], dtype=complex)
-        dest = np.moveaxis(out, t, 0)
-        for j, acc in enumerate(_shell_prefixes(arr, 2 * t, b, length, values)):
-            dest[j] = acc
-        arr = out
+    arr = _pin_axes(spectrum, grid, plan.perm, plan.cut_values[:-1])
     lead = arr.shape[: arr.ndim - len(plan.free_axes)]
     return arr.reshape(lead + tuple(2 * b + 1 for b in plan.free_limits))
 

@@ -407,9 +407,8 @@ def abel_max_deviation(
     return worst
 
 
-def run_identity_suite(config: ExperimentConfig) -> Report:
+def run_identity_suite(cfg: ExperimentConfig) -> Report:
     """Exact-identity checks; reports the maximal absolute deviation of each."""
-    cfg = config.filled(trials=1)
     tol = cfg.identity_tolerance
     checks: dict[str, dict] = {}
 

@@ -59,14 +59,14 @@ class WeylWeight:
 
     kind: str
     description: str
-    dimension: int | None
+    dimension: int
     monotone: bool
     fn: Callable[..., np.ndarray]
 
     def evaluate(self, nu: Sequence[int] | np.ndarray) -> float | np.ndarray:
         """The weight at frequency vectors stacked on the last axis of ``nu``."""
         arr = np.asarray(nu, dtype=int)
-        if arr.ndim == 0 or (self.dimension is not None and arr.shape[-1] != self.dimension):
+        if arr.ndim == 0 or arr.shape[-1] != self.dimension:
             raise LacsumError(
                 f"weight {self.kind} expects vectors of length {self.dimension}, got shape {arr.shape}"
             )
@@ -139,7 +139,7 @@ def full_product_weight(dimension: int) -> WeylWeight:
     )
 
 
-def unit_weight(dimension: int | None = None) -> WeylWeight:
+def unit_weight(dimension: int) -> WeylWeight:
     def fn(*nu: np.ndarray) -> np.ndarray:
         return _log_product(nu, ())
 
@@ -194,9 +194,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[tuple(slice(0, 1) if st == 0 else slice(None) for st in values.strides)]
 
 
-def check_weyl_conditions(
-    weight: WeylWeight, box: int, dimension: int | None = None
-) -> WeylConditionReport:
+def check_weyl_conditions(weight: WeylWeight, box: int) -> WeylConditionReport:
     """Exhaustively check positivity, evenness and monotonicity on ``|nu_j| <= box``.
 
     Positivity and monotonicity are scanned on the nonnegative orthant (where
@@ -218,9 +216,7 @@ def check_weyl_conditions(
     violation repeats along a cut axis, so its first copy has coordinate 0
     there, which is where ``np.argwhere`` puts it.
     """
-    dim = dimension if dimension is not None else weight.dimension
-    if dim is None:
-        raise LacsumError("dimension needed to check a dimension-agnostic weight")
+    dim = weight.dimension
     if box < 1:
         raise LacsumError("box must be >= 1")
 

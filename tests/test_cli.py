@@ -130,7 +130,7 @@ def test_verify_identities(tmp_path, capsys):
     assert run(["verify", "identities", "--config", str(cfgfile), "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert doc["config"]["trials"] == 100  # the --trials default reaches the echo
+    assert doc["config"]["trials"] is None  # the identity suite has no trials
 
 
 def test_converge_command(tmp_path):
@@ -501,6 +501,25 @@ def test_memory_error_is_an_input_error(exc, message, tmp_path, monkeypatch, cap
     assert err == f"error: {message}\n"
 
 
+def test_sweep_maxima_budget_guard(tmp_path, monkeypatch, capsys):
+    # the running maxima take 2 weights x levels x 8*12*12 grid points x 8
+    # bytes: two cap levels fit a two-level budget, a third is refused before
+    # the sweep allocates anything
+    import lacsum.maximal
+
+    monkeypatch.setattr(lacsum.maximal, "_ARRAY_BYTES", 2 * 2 * 8 * 12 * 12 * 8)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("lambda_count = 3\nbandwidth = 2,3,3\ngrid = 8,12,12\ntrials = 1\nalpha_points = 3\n")
+    argv = ["maximal-suite", "--config", str(cfg), "--out", str(tmp_path / "r.json"), "--cap-schedule"]
+    assert run(argv + ["1", "2"]) in (0, 1)  # swept, whatever the verdict
+    (tmp_path / "r.json").unlink()
+    capsys.readouterr()
+    assert run(argv + ["1", "2", "3"]) == 2
+    assert not (tmp_path / "r.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep maxima would take") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(tmp_path):
     # unknown config key -> config error -> exit 2
     other = tmp_path / "unknown.cfg"
@@ -694,7 +713,7 @@ _SUITE_KEYS = ["seed", "dimension", "jk", "q", "lambda_count", "bandwidth", "gri
 _FUZZ_KEYS = {
     "converge": _SUITE_KEYS,
     "maximal-suite": _SUITE_KEYS,
-    "verify identities": ["seed", "trials", "abel_trials", "abel_max_n", "telescope_cases",
+    "verify identities": ["seed", "abel_trials", "abel_max_n", "telescope_cases",
                           "block_ratios", "block_bandwidth", "vanishing_box",
                           "identity_tolerance", "perturb"],
     "gen": ["seed", "bandwidth", "dimension", "q", "family", "beta", "eps", "mode", "jk",

@@ -23,6 +23,7 @@ from lacsum import (
 )
 from lacsum.spectral import (
     _phase_pair_cached,
+    _shell_prefixes,
     iter_prefix_slabs,
     plan_prefix_blocks,
 )
@@ -214,7 +215,7 @@ def test_shell_tensor_exhaustive_box():
     tensor = ShellTensor.from_grid(s, grid)
     worst = 0.0
     for n in np.ndindex(5, 5, 5):
-        direct = partial_sum(s, n, grid, method="direct").values
+        direct = synthesize(restrict(s, n), grid, method="direct").values
         worst = max(worst, float(np.max(np.abs(tensor.query(n) - direct))))
     assert worst < 1e-10
 
@@ -284,6 +285,7 @@ def test_shell_tensor_matches_whole_array_build(bw, res):
     assert np.array_equal(tensor.partial_sums(boxes), reference[tuple(np.transpose(boxes))])
     for n in boxes:
         assert np.array_equal(tensor.query(n), reference[n])
+        assert tensor.query(n).flags.c_contiguous
 
 
 def test_shell_tensor_build_memory():
@@ -308,6 +310,29 @@ def test_shell_tensor_build_memory():
     while isinstance(base, np.ndarray):
         base = base.base
     assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap), base
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0, 1, 2, 3, 4, 5),  # dense: every shell lands in out, no spare buffer
+        (2, 5),  # a first value above 0; shells 0, 1 and 3, 4 alternate two spares
+        (1, 2),  # one spare, for shell 0
+    ],
+)
+def test_shell_prefixes_in_place_matches_yields(values, axis):
+    # the sums formed in out are the bits the kernel yields without it, and
+    # both are the whole-array cumulative sum at the kept shells
+    rng = np.random.default_rng(23)
+    arr = rng.standard_normal((11, 3, 11)) + 1j * rng.standard_normal((11, 3, 11))
+    yields = np.stack([acc.copy() for acc in _shell_prefixes(arr, axis, 5, 6, values)])
+    dense = np.cumsum(_shell_expand(arr, axis, *_phase_pair_cached(5, 6)), axis=axis)
+    assert np.array_equal(yields, np.moveaxis(dense, axis, 0)[list(values)])
+    out = np.full(yields.shape, np.nan, dtype=complex)
+    for j, acc in enumerate(_shell_prefixes(arr, axis, 5, 6, values, out)):
+        assert np.shares_memory(acc, out[j])
+    assert np.array_equal(out, yields)
 
 
 def test_prefix_slabs_match_partial_sums(monkeypatch):
@@ -339,7 +364,7 @@ def test_prefix_slabs_match_partial_sums(monkeypatch):
                 for i, ma in enumerate(range(ma0, ma0 + slab.shape[0])):
                     n[plan.free_axes[0]] = ma
                     if tuple(n) not in directs:
-                        direct = partial_sum(s, n, grid, method="direct").values
+                        direct = synthesize(restrict(s, n), grid, method="direct").values
                         directs[tuple(n)] = np.transpose(direct, plan.perm).reshape(
                             (plan.lac_size, la, lb)
                         )
@@ -371,7 +396,7 @@ def test_prefix_slabs_one_free_axis():
             x1, x2 = lac // 4, lac % 4
             cut0, cut1 = ((1, 2)[i] for i in divmod(combo, 2))
             for ma in range(4):
-                direct = partial_sum(s, (cut0, cut1, ma), grid, method="direct").values
+                direct = synthesize(restrict(s, (cut0, cut1, ma)), grid, method="direct").values
                 worst = max(worst, float(np.max(np.abs(prefix[ma, :, 0] - direct[x1, x2]))))
     assert seen == set(range(64))
     assert worst < 1e-10
@@ -410,7 +435,7 @@ def test_prefix_slabs_start_at_min_term(bw, res, cut_axes, cut_values, min_term,
             n[plan.free_axes[1]] = mb
         for i in range(ba + 1 - sa):
             n[plan.free_axes[0]] = sa + i
-            direct = partial_sum(s, n, grid, method="direct").values
+            direct = synthesize(restrict(s, n), grid, method="direct").values
             direct = np.transpose(direct, plan.perm).reshape((plan.lac_size, la, lb))
             for r, prefix in enumerate(np.moveaxis(slab, 1, 0)):
                 seen.add((row + r, mb))
