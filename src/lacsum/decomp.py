@@ -69,10 +69,10 @@ def apply_pair_weight(spectrum: Spectrum, free_axes: Sequence[int]) -> Spectrum:
     return Spectrum(spectrum.bandwidth, spectrum.coeffs * _pair_weight_table(spectrum, free_axes))
 
 
-def _sum_engine(spectrum: Spectrum, grid: TorusGrid):
-    """Partial-sum lookups: shell tensor when affordable, FFT calls otherwise."""
+def _sum_engine(spectrum: Spectrum, grid: TorusGrid, shells: Sequence | None = None):
+    """Partial-sum lookups: shell tensor on ``shells`` when affordable, FFT calls otherwise."""
     try:
-        tensor = ShellTensor.from_grid(spectrum, grid)
+        tensor = ShellTensor.from_grid(spectrum, grid, shells)
     except LacsumError:
         def many(rows):
             return np.stack([partial_sum(spectrum, r, grid).values for r in rows])
@@ -119,9 +119,10 @@ def decompose_free_pair(
     through the independent FFT path. ``engine='closed'`` uses the collapsed
     single-sum forms; ``engine='bilinear'`` evaluates the raw double Abel
     expansion (identical values, quadratically more partial sums). Every
-    partial sum a term needs lies inside the clamped ``index`` box, so the
-    shell tensor covers only that box; its shells and prefix sums there are
-    bit-identical to those of the full spectrum's tensor.
+    partial sum a term needs lies in the clamped ``index`` box, at the box
+    shell on each non-free axis; the shell tensor holds only those shells and,
+    on the free pair, the diagonal cut ``min(t, box)`` for ``t < n0`` and the
+    box shell (every shell for ``'bilinear'``), bit-identical to the full tensor.
     """
     if g_spectrum.dimension < 3:
         raise LacsumError("decomposition needs dimension >= 3")
@@ -134,7 +135,9 @@ def decompose_free_pair(
 
     box, _ = clamp_index(idx, g_spectrum.bandwidth)
     central = tuple(slice(bw - v, bw + v + 1) for v, bw in zip(box, g_spectrum.bandwidth))
-    lookup_many, lookup_one = _sum_engine(Spectrum(box, g_spectrum.coeffs[central]), grid)
+    reach = {p: box[p] if engine == "bilinear" else min(n0, box[p]) for p in (a, b)}
+    shells = [[*range(reach.get(p, 0)), v] for p, v in enumerate(box)]
+    lookup_many, lookup_one = _sum_engine(Spectrum(box, g_spectrum.coeffs[central]), grid, shells)
 
     def sums_at(pairs: list[tuple[int, int]]) -> np.ndarray:
         rows = []

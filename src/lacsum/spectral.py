@@ -145,10 +145,15 @@ def _sign_profile(b: int) -> np.ndarray:
     return np.where(nus % 2 == 0, 1.0, -1.0)
 
 
-def _axis_matrix(b: int, coords: np.ndarray, conj: bool = False) -> np.ndarray:
+def _axis_matrix(b: int, coords: np.ndarray) -> np.ndarray:
     nus = np.arange(-b, b + 1)
-    sign = -1.0 if conj else 1.0
-    return np.exp(sign * 1j * np.outer(coords, nus))  # (L, 2b+1)
+    return np.exp(1j * np.outer(coords, nus))  # (L, 2b+1)
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_matrix_cached(b: int, length: int) -> np.ndarray:
+    # the direct oracle's own table, apart from the shell engine's phases
+    return _freeze(_axis_matrix(b, TorusGrid((length,)).axis_coords(0)))
 
 
 def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -168,7 +173,7 @@ def synthesize(spectrum: Spectrum, grid: TorusGrid, method: str = "fft") -> Grid
     if method == "direct":
         vals = spectrum.coeffs
         for p in range(spectrum.dimension):
-            vals = _apply_axis(vals, _axis_matrix(spectrum.bandwidth[p], grid.axis_coords(p)), p)
+            vals = _apply_axis(vals, _axis_matrix_cached(spectrum.bandwidth[p], grid.resolution[p]), p)
         return GridFunction(grid, vals)
     if method != "fft":
         raise LacsumError(f"unknown synthesis method {method!r}")
@@ -307,20 +312,28 @@ class ShellTensor:
     """Cumulative shell sums giving O(1) rectangular partial-sum queries.
 
     After an ``O(prod(2B_j + 1))`` pass per grid point, ``query(n)`` returns
-    ``S_n`` at every grid point by a single lookup. The build pins every axis
-    at every shell with the cut stage's kernel (``_pin_axes``), so the tensor
-    is one ``(shells..., grid...)`` array and each box a contiguous block.
+    ``S_n`` at every grid point by a single lookup. The build pins each axis
+    at the shells it is given (every shell by default) with the cut stage's
+    kernel (``_pin_axes``), so the tensor is one ``(shells..., grid...)``
+    array and each box a contiguous block. A kept shell goes through the same
+    running sum whichever others are kept, so its bits do not depend on them;
+    a lookup whose clamped index falls on a shell not kept raises.
     """
 
-    def __init__(self, spectrum: Spectrum, prefix: np.ndarray):
+    def __init__(self, spectrum: Spectrum, prefix: np.ndarray, shells: Sequence[Sequence[int]]):
         self.spectrum = spectrum
         self._prefix = _freeze(prefix)
+        self._position = [{v: i for i, v in enumerate(kept)} for kept in shells]  # per axis, shell -> slot
 
     @classmethod
-    def from_grid(cls, spectrum: Spectrum, grid: TorusGrid) -> "ShellTensor":
+    def from_grid(cls, spectrum: Spectrum, grid: TorusGrid, shells: Sequence | None = None) -> "ShellTensor":
         if grid.dimension != spectrum.dimension:
             raise LacsumError("grid and spectrum dimension mismatch")
-        shape = tuple(b + 1 for b in spectrum.bandwidth) + grid.resolution
+        shells = [list(range(b + 1)) for b in spectrum.bandwidth] if shells is None else [list(s) for s in shells]
+        if len(shells) != grid.dimension or any(not s or s != sorted(set(s)) or not 0 <= s[0] <= s[-1] <= b
+                                                for s, b in zip(shells, spectrum.bandwidth)):
+            raise LacsumError(f"shells must be increasing lists within each bandwidth, got {shells}")
+        shape = tuple(len(s) for s in shells) + grid.resolution
         need = math.prod(shape) * 16
         if need > _SHELL_BYTES:
             raise LacsumError(f"shell tensor would take {need} bytes (> {_SHELL_BYTES})")
@@ -335,20 +348,23 @@ class ShellTensor:
         if hasattr(mmap, "MADV_HUGEPAGE"):
             buf.madvise(mmap.MADV_HUGEPAGE)
         prefix = np.frombuffer(buf, dtype=complex).reshape(shape)
-        _pin_axes(spectrum, grid, range(grid.dimension), [range(b + 1) for b in spectrum.bandwidth], prefix)
-        return cls(spectrum, prefix)
+        _pin_axes(spectrum, grid, range(grid.dimension), shells, prefix)
+        return cls(spectrum, prefix, shells)
 
-    def _clamped(self, n: Sequence[int]) -> Index:
+    def _positions(self, n: Sequence[int]) -> Index:
         clamped, _ = clamp_index(n, self.spectrum.bandwidth)
-        return clamped
+        try:
+            return tuple(p[v] for p, v in zip(self._position, clamped))
+        except KeyError:
+            raise LacsumError(f"shell tensor holds no shell for index {clamped}") from None
 
     def query(self, n: Sequence[int]) -> np.ndarray:
         """Partial sum ``S_n`` at every grid point."""
-        return self._prefix[self._clamped(n)]
+        return self._prefix[self._positions(n)]
 
     def partial_sums(self, indices: Sequence[Sequence[int]]) -> np.ndarray:
         """Stack of partial sums for many indices, shape ``(K, *grid)``."""
-        idx = np.asarray([self._clamped(n) for n in indices])
+        idx = np.asarray([self._positions(n) for n in indices])
         return self._prefix[tuple(idx[:, p] for p in range(self.spectrum.dimension))]
 
 # ---------------------------------------------------------------------------

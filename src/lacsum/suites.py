@@ -388,6 +388,11 @@ def _suite_layout(cfg: ExperimentConfig) -> tuple[SampleJk, tuple[int, ...], Tor
 # identity suite
 
 
+# largest regime work of one Abel check, regime vectors x hypersequence cells:
+# order 8 at n = 2 (9^8) takes about 8 s on a 2-core Xeon, and each order adds 9x
+_ABEL_WORK = 10**8
+
+
 def abel_max_deviation(
     rng: np.random.Generator, trials: int, max_n: int, nu: int | None = None
 ) -> float:
@@ -395,8 +400,14 @@ def abel_max_deviation(
 
     Each trial draws an order (``nu`` if given, else 1 to 3), a size
     ``2 <= n_j <= max_n`` per axis, a standard-normal hypersequence of shape
-    ``n + 1`` and weights uniform on ``[0.1, 2)``.
+    ``n + 1`` and weights uniform on ``[0.1, 2)``. The largest order and size
+    must fit the array budget and the regime work budget before any draw.
     """
+    top = 3 if nu is None else nu
+    cells = (max_n + 1) ** top
+    if cells * 8 > _ARRAY_BYTES or 3**top * cells > _ABEL_WORK:
+        raise LacsumError(f"abel check of order {top} up to n = {max_n} is over budget "
+                          f"({cells} cells x {3**top} regimes, at most {_ABEL_WORK})")
     worst = 0.0
     for _ in range(trials):
         order = int(rng.integers(1, 4)) if nu is None else nu

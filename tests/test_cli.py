@@ -122,6 +122,20 @@ def test_verify_abel(capsys):
     assert doc["trials"] == 25
 
 
+
+@pytest.mark.parametrize("nu", [40, 14])
+def test_verify_abel_over_budget_exits_2_before_any_work(nu, capsys):
+    # order 40 at n = 2 sizes a hypersequence past the array budget; order
+    # 14 fits it, but its 3^14 regime passes over 3^14 cells would run for
+    # minutes
+    import time
+
+    t0 = time.perf_counter()
+    assert run(["verify", "abel", "--nu", str(nu), "--n", "2", "--trials", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_verify_identities(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(
@@ -422,6 +436,7 @@ _DEEP = "[" * 200000 + "]" * 200000
         ["converge", "--trials", "1", "--seed", "-1"],
         ["maximal-suite", "--trials", "1", "--config", "seed = -1"],
         ["verify", "identities", "--config", "abel_max_n = 1"],
+        ["verify", "identities", "--config", "abel_max_n = 100000"],
         ["verify", "identities", "--config", "block_bandwidth = -2"],
         ["verify", "identities", "--config", "vanishing_box = -1"],
         ["verify", "identities", "--config", "shell_spectra = -1"],

@@ -111,6 +111,34 @@ def test_decompose_general_free_pair_position():
     assert res.max_error < 1e-10
 
 
+
+@pytest.mark.parametrize(
+    "engine, index, free_axes, expected",
+    [
+        # box (3, 4, 2), n0 = 2: one shell on axis 1, the cut and the box on 2, 3
+        ("closed", (6, 4, 2), (2, 3), [[3], [0, 1, 4], [0, 1, 2]]),
+        # box (3, 2, 3), n0 = 3: the cut reaches the box on both free axes
+        ("closed", (5, 2, 3), (1, 3), [[0, 1, 2, 3], [2], [0, 1, 2, 3]]),
+        ("closed", (2, 0, 4), (2, 3), [[2], [0], [4]]),
+        ("bilinear", (6, 4, 2), (2, 3), [[3], [0, 1, 2, 3, 4], [0, 1, 2]]),
+    ],
+)
+def test_decomposition_builds_only_the_shells_it_looks_up(monkeypatch, engine, index, free_axes, expected):
+    # every partial sum a term reads keeps the non-free axis at its box
+    # value, so the tensor holds one shell there
+    asked = []
+    build = ShellTensor.__dict__["from_grid"].__func__
+
+    def spy(cls, spectrum, grid, shells=None):
+        asked.append([list(s) for s in shells])
+        return build(cls, spectrum, grid, shells)
+
+    monkeypatch.setattr(ShellTensor, "from_grid", classmethod(spy))
+    g = random_spectrum(np.random.default_rng(8), (3, 4, 5))
+    res = decompose_free_pair(g, index, free_axes, GRID, engine=engine)
+    assert asked == [expected]
+    assert res.max_error < 1e-10
+
 def test_decompose_dimension_guard():
     with pytest.raises(LacsumError):
         decompose_free_pair(zero_spectrum((3, 3)), (1, 1), (1, 2), TorusGrid((8, 8)))

@@ -238,6 +238,38 @@ def test_shell_tensor_budget_guard(monkeypatch):
         ShellTensor.from_grid(s, grid)
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_shell_subset_tensor_matches_full_tensor(data, seed):
+    # a tensor on some shells per axis looks up the full tensor's bits at
+    # every index whose clamped shells it holds, past the bandwidth too, and
+    # refuses every other index
+    dim = data.draw(st.integers(1, 3))
+    bw = data.draw(st.tuples(*[st.integers(0, 3)] * dim))
+    grid = TorusGrid(data.draw(st.tuples(*[st.sampled_from([2, 4, 6])] * dim)))
+    shells = [sorted(data.draw(st.sets(st.integers(0, b), min_size=1))) for b in bw]
+    s = random_spectrum(np.random.default_rng(seed), bw)
+    part, full = ShellTensor.from_grid(s, grid, shells), ShellTensor.from_grid(s, grid)
+    held = []
+    for n in np.ndindex(*(b + 2 for b in bw)):
+        if all(min(v, b) in kept for v, b, kept in zip(n, bw, shells)):
+            held.append(n)
+            assert part.query(n).tobytes() == full.query(n).tobytes(), (bw, shells, n)
+        else:
+            with pytest.raises(LacsumError):
+                part.query(n)
+            with pytest.raises(LacsumError):
+                part.partial_sums([held[-1], n] if held else [n])
+    assert part.partial_sums(held).tobytes() == full.partial_sums(held).tobytes()
+
+
+@pytest.mark.parametrize("shells", [[[0, 1]], [[0], [0], [0]], [[], [0]], [[1, 0], [0]], [[0, 0], [0]],
+                                    [[0], [3]], [[-1], [0]]])
+def test_shell_tensor_rejects_bad_shell_lists(shells):
+    with pytest.raises(LacsumError):
+        ShellTensor.from_grid(zero_spectrum((2, 2)), TorusGrid((4, 4)), shells)
+
 def _shell_expand(arr, axis, ep, en):
     """Turn coefficient axis ``axis`` (size 2b+1) into a (shell, grid) pair,
     the whole array at once: the pipeline the shell-at-a-time tensor build

@@ -149,20 +149,22 @@ def test_shell_oracle_box_slice_is_bit_identical(n, seed, zeros):
 
 def test_identity_suite_catches_a_shell_short_engine(monkeypatch):
     # a tensor whose box lookup stops one shell short on its first nonzero
-    # axis must fail the shell oracle, and so the suite
+    # axis must fail the shell oracle, and so the suite. Only the oracle's
+    # tensors are short: a decomposition's tensor holds no shell below its
+    # box on the non-free axis, so a short lookup there would raise instead
+    import lacsum.suites
     from lacsum.spectral import ShellTensor
 
-    query = ShellTensor.query
+    class ShortTensor(ShellTensor):
+        def query(self, n):
+            n = list(n)
+            for p, v in enumerate(n):
+                if v > 0:
+                    n[p] -= 1
+                    break
+            return super().query(n)
 
-    def short(self, n):
-        n = list(n)
-        for p, v in enumerate(n):
-            if v > 0:
-                n[p] -= 1
-                break
-        return query(self, n)
-
-    monkeypatch.setattr(ShellTensor, "query", short)
+    monkeypatch.setattr(lacsum.suites, "ShellTensor", ShortTensor)
     rep = run_identity_suite(ExperimentConfig(seed=3, **SMALL_IDENTITY))
     assert rep.results["checks"]["shell_vs_direct"]["max_deviation"] > rep.summary["tolerance"]
     assert not rep.passed
