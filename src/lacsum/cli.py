@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     mxs.add_argument("--weight", default=None)
 
     rp = _command(sub, "report", _cmd_report, "--format",
-                  help="re-emit a JSON report (optionally as CSV)")
+                  help="re-emit a lacsum.report/1 document (optionally as CSV)")
     rp.add_argument("--in", dest="infile", required=True)
 
     return parser
@@ -296,8 +296,8 @@ def _cmd_suite(args, runner, suite) -> int:
 
 def _cmd_report(args) -> int:
     doc = load_json(args.infile)
+    names, rows = report_rows(doc)  # a document that is not a report is an input error
     if args.fmt == "csv":
-        names, rows = report_rows(doc)
         if not args.out:
             raise LacsumError("--out required for CSV output")
         save_csv(names, rows, args.out)

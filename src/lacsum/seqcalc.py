@@ -13,7 +13,6 @@ telescoping of rectangular partial sums along free axes, anchored at
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,32 +63,22 @@ def _second_diff_vector(values: np.ndarray, upto: int) -> np.ndarray:
     return v[:-2] - 2 * v[1:-1] + v[2:]
 
 
-def _iterated_scaled(a: np.ndarray, regimes: Sequence[int], values: np.ndarray, kappa: Index) -> float:
-    """Iterated prefix sum with regime-2 axes left unnormalized.
-
-    Regime 0 is a single prefix sum, regime 1 a double one, regime 2 a double
-    prefix sum averaged against the second differences of the weight; the
-    regime-2 normalization ``1/D2 b_kappa`` is deliberately not applied here
-    so the identity's right side never divides (the outer factor cancels it).
-    """
-    arr = np.asarray(a, dtype=float)
-    for axis, (r, k) in enumerate(zip(regimes, kappa)):
-        if k >= arr.shape[axis]:
-            raise LacsumError(
-                f"evaluation point {k} beyond axis {axis} of length {arr.shape[axis]}"
-            )
-        arr = np.cumsum(arr, axis=axis)
-        if r >= 1:
-            arr = np.cumsum(arr, axis=axis)
-        if r == 2:
-            # entries past the evaluation point never reach arr[kappa]
-            d2 = np.zeros(arr.shape[axis])
-            d2[: k + 1] = _second_diff_vector(values, k)
-            shape = [1] * arr.ndim
-            shape[axis] = arr.shape[axis]
-            arr = arr * d2.reshape(shape)
-            arr = np.cumsum(arr, axis=axis)
-    return float(arr[tuple(kappa)])
+def _scaled_pass(arr: np.ndarray, r: int, k: int, values: np.ndarray) -> np.ndarray:
+    """Regime ``r``'s prefix passes along the first axis of ``arr``, read at
+    its index ``k``: a single prefix sum, a double one, or (regime 2) a double
+    one averaged against the weight's second differences, left unnormalized
+    so the identity's right side never divides. Each fiber is summed on its
+    own, so the bits do not depend on whether other axes were cut already."""
+    if k >= arr.shape[0]:
+        raise LacsumError(f"evaluation point {k} beyond an axis of length {arr.shape[0]}")
+    arr = np.cumsum(arr, axis=0)
+    if r >= 1:
+        arr = np.cumsum(arr, axis=0)
+    if r == 2:
+        # entries past the evaluation point never reach arr[k]
+        d2 = _second_diff_vector(values, k).reshape((k + 1,) + (1,) * (arr.ndim - 1))
+        arr = np.cumsum(arr[: k + 1] * d2, axis=0)
+    return arr[k]
 
 
 @dataclass(frozen=True)
@@ -128,17 +117,17 @@ def abel_identity_check(a: np.ndarray, b, n: Sequence[int]) -> AbelCheck:
         boxed *= values[: k + 1].reshape(shape)
     lhs = float(boxed.sum())
 
-    rhs = 0.0
-    for regs in itertools.product(REGIMES, repeat=nu):
-        kappa = tuple(k - r for k, r in zip(idx, regs))
-        coef = 1.0
-        for r, k in zip(regs, idx):
-            if r == 0:
-                coef *= difference(values, 0, k)
-            elif r == 1:
-                coef *= difference(values, 1, k - 1)
-            # regime 2 factor D2 b_{k-2} is already carried by the scaled sum
-        rhs += coef * _iterated_scaled(arr, regs, values, kappa)
+    # regime vectors in itertools.product order, depth first: an axis's passes
+    # run once per prefix of leading regimes. Regime 2's D2 b_{k-2} is in its pass.
+    def walk(part: np.ndarray, axis: int, coef: float, rhs: float) -> float:
+        if axis == nu:
+            return rhs + coef * float(part)
+        k = idx[axis]
+        for r, c in zip(REGIMES, (difference(values, 0, k), difference(values, 1, k - 1), 1.0)):
+            rhs = walk(_scaled_pass(part, r, k - r, values), axis + 1, coef * c, rhs)
+        return rhs
+
+    rhs = walk(arr, 0, 1.0, 0.0)
     return AbelCheck(lhs=lhs, rhs=rhs, difference=abs(lhs - rhs))
 
 

@@ -5,6 +5,10 @@ coefficients flattened row-major from -B to +B as ``[re, im]`` pairs; grid
 functions carry grid metadata the same way. All writers are deterministic:
 keys are sorted, no timestamps are embedded, and floats go through the
 default repr round trip.
+
+``dumps`` writes ``json.dumps(jsonify(doc), sort_keys=True, indent=2) + "\n"``
+byte for byte: one stdlib C-encoder call formats each nonempty numeric array
+in bulk, and each array-free part goes to the stdlib encoder whole.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ def jsonify(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
+        return jsonify(obj.tolist())  # a 0-d array's tolist() is its scalar
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):
@@ -39,9 +43,9 @@ def jsonify(obj: Any) -> Any:
     return obj
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
-    flat = values.reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """The ``(M, 2)`` float view of the C-ordered values: one ``[re, im]`` row each."""
+    return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
 
 
 def _unpairs(pairs, shape) -> np.ndarray:
@@ -92,9 +96,51 @@ def gridfunction_to_dict(f: GridFunction) -> dict:
     }
 
 
-def dumps(doc: dict) -> str:
+class _Text(str):
+    """The indented JSON text, at depth 0, of a part that holds a bulk array."""
+
+
+def _array_text(arr: np.ndarray) -> str:
+    """One C-encoder call for the scalars, then each axis joined from the innermost."""
+    if arr.dtype.kind == "c":
+        arr = np.stack((arr.real, arr.imag), axis=-1)
+    items = json.dumps(arr.ravel().tolist())[1:-1].split(", ")
+    for axis in reversed(range(arr.ndim)):
+        inner = "\n" + "  " * (axis + 1)
+        sep, close, n = "," + inner, inner[:-2] + "]", arr.shape[axis]
+        items = ["[" + inner + sep.join(items[i : i + n]) + close for i in range(0, len(items), n)]
+    return items[0]
+
+
+def _encode(obj: Any) -> Any:
+    """``jsonify(obj)`` if no nonempty numeric array sits in it, else its ``_Text``."""
+    if type(obj) in (str, float, int, bool, type(None)):  # exact: numpy scalars subclass float
+        return obj
+    if isinstance(obj, dict):
+        items = {str(k): _encode(v) for k, v in obj.items()}
+        if _Text not in map(type, items.values()):
+            return items
+        parts = [f"{json.dumps(k)}: {_text(v, '  ')}" for k, v in sorted(items.items())]
+        return _Text("{\n  " + ",\n  ".join(parts) + "\n}")
+    if isinstance(obj, (list, tuple)):
+        items = [_encode(v) for v in obj]
+        if _Text not in map(type, items):
+            return items
+        return _Text("[\n  " + ",\n  ".join(_text(v, "  ") for v in items) + "\n]")
+    if type(obj) is np.ndarray and obj.size and obj.dtype.kind in "biufc":
+        return _Text(_array_text(obj))  # a subclass (masked, matrix) keeps its own tolist()
+    return jsonify(obj)
+
+
+def _text(value: Any, pad: str = "") -> str:
+    """``value``'s indented text, ``pad`` after each newline (JSON strings escape theirs)."""
+    text = value if isinstance(value, _Text) else json.dumps(value, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + pad) if pad else text
+
+
+def dumps(doc: Any) -> str:
     try:
-        return json.dumps(jsonify(doc), sort_keys=True, indent=2) + "\n"
+        return _text(_encode(doc)) + "\n"
     except RecursionError as exc:
         raise LacsumError(f"document nests too deeply to write: {exc}") from exc
 

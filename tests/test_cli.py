@@ -220,8 +220,9 @@ def test_report_csv_matches_suite_csv(argv, config, count, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [[1, 2], "text", {"results": [1]}, {"results": {"cases": [1, 2]}},
-     {"results": {"checks": {"abel": 3}}}],
+    [[1, 2], "text", {"schema": "lacsum.report/1", "results": [1]},
+     {"schema": "lacsum.report/1", "results": {"cases": [1, 2]}},
+     {"schema": "lacsum.report/1", "results": {"checks": {"abel": 3}}}],
 )
 def test_report_csv_rejects_non_report_json(doc, tmp_path, capsys):
     # a non-object document, results or case row is an input error, not a crash
@@ -232,6 +233,50 @@ def test_report_csv_rejects_non_report_json(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+@pytest.mark.parametrize("which", ["spectrum", "maximal"])
+def test_report_takes_only_reports(which, fmt, tmp_path, capsys):
+    # a spectrum or a lacsum.maximal/1 document is not re-emitted: one error line, exit 2
+    spec, doc = tmp_path / "f.json", tmp_path / "m.json"
+    assert run(["gen", "--N", "3", "--B", "2", "--seed", "1", "--out", str(spec)]) == 0
+    assert run(["maximal", "--spec", str(spec), "--Jk", "1", "--grid", "8", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    src = spec if which == "spectrum" else doc
+    assert run(["report", "--in", str(src), *fmt, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a lacsum.report/1 document") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_report_reemits_a_report_byte_for_byte(tmp_path, capsys):
+    report, again = tmp_path / "r.json", tmp_path / "r2.json"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("abel_trials = 3\ntelescope_cases = 1\ndecompose_cases = 1\n"
+                   "shell_spectra = 1\nvanishing_box = 4\n")
+    assert run(["verify", "identities", "--config", str(cfg), "--out", str(report)]) == 0
+    assert run(["report", "--in", str(report), "--out", str(again)]) == 0
+    assert again.read_bytes() == report.read_bytes()
+    capsys.readouterr()
+
+
+def test_gen_and_partial_sum_bytes_are_pinned(tmp_path, capsys):
+    # the bulk array writer keeps the documents' bytes: digests of the
+    # stdlib's indented text of the same documents
+    import hashlib
+
+    spec, ps = tmp_path / "f.json", tmp_path / "p.json"
+    assert run(["gen", "--N", "3", "--B", "4", "--seed", "1", "--out", str(spec)]) == 0
+    assert run(["partial-sum", "--spec", str(spec), "--n", "2", "2", "2", "--grid", "8",
+                "--out", str(ps)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spec, ps)]
+    assert digests == ["8a8818c0a8b2cec0cfa8b93753a2b5fb65e0abb19d5b687f8f5a4e4adf6c69cf",
+                       "5203e3b5ec9d216cd68170bbebbd7cb0f274c8441962b6fcb2df0bceff5dc853"]
+    for p in (spec, ps):
+        assert p.read_text() == json.dumps(json.loads(p.read_text()), sort_keys=True, indent=2) + "\n"
+    capsys.readouterr()
 
 
 def test_partial_sum_fix_outside_grid_is_input_error(tmp_path, capsys):
@@ -785,6 +830,7 @@ def _spectrum_doc(draw):
 
 
 _REPORT_DOC = st.fixed_dictionaries({
+    "schema": st.sampled_from(["lacsum.report/1", "lacsum.report/1", "lacsum.maximal/1"]),
     "passed": st.booleans(),
     "results": st.one_of(
         _JSON,
