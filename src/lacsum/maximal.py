@@ -282,6 +282,12 @@ def level_set_measure(m: np.ndarray, alpha: float, grid: TorusGrid) -> float:
     return (2.0 * np.pi) ** grid.dimension * frac
 
 
+def weak_type_ratios(m: np.ndarray, alphas: np.ndarray, sigma: float, grid: TorusGrid) -> tuple:
+    """Level-set measures ``mu{|m| > alpha}`` at ``alphas`` and the ratios ``alpha^2 mu / sigma``."""
+    measures = np.asarray([level_set_measure(m, a, grid) for a in alphas])
+    return measures, alphas**2 * measures / sigma
+
+
 @dataclass(frozen=True)
 class WeakTypeTable:
     alphas: np.ndarray
@@ -319,11 +325,8 @@ def weak_type_table(
         if m_max <= 0:
             raise DegenerateInputError("maximal function vanishes; no level grid")
         alphas = np.geomspace(m_max / 1000.0, m_max, 25)
-    grid_alphas = np.asarray(alphas, dtype=float)
-    if np.any(grid_alphas <= 0):
-        raise LacsumError("alpha grid must be positive")
-    measures = np.asarray([level_set_measure(m, a, grid) for a in grid_alphas])
-    ratios = grid_alphas**2 * measures / sigma
+    grid_alphas = np.asarray(alphas, dtype=float)  # level_set_measure rejects an alpha <= 0
+    measures, ratios = weak_type_ratios(m, grid_alphas, sigma, grid)
     return WeakTypeTable(
         alphas=grid_alphas,
         measures=measures,

@@ -302,9 +302,9 @@ def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
 _SHELL_BYTES = 1 << 28
 # largest array an input may size, in bytes (256 MiB): a generated test
 # spectrum's coefficient box, a grid's complex samples or a sweep's running
-# maxima; and numpy's limit
-# on the number of array axes
+# maxima
 _ARRAY_BYTES = 1 << 28
+# numpy's limit on the number of array axes
 _MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 

@@ -4,7 +4,10 @@ Every suite consumes an ``ExperimentConfig``, draws per-trial RNG streams
 from ``(seed, trial)`` so concurrency or reordering can never change
 results, and produces a ``Report`` whose JSON form is byte-identical across
 runs with the same config and seed (no timestamps, sorted keys, fixed
-schema tag).
+schema tag). The convergence and maximal runners check their config before
+any trial (an unknown weight, or ``alpha_points`` x grid points over the
+level-set budget, is an input error), run one trial function per trial on
+plain, picklable arguments, and build their summaries from the trials' rows.
 
 Suites:
 
@@ -13,7 +16,8 @@ Suites:
   partition, off-diagonal vanishing) with their maximal deviations;
 * convergence: sup-grid error of lacunary partial sums at increasing
   minimum index levels against the coefficient-tail bound, which dominates
-  the error by the triangle inequality alone;
+  the error by the triangle inequality alone (a lacunary term clamped at a
+  bandwidth below a level stands for larger terms, which reach the level);
 * maximal: weighted maximal ratios under a doubling free-cap schedule, the
   stabilization quotient between the top two cap levels, and weak-type
   level tables.
@@ -32,7 +36,8 @@ import numpy as np
 from . import __version__
 from .errors import LacsumError
 from .lattice import JkIndexSpace, SampleJk, make_lacunary, make_lacunary_covering
-from .maximal import _squared_modulus, level_set_measure, sweep_space
+# level_set_measure is unused here, but perfbench/tracing.py patches it on this module too
+from .maximal import _squared_modulus, level_set_measure, sweep_space, weak_type_ratios  # noqa: F401
 from .seqcalc import abel_identity_check, telescope_split
 from .decomp import decompose_free_pair, min_log_inverse
 from .spectral import (
@@ -396,6 +401,7 @@ def _suite_layout(cfg: ExperimentConfig) -> tuple[SampleJk, tuple[int, ...], Tor
 # largest regime work of one Abel check, regime vectors x hypersequence cells:
 # order 8 at n = 2 (9^8) takes about 0.1 s on a 2-core Xeon (shared regime passes)
 _ABEL_WORK = 10**8
+_WEAK_TYPE_WORK = 10**9  # largest alpha points x grid points of one maximal-suite level set pass
 
 
 def abel_max_deviation(
@@ -588,6 +594,37 @@ def coefficient_tail(spectrum: Spectrum, level: int) -> float:
     return float(mags.sum() - mags[sl].sum())
 
 
+def _convergence_trial(cfg: ExperimentConfig, trial: int, bw: tuple[int, ...], grid: TorusGrid,
+                       space: JkIndexSpace, levels: tuple[int, ...]) -> list[dict]:
+    """The rows of one convergence trial, one per level."""
+    s = _trial_spectrum(cfg, trial, bw, space.sample)
+    originals, table = sup_error_table(s, grid, space, min_term=levels[0])
+    free_pos = space.sample.free_positions
+    cut_bw = [bw[p] for p in space.sample.lacunary_positions + free_pos[2:]]
+    # the table's streamed free axes (the first two) start at the lowest
+    # level, levels[0]; the cut ones are combo values above
+    tops = [min(cap, bw[p]) for cap, p in zip(space.free_caps, free_pos[:2])]
+    rows = []
+    for level in levels:
+        # the cut values reaching the level; one at its axis's bandwidth stands for
+        # every term clamped there, the family's top term among them, so none is empty
+        reach = [np.asarray(o) >= min(level, b) for o, b in zip(originals, cut_bw)]
+        box = tuple(slice(level - levels[0], t + 1 - levels[0]) for t in tops)
+        err = float(table[np.ix_(*reach) + box].max())
+        tail = coefficient_tail(s, level)
+        rows.append(
+            {
+                "trial": trial,
+                "level": level,
+                "sup_error": err,
+                "tail_bound": tail,
+                "within_tail": err <= tail + cfg.tail_slack,
+                "nonincreasing": not rows or err <= rows[-1]["sup_error"],
+            }
+        )
+    return rows
+
+
 def run_convergence_suite(config: ExperimentConfig) -> Report:
     """Sup-grid convergence surrogate along lacunary index paths.
 
@@ -627,63 +664,64 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
         raise LacsumError("free-axis bandwidth below the top level: no tail to measure")
     space = JkIndexSpace(sample, families, caps)
 
-    trial_rows = []
-    all_pass = True
-    worst_margin = -np.inf
-    for trial in range(cfg.trials):
-        s = _trial_spectrum(cfg, trial, bw, sample)
-        originals, table = sup_error_table(s, grid, space, min_term=levels[0])
-        flat = table.reshape((-1,) + table.shape[len(originals) :])
-        combo_shape = tuple(len(o) for o in originals)
-        prev = None
-        for level in levels:
-            eligible = [
-                ci
-                for ci, combo in enumerate(np.ndindex(*combo_shape))
-                if all(originals[t][c] >= level for t, c in enumerate(combo))
-            ]
-            if not eligible:
-                raise LacsumError(f"no lacunary terms reach level {level}")
-            # the table's streamed free axes (the first two) start at the
-            # lowest level, levels[0]; the cut ones are combo values above
-            streamed = table.ndim - len(originals)
-            tops = [min(cap, bw[p]) for cap, p in zip(caps, free_pos[:streamed])]
-            box = tuple(slice(level - levels[0], t + 1 - levels[0]) for t in tops)
-            err = max(float(flat[ci][box].max()) for ci in eligible)
-            tail = coefficient_tail(s, level)
-            ok = err <= tail + cfg.tail_slack
-            mono = prev is None or err <= prev
-            all_pass = all_pass and ok and mono
-            worst_margin = max(worst_margin, err - tail)
-            trial_rows.append(
-                {
-                    "trial": trial,
-                    "level": level,
-                    "sup_error": err,
-                    "tail_bound": tail,
-                    "within_tail": ok,
-                    "nonincreasing": mono,
-                }
-            )
-            prev = err
+    rows = [row for trial in range(cfg.trials)
+            for row in _convergence_trial(cfg, trial, bw, grid, space, levels)]
+    passed = all(row["within_tail"] and row["nonincreasing"] for row in rows)
     summary = {
         "trials": cfg.trials,
         "levels": list(levels),
-        "all_within_tail": bool(all_pass),
-        "worst_margin": None if cfg.trials == 0 else float(worst_margin),
+        "all_within_tail": passed,
+        "worst_margin": max((row["sup_error"] - row["tail_bound"] for row in rows), default=None),
         "no_cases": cfg.trials == 0,
     }
     return Report(
         suite="convergence",
         config=cfg.to_dict(),
-        results={"cases": trial_rows},
+        results={"cases": rows},
         summary=summary,
-        passed=bool(all_pass),
+        passed=passed,
     )
 
 
 # ---------------------------------------------------------------------------
 # maximal suite
+
+
+def _maximal_trial(cfg: ExperimentConfig, trial: int, bw: tuple[int, ...], grid: TorusGrid,
+                   space: JkIndexSpace, schedule: tuple[int, ...]) -> list[dict]:
+    """The rows of one maximal trial, one per cap level of ``schedule``."""
+    sample = space.sample
+    weights = [weight_from_kind(cfg.weight, sample), unit_weight(sample.dimension)]
+    s = _trial_spectrum(cfg, trial, bw, sample)
+    input_l2 = float(np.sqrt(s.energy()))
+    sigma = weighted_energy(s, product_weight(sample))
+    sigma_pair = weighted_energy(s, min_pair_weight(sample)) if len(space.free_caps) == 2 else None
+    m_values = sweep_space(s, grid, space, weights, [(c,) * len(space.free_caps) for c in schedule])
+    m_top = float(m_values[1, -1].max())
+    alphas = (
+        np.geomspace(m_top / 1000.0, m_top, cfg.alpha_points) if m_top > 0 else None
+    )
+    ratios = [grid_l2(m_w) / input_l2 for m_w in m_values[0]]
+    monotone = all(b >= a for a, b in zip(ratios, ratios[1:]))
+    rows = []
+    for cap, ratio, m_u in zip(schedule, ratios, m_values[1]):
+        pair_ratio = None
+        if sigma_pair and sigma_pair > 0:
+            pair_ratio = grid_l2(m_u) ** 2 / sigma_pair
+        wt = 0.0
+        if alphas is not None and sigma > 0:
+            wt = float(weak_type_ratios(m_u, alphas, sigma, grid)[1].max())
+        rows.append(
+            {
+                "trial": trial,
+                "cap": cap,
+                "weighted_ratio": ratio,
+                "weak_type_max": wt,
+                "pair_energy_ratio": pair_ratio,
+                "monotone": monotone,
+            }
+        )
+    return rows
 
 
 def run_maximal_suite(config: ExperimentConfig) -> Report:
@@ -703,86 +741,34 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
     )
     sample, bw, grid, families = _suite_layout(cfg)
     cfg = cfg.filled(bandwidth=bw, grid=grid.resolution)  # the report echoes both
-    n = cfg.dimension
-    free_pos = sample.free_positions
     schedule = tuple(int(c) for c in cfg.cap_schedule)
     if len(schedule) < 2:
         raise LacsumError(f"cap schedule needs at least two levels, got {schedule}")
     if any(a > b for a, b in zip(schedule, schedule[1:])):
         raise LacsumError(f"cap schedule must be nondecreasing, got {schedule}")
-    levels = [(c,) * len(free_pos) for c in schedule]
-    space = JkIndexSpace(sample, families, levels[-1])
-    weight = weight_from_kind(cfg.weight, sample)
-    sigma_weight = product_weight(sample)
-    pair_weight = min_pair_weight(sample) if len(free_pos) == 2 else None
-    weights = [weight, unit_weight(n)]
+    if cfg.alpha_points * grid.npoints > _WEAK_TYPE_WORK:
+        raise LacsumError(f"alpha_points {cfg.alpha_points} x {grid.npoints} grid points > budget {_WEAK_TYPE_WORK}")
+    space = JkIndexSpace(sample, families, (schedule[-1],) * len(sample.free_positions))
+    weight_from_kind(cfg.weight, sample)  # an unknown weight fails before any trial
 
-    rows = []
-    quotients, wt_quotients = [], []
-    monotone_all = True
-    max_ratio = 0.0
-    for trial in range(cfg.trials):
-        s = _trial_spectrum(cfg, trial, bw, sample)
-        input_l2 = float(np.sqrt(s.energy()))
-        sigma = weighted_energy(s, sigma_weight)
-        sigma_pair = weighted_energy(s, pair_weight) if pair_weight is not None else None
-        m_values = sweep_space(s, grid, space, weights, levels)
-        ratios, wt_maxima, pair_ratios = [], [], []
-        top_unweighted = m_values[1, -1]
-        m_top = float(top_unweighted.max())
-        alphas = (
-            np.geomspace(m_top / 1000.0, m_top, cfg.alpha_points) if m_top > 0 else None
-        )
-        for li in range(len(levels)):
-            m_w = m_values[0, li]
-            m_u = m_values[1, li]
-            ratios.append(grid_l2(m_w) / input_l2)
-            if pair_weight is not None and sigma_pair and sigma_pair > 0:
-                pair_ratios.append(grid_l2(m_u) ** 2 / sigma_pair)
-            else:
-                pair_ratios.append(None)
-            if alphas is None or sigma <= 0:
-                wt_maxima.append(0.0)
-            else:
-                mus = np.asarray([level_set_measure(m_u, a, grid) for a in alphas])
-                wt_maxima.append(float((alphas**2 * mus / sigma).max()))
-        monotone = all(b >= a for a, b in zip(ratios, ratios[1:]))
-        monotone_all = monotone_all and monotone
-        max_ratio = max(max_ratio, ratios[-1])
-        if len(ratios) >= 2 and ratios[-2] > 0:
-            quotients.append(ratios[-1] / ratios[-2])
-        if len(wt_maxima) >= 2 and wt_maxima[-2] > 0:
-            wt_quotients.append(wt_maxima[-1] / wt_maxima[-2])
-        for cap, ratio, wt, pr in zip(schedule, ratios, wt_maxima, pair_ratios):
-            rows.append(
-                {
-                    "trial": trial,
-                    "cap": cap,
-                    "weighted_ratio": ratio,
-                    "weak_type_max": wt,
-                    "pair_energy_ratio": pr,
-                    "monotone": monotone,
-                }
-            )
-    median_q = float(np.median(quotients)) if quotients else None
-    median_wt_q = float(np.median(wt_quotients)) if wt_quotients else None
-    threshold = cfg.stabilization_threshold
-    if cfg.trials == 0:
-        passed = True
-    else:
-        passed = monotone_all
-        if median_q is not None:
-            passed = passed and median_q <= threshold
-        if median_wt_q is not None:
-            passed = passed and median_wt_q <= threshold
+    rows = [row for trial in range(cfg.trials)
+            for row in _maximal_trial(cfg, trial, bw, grid, space, schedule)]
+    tops, belows = rows[len(schedule) - 1 :: len(schedule)], rows[len(schedule) - 2 :: len(schedule)]
+    medians = []
+    for key in ("weighted_ratio", "weak_type_max"):
+        # per trial, the top cap's value over the next cap's, where that is > 0
+        quotients = [top[key] / below[key] for top, below in zip(tops, belows) if below[key] > 0]
+        medians.append(float(np.median(quotients)) if quotients else None)
+    monotone_all = all(row["monotone"] for row in rows)
+    passed = monotone_all and all(m is None or m <= cfg.stabilization_threshold for m in medians)
     summary = {
         "trials": cfg.trials,
         "cap_schedule": list(schedule),
-        "median_stabilization_quotient": median_q,
-        "median_weak_type_quotient": median_wt_q,
-        "monotone_all": bool(monotone_all),
-        "max_weighted_ratio": max_ratio if cfg.trials else None,
-        "threshold": threshold,
+        "median_stabilization_quotient": medians[0],
+        "median_weak_type_quotient": medians[1],
+        "monotone_all": monotone_all,
+        "max_weighted_ratio": max((top["weighted_ratio"] for top in tops), default=None),
+        "threshold": cfg.stabilization_threshold,
         "no_cases": cfg.trials == 0,
     }
     return Report(
@@ -790,5 +776,5 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
         config=cfg.to_dict(),
         results={"cases": rows},
         summary=summary,
-        passed=bool(passed),
+        passed=passed,
     )

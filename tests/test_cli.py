@@ -173,6 +173,51 @@ def test_maximal_suite_command(tmp_path):
     assert load_json(out)["passed"] is True
 
 
+def test_converge_level_past_a_lacunary_bandwidth(tmp_path, capsys):
+    # the lacunary axis has bandwidth 3, so its terms 4, 8 and 16 all clamp
+    # to 3 and the plan keeps only 4; level 8 is still reached, by 8 and 16
+    from lacsum.spectral import TorusGrid, partial_sum
+    from lacsum.suites import gen_test_function
+
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(
+        "trials = 1\nbandwidth = 3,8,8\ngrid = 12,32,32\nlevels = 4,8\n"
+        "lambda_count = 5\nfree_cap = 8\nbeta = 3.0\n"
+    )
+    out = tmp_path / "conv.json"
+    assert run(["converge", "--config", str(cfgfile), "--seed", "1", "--out", str(out)]) == 0
+    rows = load_json(out)["results"]["cases"]
+    assert [r["level"] for r in rows] == [4, 8]
+    # oracle: the partial sums at every index whose components all reach the
+    # level (lacunary terms 1, 2, 4, 8, 16; free values up to the cap 8)
+    s = gen_test_function("random_decay", (3, 8, 8), rng=np.random.default_rng([1, 0]), beta=3.0)
+    grid = TorusGrid((12, 32, 32))
+    f = partial_sum(s, (3, 8, 8), grid).values
+    for row in rows:
+        level = row["level"]
+        worst = max(
+            float(np.max(np.abs(partial_sum(s, (t, a, b), grid).values - f)))
+            for t in (1, 2, 4, 8, 16) if t >= level
+            for a in range(level, 9)
+            for b in range(level, 9)
+        )
+        assert abs(row["sup_error"] - worst) <= 1e-12, (level, row["sup_error"], worst)
+
+
+def test_alpha_points_over_budget_exits_2_before_any_trial(tmp_path, capsys):
+    # 10^7 level-set passes over the default grid's 147,968 points would take
+    # over an hour per cap level
+    import time
+
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text("alpha_points = 10000000\n")
+    t0 = time.perf_counter()
+    assert run(["maximal-suite", "--trials", "1", "--config", str(cfgfile)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha_points" in err and err.count("\n") == 1
+
+
 def test_report_reemit(tmp_path):
     cfgfile = tmp_path / "m.cfg"
     cfgfile.write_text(

@@ -384,6 +384,30 @@ def test_maximal_suite_deterministic_bytes():
     assert a == b
 
 
+def test_suite_trials_are_independent_and_picklable():
+    # each trial alone, in reverse order and from pickled arguments, gives
+    # that trial's rows of the report
+    import pickle
+
+    from lacsum.suites import _convergence_trial, _maximal_trial, _suite_layout
+
+    for suite, small, run_suite, trial_fn in (
+        ("convergence", SMALL_CONVERGENCE, run_convergence_suite, _convergence_trial),
+        ("maximal", SMALL_MAXIMAL, run_maximal_suite, _maximal_trial),
+    ):
+        rep = run_suite(ExperimentConfig(suite=suite, seed=4, **{**small, "trials": 3}))
+        cfg = config_from_mapping(rep.config)  # the config the suite ran, defaults filled
+        sample, bw, grid, families = _suite_layout(cfg)
+        if trial_fn is _convergence_trial:
+            levels, caps = cfg.levels, cfg.free_cap
+        else:
+            levels, caps = cfg.cap_schedule, cfg.cap_schedule[-1]
+        space = JkIndexSpace(sample, families, (caps,) * len(sample.free_positions))
+        for trial in reversed(range(3)):
+            args = pickle.loads(pickle.dumps((cfg, trial, bw, grid, space, levels)))
+            assert trial_fn(*args) == [r for r in rep.rows if r["trial"] == trial]
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
