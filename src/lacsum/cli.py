@@ -64,11 +64,9 @@ def _config_from_args(args: argparse.Namespace, suite: str) -> tuple[ExperimentC
     """``--config`` entries, overridden by every flag named after a config
     field, and the mapping of the keys so set."""
     mapping = parse_config_file(args.config) if args.config else {}
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            mapping[f.name] = value
-    return config_from_mapping({**mapping, "suite": suite}), mapping
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    mapping.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
+    return config_from_mapping(mapping, suite), mapping
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     given, mapping = _config_from_args(args, "gen")
-    cfg = given.filled(dimension=3, bandwidth=8, beta=2.0)
+    cfg = given.filled("gen")
     spectrum = gen_test_function(
         cfg.family,
         bandwidth=cfg.bandwidth,
@@ -227,6 +225,7 @@ def _cmd_maximal(args) -> int:
     report = table.report
     doc = {
         "schema": "lacsum.maximal/1",
+        "grid": list(grid.resolution),
         "space": report.space,
         "weight": report.weight,
         "m_l2": report.m_l2,
@@ -256,6 +255,7 @@ def _cmd_decompose(args) -> int:
     result = decompose_free_pair(g_spectrum, tuple(args.n), tuple(args.free_axes), grid)
     doc = {
         "schema": "lacsum.decompose/1",
+        "grid": list(grid.resolution),
         "index": list(result.index),
         "free_axes": list(result.free_axes),
         "diagonal_cut": result.diagonal_cut,
@@ -277,6 +277,7 @@ def _cmd_abel(args) -> int:
     doc = {
         "schema": "lacsum.verify/1",
         "target": "abel",
+        "seed": args.seed, "nu": args.nu, "n": args.n,
         "trials": args.trials,
         "max_abs_difference": worst,
     }

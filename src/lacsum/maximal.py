@@ -313,6 +313,8 @@ def weak_type_table(
     carries the weighted maximal report of the same space; one slab pass
     sweeps both weights.
     """
+    if alphas is not None and np.size(alphas) == 0:
+        raise LacsumError("a weak-type table needs at least one alpha")
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
         raise DegenerateInputError("weighted energy is zero")

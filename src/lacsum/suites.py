@@ -4,10 +4,13 @@ Every suite consumes an ``ExperimentConfig``, draws per-trial RNG streams
 from ``(seed, trial)`` so concurrency or reordering can never change
 results, and produces a ``Report`` whose JSON form is byte-identical across
 runs with the same config and seed (no timestamps, sorted keys, fixed
-schema tag). The convergence and maximal runners check their config before
-any trial (an unknown weight, or ``alpha_points`` x grid points over the
-level-set budget, is an input error), run one trial function per trial on
-plain, picklable arguments, and build their summaries from the trials' rows.
+schema tag). ``_COMMAND_FIELDS`` names the config fields each suite (and
+``gen``) reads, with its defaults: it fills the config, bounds the keys a
+``--config`` file or flag may set, and is the report's config echo. The
+convergence and maximal runners check their config before any trial (an
+unknown weight, or ``alpha_points`` x grid points over the level-set
+budget, is an input error), run one trial function per trial on plain,
+picklable arguments, and build their summaries from the trials' rows.
 
 Suites:
 
@@ -71,7 +74,7 @@ def _tupled(value, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs common to all suites; unset fields take per-suite defaults.
+    """Knobs of the suites and ``gen``; each command reads only its ``_COMMAND_FIELDS``.
 
     ``stabilization_threshold`` is an engineering default (the true constants
     of the inequalities are unknown), not a derived value.
@@ -118,16 +121,31 @@ class ExperimentConfig:
             if value is not None and value < low:
                 raise LacsumError(f"{name} must be >= {low}, got {value}")
 
-    def filled(self, **defaults) -> "ExperimentConfig":
-        updates = {k: v for k, v in defaults.items() if getattr(self, k) is None}
+    def filled(self, command: str) -> "ExperimentConfig":
+        table = _COMMAND_FIELDS[command]
+        updates = {k: v for k, v in table.items() if v is not None and getattr(self, k) is None}
         return dataclasses.replace(self, **updates) if updates else self
 
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
+    def to_dict(self, command: str) -> dict:
+        doc = {k: getattr(self, k) for k in ("suite", *_COMMAND_FIELDS[command])}
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in doc.items()}
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# the fields each command reads, with its defaults for those the class leaves None; both
+# trial suites read the fields of _suite_layout and _trial_spectrum, and their trial count
+_TRIAL = "dimension jk q lambda_count bandwidth grid seed family beta eps mode normalize trials "
+_COMMAND_FIELDS = {
+    "identity": dict.fromkeys("seed identity_tolerance abel_trials abel_max_n telescope_cases decompose_cases "
+                              "shell_spectra block_ratios block_bandwidth vanishing_box perturb".split()),
+    "convergence": {**dict.fromkeys((_TRIAL + "levels free_cap tail_slack").split()), "dimension": 3,
+                    "jk": (1,), "lambda_count": 5, "bandwidth": (16, 17, 17), "grid": (64, 68, 68),
+                    "beta": 3.0, "trials": 20, "free_cap": 17},
+    "maximal": {**dict.fromkeys((_TRIAL + "cap_schedule weight alpha_points stabilization_threshold").split()),
+                "dimension": 3, "jk": (1,), "lambda_count": 6, "beta": 1.0, "trials": 20},
+    "gen": {**dict.fromkeys("seed family beta eps mode normalize dimension jk bandwidth".split()),
+            "dimension": 3, "bandwidth": 8, "beta": 2.0},
+}
 
 
 def _cast(kind: str, value):
@@ -170,13 +188,14 @@ def _coerce(name: str, value):
     raise LacsumError(f"config key {name!r} expects {declared}, got {value!r}")
 
 
-def config_from_mapping(mapping: dict) -> ExperimentConfig:
+def config_from_mapping(mapping: dict, command: str) -> ExperimentConfig:
+    """The config of a ``command`` run; a key the command does not read is an input error."""
     known = {}
     for key, value in mapping.items():
-        if key not in _FIELD_TYPES:
-            raise LacsumError(f"unknown config key {key!r}")
+        if key not in _COMMAND_FIELDS[command]:
+            raise LacsumError(f"{command} does not read config key {key!r}")
         known[key] = _coerce(key, value)
-    return ExperimentConfig(**known)
+    return ExperimentConfig(suite=command, **known)
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -540,7 +559,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     }
     return Report(
         suite="identity",
-        config=cfg.to_dict(),
+        config=cfg.to_dict("identity"),
         results={"checks": checks},
         summary=summary,
         passed=bool(passed),
@@ -634,16 +653,7 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
     triangle inequality, so the assertion is theorem-free. Errors are
     nonincreasing in the level by construction (the index sets are nested).
     """
-    cfg = config.filled(
-        dimension=3,
-        jk=(1,),
-        lambda_count=5,
-        bandwidth=(16, 17, 17),
-        grid=(64, 68, 68),
-        beta=3.0,
-        trials=20,
-        free_cap=17,
-    )
+    cfg = config.filled("convergence")
     sample, bw, grid, families = _suite_layout(cfg)
     free_pos = sample.free_positions
     for b, L in zip(bw, grid.resolution):
@@ -676,7 +686,7 @@ def run_convergence_suite(config: ExperimentConfig) -> Report:
     }
     return Report(
         suite="convergence",
-        config=cfg.to_dict(),
+        config=cfg.to_dict("convergence"),
         results={"cases": rows},
         summary=summary,
         passed=passed,
@@ -732,15 +742,10 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
     suite passes when its median stays under the configured threshold, no
     trial's curve decreases, and the weak-type maxima stabilize the same way.
     """
-    cfg = config.filled(
-        dimension=3,
-        jk=(1,),
-        lambda_count=6,
-        beta=1.0,
-        trials=20,
-    )
+    cfg = config.filled("maximal")
     sample, bw, grid, families = _suite_layout(cfg)
-    cfg = cfg.filled(bandwidth=bw, grid=grid.resolution)  # the report echoes both
+    cfg = dataclasses.replace(cfg, bandwidth=bw if cfg.bandwidth is None else cfg.bandwidth,  # echo what ran
+                              grid=grid.resolution if cfg.grid is None else cfg.grid)
     schedule = tuple(int(c) for c in cfg.cap_schedule)
     if len(schedule) < 2:
         raise LacsumError(f"cap schedule needs at least two levels, got {schedule}")
@@ -773,7 +778,7 @@ def run_maximal_suite(config: ExperimentConfig) -> Report:
     }
     return Report(
         suite="maximal",
-        config=cfg.to_dict(),
+        config=cfg.to_dict("maximal"),
         results={"cases": rows},
         summary=summary,
         passed=passed,

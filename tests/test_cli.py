@@ -122,6 +122,33 @@ def test_verify_abel(capsys):
     assert doc["trials"] == 25
 
 
+def test_verify_abel_echoes_its_inputs(capsys):
+    # two runs that differ only in --seed, --nu or --n differ in their documents
+    docs = {}
+    for argv in ([], ["--seed", "8"], ["--nu", "2"], ["--n", "3"]):
+        assert run(["verify", "abel", "--trials", "2", *argv]) == 0
+        docs[tuple(argv)] = json.loads(capsys.readouterr().out)
+    assert {k: docs[()][k] for k in ("seed", "nu", "n", "trials")} == {"seed": 7, "nu": 3, "n": 4, "trials": 2}
+    assert docs[("--seed", "8")]["seed"] == 8
+    assert docs[("--nu", "2")]["nu"] == 2
+    assert docs[("--n", "3")]["n"] == 3
+
+
+@pytest.mark.parametrize("cmd", [
+    ["maximal", "--Jk", "1", "--free-cap", "4"],
+    ["decompose", "--free-axes", "2", "3", "--n", "2", "2", "1"],
+])
+def test_single_commands_echo_their_grid(cmd, tmp_path, capsys):
+    # two runs that differ only in --grid differ in their documents; without
+    # --grid the grid is four points per unit of the largest bandwidth
+    spec = tmp_path / "f.json"
+    assert run(["gen", "--N", "3", "--B", "2", "--seed", "1", "--out", str(spec)]) == 0
+    capsys.readouterr()
+    for grid, expected in ((["--grid", "12"], [12, 12, 12]), (["--grid", "16"], [16, 16, 16]), ([], [8, 8, 8])):
+        assert run([*cmd, "--spec", str(spec), *grid]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == expected
+
+
 
 @pytest.mark.parametrize("nu", [40, 14])
 def test_verify_abel_over_budget_exits_2_before_any_work(nu, capsys):
@@ -144,7 +171,58 @@ def test_verify_identities(tmp_path, capsys):
     assert run(["verify", "identities", "--config", str(cfgfile), "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert doc["config"]["trials"] is None  # the identity suite has no trials
+    assert "trials" not in doc["config"]  # the identity suite has no trials
+    assert doc["config"]["abel_trials"] == 5 and doc["config"]["seed"] == 1
+
+
+@pytest.mark.parametrize(
+    "cmd, line",
+    [
+        ("maximal-suite", "free_cap = 3"),
+        ("maximal-suite", "levels = 1,2"),
+        ("maximal-suite", "tail_slack = 5"),
+        ("converge", "cap_schedule = 2,4"),
+        ("converge", "weight = unit"),
+        ("converge", "stabilization_threshold = 0.5"),
+        ("verify identities", "trials = 5"),
+        ("verify identities", "cap_schedule = 2,4"),
+        ("verify identities", "bandwidth = 3"),
+        ("gen", "q = 2.5"),
+    ],
+)
+def test_config_key_a_command_does_not_read_exits_2(cmd, line, tmp_path, capsys):
+    # the key would change nothing the command computes, so a report echoing
+    # it would claim an input that was never applied
+    import time
+
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(_FUZZ_BASE[cmd] + line + "\n")
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert run([*cmd.split(), "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert err.startswith("error: ") and f"config key '{key}'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["converge", "maximal-suite", "verify identities"])
+def test_suite_echo_fed_back_as_config_gives_the_same_report(cmd, tmp_path, capsys):
+    # past suite, the echo holds every field the run read, each a key the
+    # command takes, so it rebuilds the run byte for byte
+    cfgfile, first, again = tmp_path / "c.cfg", tmp_path / "a.json", tmp_path / "b.json"
+    cfgfile.write_text(_FUZZ_BASE[cmd])
+    assert run([*cmd.split(), "--config", str(cfgfile), "--out", str(first)]) == 0
+    echo = load_json(first)["config"]
+
+    def text(v):
+        return ",".join(map(str, v)) if isinstance(v, list) else str(v)
+
+    cfgfile.write_text("".join(f"{k} = {text(v)}\n" for k, v in echo.items() if k != "suite"))
+    assert run([*cmd.split(), "--config", str(cfgfile), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    capsys.readouterr()
 
 
 def test_converge_command(tmp_path):
@@ -744,6 +822,7 @@ def test_maximal_one_pass_matches_two_calls(
     table = weak_type_table(s, space, weight, grid)
     doc = {
         "schema": "lacsum.maximal/1",
+        "grid": [grid_size] * n,
         "space": report.space,
         "weight": report.weight,
         "m_l2": report.m_l2,

@@ -274,6 +274,18 @@ def test_weak_type_scaling_invariance():
     assert np.allclose(base.ratios, scaled.ratios, atol=1e-12)
 
 
+@pytest.mark.parametrize("alphas", [[], np.array([])])
+def test_weak_type_empty_alpha_grid_is_an_input_error(alphas, monkeypatch):
+    # a domain error before any sweep, not numpy's reduction error from an empty max
+    import lacsum.maximal as maximal
+
+    space, sample = small_space()
+    s = single_mode_spectrum((4, 4, 4), (1, 2, 3))
+    monkeypatch.setattr(maximal, "sweep_space", lambda *a, **k: pytest.fail("swept"))
+    with pytest.raises(LacsumError, match="at least one alpha"):
+        weak_type_table(s, space, product_weight(sample), GRID, alphas=alphas)
+
+
 def test_weak_type_degenerate_sigma():
     space, sample = small_space()
     with pytest.raises(DegenerateInputError):

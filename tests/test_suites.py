@@ -396,7 +396,9 @@ def test_suite_trials_are_independent_and_picklable():
         ("maximal", SMALL_MAXIMAL, run_maximal_suite, _maximal_trial),
     ):
         rep = run_suite(ExperimentConfig(suite=suite, seed=4, **{**small, "trials": 3}))
-        cfg = config_from_mapping(rep.config)  # the config the suite ran, defaults filled
+        echo = dict(rep.config)
+        assert echo.pop("suite") == suite
+        cfg = config_from_mapping(echo, suite)  # the config the suite ran, defaults filled
         sample, bw, grid, families = _suite_layout(cfg)
         if trial_fn is _convergence_trial:
             levels, caps = cfg.levels, cfg.free_cap
@@ -414,8 +416,9 @@ def test_suite_trials_are_independent_and_picklable():
 
 def test_config_from_mapping_coercion():
     cfg = config_from_mapping(
-        {"suite": "maximal", "trials": "4", "cap_schedule": "2, 4, 8", "q": "1.5", "normalize": "false"}
+        {"trials": "4", "cap_schedule": "2, 4, 8", "q": "1.5", "normalize": "false"}, "maximal"
     )
+    assert cfg.suite == "maximal"
     assert cfg.trials == 4
     assert cfg.cap_schedule == (2, 4, 8)
     assert cfg.q == 1.5
@@ -424,29 +427,75 @@ def test_config_from_mapping_coercion():
 
 def test_config_coercion_follows_declared_types():
     cfg = config_from_mapping(
-        {"jk": "1", "cap_schedule": "8", "levels": 4, "mode": "2", "block_ratios": "2",
-         "bandwidth": "16", "grid": "16, 20, 20", "q": "2", "dimension": None}
+        {"jk": "1", "cap_schedule": "8", "mode": "2", "bandwidth": "16", "grid": "16, 20, 20",
+         "q": "2", "dimension": None}, "maximal"
     )
-    assert cfg.jk == (1,) and cfg.cap_schedule == (8,) and cfg.levels == (4,)
-    assert cfg.mode == (2,) and cfg.block_ratios == (2.0,)
+    assert cfg.jk == (1,) and cfg.cap_schedule == (8,) and cfg.mode == (2,)
     assert cfg.bandwidth == 16 and cfg.grid == (16, 20, 20)
     assert isinstance(cfg.q, float) and cfg.dimension is None
+    assert config_from_mapping({"levels": 4}, "convergence").levels == (4,)
+    assert config_from_mapping({"block_ratios": "2"}, "identity").block_ratios == (2.0,)
     for bad in ({"trials": "many"}, {"normalize": "1"}, {"jk": "1.5"}, {"q": "1, 2"},
                 {"q": "nan"}, {"beta": "inf"}, {"tail_slack": float("nan")}):
         with pytest.raises(LacsumError, match="expects"):
-            config_from_mapping(bad)
+            config_from_mapping(bad, "convergence")
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(LacsumError):
-        config_from_mapping({"nope": "1"})
+        config_from_mapping({"nope": "1"}, "identity")
+
+
+# the config fields each command reads, as the code below each runner reads them
+_READS = {
+    "identity": "seed identity_tolerance abel_trials abel_max_n telescope_cases decompose_cases "
+    "shell_spectra block_ratios block_bandwidth vanishing_box perturb",
+    "convergence": "dimension jk q lambda_count bandwidth grid seed family beta eps mode normalize "
+    "trials levels free_cap tail_slack",
+    "maximal": "dimension jk q lambda_count bandwidth grid seed family beta eps mode normalize "
+    "trials cap_schedule weight alpha_points stabilization_threshold",
+    "gen": "seed family beta eps mode normalize dimension jk bandwidth",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_each_command_takes_exactly_the_config_keys_it_reads(command):
+    # a key the command reads is taken, any other (suite itself included) is
+    # an input error; 53 keys in all, against 31 per command before
+    reads = _READS[command].split()
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in reads:
+            assert getattr(config_from_mapping({field.name: field.default}, command),
+                           field.name) == field.default
+        else:
+            with pytest.raises(LacsumError, match=f"{command} does not read config key '{field.name}'"):
+                config_from_mapping({field.name: field.default}, command)
+    assert sum(len(r.split()) for r in _READS.values()) == 53
+
+
+@pytest.mark.parametrize("suite, run_suite, small", [
+    ("identity", run_identity_suite, SMALL_IDENTITY),
+    ("convergence", run_convergence_suite, {**SMALL_CONVERGENCE, "trials": 1}),
+    ("maximal", run_maximal_suite, {**SMALL_MAXIMAL, "trials": 1}),
+])
+def test_suite_echo_is_the_fields_it_read(suite, run_suite, small):
+    # unread fields set through the API leave the report as it was and stay
+    # out of its echo, which holds suite and the fields read, defaults filled
+    unread = {"identity": dict(trials=5, cap_schedule=(2, 4), bandwidth=3),
+              "convergence": dict(cap_schedule=(2, 4), weight="unit", stabilization_threshold=0.5),
+              "maximal": dict(free_cap=3, levels=(1, 2), tail_slack=5.0)}[suite]
+    rep = run_suite(ExperimentConfig(suite=suite, seed=3, **small))
+    odd = run_suite(ExperimentConfig(suite=suite, seed=3, **small, **unread))
+    assert dumps(odd.to_dict()) == dumps(rep.to_dict())
+    assert set(rep.config) == {"suite", *_READS[suite].split()}
+    assert None not in rep.config.values()
 
 
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\ntrials = 3\nlevels = 2,4\n\nseed = 11  # inline\n")
     mapping = parse_config_file(p)
-    cfg = config_from_mapping(mapping)
+    cfg = config_from_mapping(mapping, "convergence")
     assert cfg.trials == 3 and cfg.levels == (2, 4) and cfg.seed == 11
 
 
