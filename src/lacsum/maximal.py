@@ -66,22 +66,21 @@ def _squared_modulus():
     """``modulus(slab, minus=None)``: ``|slab - minus|^2`` for each slab of one
     prefix stream, in buffers sized from the first slab, the stream's largest.
 
-    ``|z|^2`` is ``re*re + im*im``, taken as the squared ``(re, im)`` pairs of
-    the float view; the result is a view of a buffer the next call reuses.
+    ``|z|^2`` is ``re*re + im*im``, squared into two buffers and added; the
+    result is a view of a buffer the next call reuses.
     """
     bufs = []
 
     def modulus(slab: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
         if not bufs:
-            pair_shape = slab.shape[:-1] + (2 * slab.shape[-1],)
             diff = None if minus is None else np.empty(slab.shape, dtype=complex)
-            bufs.extend((diff, np.empty(pair_shape), np.empty(slab.shape)))
+            bufs.extend((diff, np.empty(slab.shape), np.empty(slab.shape)))
         k, n = slab.shape[:2]
-        diff, pair, sq = (None if b is None else b[:k, :n] for b in bufs)
+        diff, sq, im2 = (None if b is None else b[:k, :n] for b in bufs)
         if minus is not None:
             slab = np.subtract(slab, minus, out=diff)
-        np.square(slab.view(float), out=pair)
-        return np.add(pair[..., 0::2], pair[..., 1::2], out=sq)
+        np.square(slab.real, out=sq)
+        return np.add(sq, np.square(slab.imag, out=im2), out=sq)
 
     return modulus
 
@@ -142,19 +141,23 @@ def sweep_space(
     for li, level in enumerate(levels):
         for t, cap in enumerate(level[2:], space.sample.k):
             in_level[li] &= open_axes[t][..., 0, 0] <= cap
-    in_level = in_level.reshape(len(levels), -1).tolist()
+    # ends[combo][mb][li]: level li admits ma < end (0: none); ends rise with
+    # li, so ma's lowest level is the first whose end passes it
+    ra, rb = (np.asarray(c)[:, None, None] for c in zip(*caps))
+    admits = in_level.reshape(len(levels), -1, 1) & (np.arange(top[1] + 1) <= rb)
+    ends = np.where(admits, ra + 1, 0).transpose(1, 2, 0).tolist()
 
     nw, nl = len(weights), len(levels)
     # running maxima per (cut-axis grid point, xa, xb), so a batch of rows is
     # one slice
     m2 = np.zeros((nw, nl, plan.lac_size) + plan.free_grid)
 
-    # One reduction for every shape: each cap level (ra, rb) folds the max
-    # over ma <= ra of every slab with mb <= rb into its running maximum. A
-    # slab is one tile of shells ma0.. of a batch of rows, shell-major
-    # (ma, row, xa, xb), so that max is an elementwise pass over whole
-    # contiguous shells; the levels share each distinct prefix of a tile's
-    # shells, and a max does not depend on how its shells are grouped.
+    # One reduction for every shape: each (combo, ma, mb) folds into the
+    # running maximum of the lowest cap level admitting it, and a running max
+    # up the levels after the stream gives each level all it admits. A slab
+    # is one tile of shells ma0.. of a batch of rows, shell-major (ma, row,
+    # xa, xb), so each level's segment of it is whole contiguous shells,
+    # folded by one elementwise pass; a max is exact and order-free.
     modulus, q_buf = _squared_modulus(), None
     for (row, ma0), mb, slab in iter_prefix_slabs(spectrum, grid, plan):
         if mb > top[1] or ma0 > top[0]:
@@ -172,19 +175,14 @@ def sweep_space(
             if inv is not None:
                 inv_w = inv[combo_flat, ma0 : ma0 + k, mb, None, None, None]
                 q = np.multiply(sq, inv_w, out=q_buf[:k, :n])
-            # cand is the max over the tile's first `done` shells; cap levels
-            # rise, so each level extends the last one's prefix
-            cand, done = None, 0
-            for li, (ra, rb) in enumerate(caps):
-                if mb > rb or ra < ma0 or not in_level[li][combo_flat]:
-                    continue
-                end = min(ra + 1 - ma0, k)
-                if end > done:
-                    more = q[done:end].max(axis=0)
-                    cand = more if cand is None else np.maximum(cand, more, out=more)
-                    done = end
-                dest = m2[wi, li, rows]
-                np.maximum(dest, cand, out=dest)
+            lo = ma0
+            for li, end in enumerate(ends[combo_flat][mb]):
+                if min(end, ma0 + k) > lo:
+                    dest = m2[wi, li, rows]
+                    np.maximum(dest, q[lo - ma0 : end - ma0].max(axis=0), out=dest)
+                lo = max(lo, end)
+    for li in range(1, nl):
+        np.maximum(m2[:, li], m2[:, li - 1], out=m2[:, li])
 
     inverse = (0, 1) + tuple(2 + plan.perm.index(a) for a in range(dim))
     shape = (nw, nl) + tuple(grid.resolution[a] for a in plan.perm)

@@ -31,7 +31,8 @@ Rectangular partial sums are served by two engines:
   cache-resident while it grows. Slabs are shell-major (each shell of a
   batch is one contiguous block). The last cut axis is summed inside the
   stream, once per combo of the others, so only one combo's rows are live
-  and the next combo reuses their buffer.
+  and the next combo reuses their buffer. A second-free-axis shell is added
+  as a copied column times a contiguous phase plane (held up to a budget).
 """
 
 from __future__ import annotations
@@ -534,6 +535,8 @@ def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np
 # slab budget of one yield in bytes; 256 KiB keeps a slab, its temporary and
 # a consumer's |z|^2 buffers within a 2 MiB L2
 _SLAB_BYTES = 1 << 18
+# phase-plane budget of one stream in bytes; 4 MiB holds the suites' (2.66 MB)
+_PLANE_BYTES = 1 << 22
 
 
 def iter_prefix_slabs(
@@ -567,14 +570,16 @@ def iter_prefix_slabs(
     and are summed in place; the second free axis is added one ``mb`` at a
     time into the slab, one tile of shells after the other, except on a
     phantom axis, where ``w`` is the slab and is yielded itself, whole.
-    Every buffer is allocated once per stream.
+    Shell ``mb`` adds columns ``nu_b = B_b +- mb`` of ``w``, each copied
+    over ``xb`` into a buffer and multiplied in place by its phase's
+    ``(xa, xb)`` plane, in the operand order that keeps the bits; an ``mb``
+    past the planes ``_PLANE_BYTES`` holds refills one spare pair on each
+    use. Every buffer is allocated once per stream.
 
-    A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab, and at least
-    one; a row too large for the budget is split into tiles of as many
-    shells as fit, and at least one. So a tile, its temporary and what a
-    consumer derives from it stay cache-resident while the ``mb`` loop
-    revisits them, and batching rows keeps the number of numpy calls down
-    when rows are small.
+    A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab (at least
+    one), and a row too large for it splits into tiles of as many shells as
+    fit (at least one), so a tile and what a consumer derives from it stay
+    cache-resident while the ``mb`` loop revisits them.
     """
     arr = _cut_stage(spectrum, grid, plan)
     (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
@@ -603,7 +608,12 @@ def iter_prefix_slabs(
     phantom = bb == 0 and lb == 1
     if not phantom:
         slab_buf = np.empty((tile, batch, la, lb), dtype=complex)
-        tmp_buf = np.empty_like(slab_buf)
+        col_buf = np.empty_like(slab_buf)
+        # (epb[mb], enb[mb]) broadcast over xa for mb <= held; slot 0, which
+        # mb = 0 never uses, is the spare pair for every mb past them
+        held = max(0, min(bb, _PLANE_BYTES // (2 * la * lb * 16) - 1))
+        planes = np.empty((held + 1, 2, la, lb), dtype=complex)
+        planes[1:] = np.stack((epb, enb), 1)[1 : held + 1, :, None]
     for combo, rows in enumerate(combos):
         rows = rows.reshape((plan.lac_size, 2 * ba + 1, 2 * bb + 1))
         for start in range(0, plan.lac_size, batch):
@@ -622,13 +632,15 @@ def iter_prefix_slabs(
                 continue
             for ma in range(sa, ba + 1, tile):
                 part = w[ma : ma + tile]
-                slab, tmp = slab_buf[: len(part), :n], tmp_buf[: len(part), :n]
+                slab, col = slab_buf[: len(part), :n], col_buf[: len(part), :n]
                 np.copyto(slab, part[..., bb, None])
                 for mb in range(bb + 1):
                     if mb:
-                        np.multiply(part[..., bb + mb, None], epb[mb], out=tmp)
-                        slab += tmp
-                        np.multiply(part[..., bb - mb, None], enb[mb], out=tmp)
-                        slab += tmp
+                        if mb > held:
+                            planes[0] = epb[mb, None], enb[mb, None]
+                        for nu_b, plane in zip((bb + mb, bb - mb), planes[mb if mb <= held else 0]):
+                            np.copyto(col, part[..., nu_b, None])
+                            col *= plane  # part x phase, the order that keeps the bits
+                            slab += col
                     if mb >= sb:
                         yield (row, ma), mb, slab

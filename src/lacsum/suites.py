@@ -127,7 +127,7 @@ class ExperimentConfig:
         return dataclasses.replace(self, **updates) if updates else self
 
     def to_dict(self, command: str) -> dict:
-        doc = {k: getattr(self, k) for k in ("suite", *_COMMAND_FIELDS[command])}
+        doc = {"suite": command, **{k: getattr(self, k) for k in _COMMAND_FIELDS[command]}}
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in doc.items()}
 
 

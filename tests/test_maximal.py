@@ -412,6 +412,31 @@ def test_slab_budget_changes_nothing(n, monkeypatch):
             assert np.max(np.abs(ref_values[wi, li] - values)) < 1e-10, (wi, li)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_level_equals_its_own_one_level_sweep(n, monkeypatch):
+    # tiles of three shells of the first free axis (bandwidth 4): cap 1
+    # ends a level inside the first tile and cap 3 inside the second. At
+    # N = 4 the lowest level caps the cut third free axis at 0, so it
+    # excludes every combo above it, and the middle level at 2.
+    import lacsum.spectral
+
+    sample = SampleJk(n, (1,))
+    def space_of(caps):
+        return JkIndexSpace(sample, (make_lacunary(2.0, 3),), caps)
+
+    levels = [(1, 0, 0), (3, 2, 2), (4, 4, 4)]
+    levels = [caps[: n - 1] for caps in levels]
+    s = random_spectrum(np.random.default_rng(27), (3, 4, 3, 2)[:n])
+    grid = TorusGrid((6, 8, 6, 4)[:n])
+    monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", 3 * 8 * 6 * 16)
+    weights = [product_weight(sample), unit_weight(n)]
+    m_values = sweep_space(s, grid, space_of(levels[-1]), weights, levels)
+    for li, caps in enumerate(levels):
+        alone = sweep_space(s, grid, space_of(caps), weights, [caps])
+        assert np.array_equal(m_values[:, li], alone[:, 0]), li
+    assert not np.array_equal(m_values[:, 0], m_values[:, 1])
+
+
 def test_sup_error_table_needs_a_term_above_min_term():
     from lacsum.suites import sup_error_table
 

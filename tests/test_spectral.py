@@ -696,6 +696,49 @@ def test_stream_tiles_are_bit_identical_to_row_major_stream(
     _assert_stream_is_row_major_stream(s, grid, plan)
 
 
+@pytest.mark.parametrize("min_term", [0, 4])
+@pytest.mark.parametrize("held", [0, 1, 17])
+def test_stream_is_bit_identical_at_suite_geometry(min_term, held, monkeypatch):
+    # the suites' 68 x 68 free grid at B = 17: tiles of three shells, and a
+    # plane budget holding no plane, one, or every one of mb = 1..17 beside
+    # the spare pair
+    s = random_spectrum(np.random.default_rng(25), (1, 17, 17))
+    grid = TorusGrid((2, 68, 68))
+    plan = plan_prefix_blocks(s, grid, cut_space(3, (0,), ((1, 2, 4),)), min_term=min_term)
+    monkeypatch.setattr(lacsum.spectral, "_PLANE_BYTES", (held + 1) * 2 * 68 * 68 * 16)
+    tiles = [len(slab) for (row, _), mb, slab in iter_prefix_slabs(s, grid, plan) if row == 0 and mb == 17]
+    assert tiles == [3] * (len(tiles) - 1) + [(18 - min_term) % 3 or 3]
+    _assert_stream_is_row_major_stream(s, grid, plan)
+
+
+def test_stream_phase_planes_stay_within_budget(monkeypatch):
+    # on a 256 x 256 free grid every phase plane of B = 17 would take
+    # 18 x 2 x 65,536 x 16 bytes (37.7 MB); the stream holds the planes that
+    # fit its budget beside one spare pair
+    import tracemalloc
+
+    s = random_spectrum(np.random.default_rng(26), (1, 17, 17))
+    grid = TorusGrid((2, 256, 256))
+    plan = plan_prefix_blocks(s, grid, cut_space(3, (0,), ((1,),)))
+    pair = 2 * 256 * 256 * 16
+
+    def peak(budget):
+        monkeypatch.setattr(lacsum.spectral, "_PLANE_BYTES", budget)
+        tracemalloc.start()
+        try:
+            # through the first tile's last mb, past every plane
+            for _, mb, _ in iter_prefix_slabs(s, grid, plan):
+                if mb == 17:
+                    break
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    spare = peak(0)
+    for budget in (4 * pair, lacsum.spectral._PLANE_BYTES):
+        assert budget - 2 * pair < peak(budget) - spare <= budget, budget
+
+
 FAMILIES = ((1,), (1, 2), (1, 3), (1, 2, 4))
 
 

@@ -491,6 +491,16 @@ def test_suite_echo_is_the_fields_it_read(suite, run_suite, small):
     assert None not in rep.config.values()
 
 
+@pytest.mark.parametrize("suite, run_suite", [
+    ("convergence", run_convergence_suite),
+    ("maximal", run_maximal_suite),
+])
+def test_suite_echo_names_the_suite_that_ran(suite, run_suite):
+    # a library caller may leave the config's own suite at its default
+    rep = run_suite(ExperimentConfig(trials=0))
+    assert rep.suite == rep.config["suite"] == suite
+
+
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\ntrials = 3\nlevels = 2,4\n\nseed = 11  # inline\n")
