@@ -273,16 +273,17 @@ def _cmd_abel(args) -> int:
     for flag, value, low in bounds:
         if value < low:
             raise LacsumError(f"{flag} must be >= {low}, got {value}")
-    worst = abel_max_deviation(np.random.default_rng(args.seed), args.trials, args.n, nu=args.nu)
+    worst, scale = abel_max_deviation(np.random.default_rng(args.seed), args.trials, args.n, nu=args.nu)
     doc = {
         "schema": "lacsum.verify/1",
         "target": "abel",
         "seed": args.seed, "nu": args.nu, "n": args.n,
         "trials": args.trials,
         "max_abs_difference": worst,
+        "scale": scale,
     }
     _write(doc, args.out)
-    return 0 if worst <= 1e-10 else 1
+    return 0 if worst <= 1e-10 * scale else 1
 
 
 def _cmd_suite(args, runner, suite) -> int:

@@ -86,6 +86,7 @@ class AbelCheck:
     lhs: float
     rhs: float
     difference: float
+    scale: float  # the sum of the right side's term magnitudes, which its rounding grows with
 
 
 def abel_identity_check(a: np.ndarray, b, n: Sequence[int]) -> AbelCheck:
@@ -119,16 +120,17 @@ def abel_identity_check(a: np.ndarray, b, n: Sequence[int]) -> AbelCheck:
 
     # regime vectors in itertools.product order, depth first: an axis's passes
     # run once per prefix of leading regimes. Regime 2's D2 b_{k-2} is in its pass.
-    def walk(part: np.ndarray, axis: int, coef: float, rhs: float) -> float:
+    def walk(part: np.ndarray, axis: int, coef: float, sums: tuple[float, float]) -> tuple[float, float]:
         if axis == nu:
-            return rhs + coef * float(part)
+            term = coef * float(part)
+            return sums[0] + term, sums[1] + abs(term)
         k = idx[axis]
         for r, c in zip(REGIMES, (difference(values, 0, k), difference(values, 1, k - 1), 1.0)):
-            rhs = walk(_scaled_pass(part, r, k - r, values), axis + 1, coef * c, rhs)
-        return rhs
+            sums = walk(_scaled_pass(part, r, k - r, values), axis + 1, coef * c, sums)
+        return sums
 
-    rhs = walk(arr, 0, 1.0, 0.0)
-    return AbelCheck(lhs=lhs, rhs=rhs, difference=abs(lhs - rhs))
+    rhs, scale = walk(arr, 0, 1.0, (0.0, 0.0))
+    return AbelCheck(lhs=lhs, rhs=rhs, difference=abs(lhs - rhs), scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ Rectangular partial sums are served by two engines:
   cache-resident while it grows. Slabs are shell-major (each shell of a
   batch is one contiguous block). The last cut axis is summed inside the
   stream, once per combo of the others, so only one combo's rows are live
-  and the next combo reuses their buffer. A second-free-axis shell is added
-  as a copied column times a contiguous phase plane (held up to a budget).
+  and the next combo reuses their buffer. Each free axis's shells are copied
+  coefficients times phases held contiguous (the second's up to a budget),
+  so no step of the stream leaves a transient for the allocator to place.
 """
 
 from __future__ import annotations
@@ -566,15 +567,19 @@ def iter_prefix_slabs(
     sum runs here, once per leading combo, so its buffer holds one combo's
     ``lac_size`` rows at each cut value and the next combo reuses it.
 
-    Per batch, the first free axis's shells go into ``w[i, r, xa, nu_b]``
-    and are summed in place; the second free axis is added one ``mb`` at a
-    time into the slab, one tile of shells after the other, except on a
+    Per batch, the first free axis's shells go into ``w[i, r, xa, nu_b]`` as
+    the batch's coefficients copied over ``xa`` times ``pa``, the phase pair
+    held over ``w``'s shape (twice its bytes: 522 KB for B = 16 on a 64^3
+    grid with one free axis, 1.37 MB for the suites' B = 17 on 68 x 68), and
+    are summed in place by steps made once per stream; the second free axis
+    is added one ``mb`` at a time into the slab, one tile of shells after the other, except on a
     phantom axis, where ``w`` is the slab and is yielded itself, whole.
     Shell ``mb`` adds columns ``nu_b = B_b +- mb`` of ``w``, each copied
     over ``xb`` into a buffer and multiplied in place by its phase's
     ``(xa, xb)`` plane, in the operand order that keeps the bits; an ``mb``
     past the planes ``_PLANE_BYTES`` holds refills one spare pair on each
-    use. Every buffer is allocated once per stream.
+    use. Free-axis buffers are allocated once per stream, the last cut
+    axis's shell buffers once per leading combo.
 
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab (at least
     one), and a row too large for it splits into tiles of as many shells as
@@ -595,14 +600,16 @@ def iter_prefix_slabs(
         )
     else:
         combos = (arr,)
-    epa, ena = _phase_pair_cached(ba, la)
-    epa, ena = epa[:, None, :, None], ena[:, None, :, None]  # (i, 1, xa, 1)
     epb, enb = _phase_pair_cached(bb, lb)
     kept = ba + 1 - sa
     batch = max(1, min(plan.lac_size, _SLAB_BYTES // (kept * la * lb * 16)))
     tile = max(1, min(kept, _SLAB_BYTES // (batch * la * lb * 16)))
     w_buf = np.empty((ba + 1, batch, la, 2 * bb + 1), dtype=complex)
     wt_buf = np.empty_like(w_buf)
+    # (epa, ena) over w's whole shape: the build multiplies contiguous operands
+    pa = np.empty((2,) + w_buf.shape, dtype=complex)
+    pa[:] = np.stack(_phase_pair_cached(ba, la))[:, :, None, :, None]
+    steps = list(zip(w_buf[1:], w_buf[:-1]))  # a full batch's running-sum adds
     # on a phantom second axis w is the slab; a real free axis of bandwidth
     # 0 has more than one grid point and still needs w broadcast over them
     phantom = bb == 0 and lb == 1
@@ -621,11 +628,13 @@ def iter_prefix_slabs(
             row = combo * plan.lac_size + start
             r = rows[start : start + n].transpose(1, 0, 2)[:, :, None, :]  # (nu_a, r, 1, nu_b)
             w, wt = w_buf[:, :n], wt_buf[:, :n]
-            np.multiply(r[ba:], epa, out=w)
-            np.multiply(r[ba::-1], ena, out=wt)
+            np.copyto(w, r[ba:])
+            w *= pa[0, :, :n]  # r x phase, the order that keeps the bits
+            np.copyto(wt, r[ba::-1])
+            wt *= pa[1, :, :n]
             w += wt
-            for i in range(1, ba + 1):
-                w[i] += w[i - 1]
+            for shell, prev in steps if n == batch else zip(w[1:], w[:-1]):
+                shell += prev
             if phantom:
                 # every ma shell is summed, only ma >= start_a kept
                 yield (row, sa), 0, w[sa:]

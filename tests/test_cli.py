@@ -122,6 +122,15 @@ def test_verify_abel(capsys):
     assert doc["trials"] == 25
 
 
+def test_verify_abel_holds_rounding_to_its_scale(capsys):
+    # at n = 100 the iterated prefix sums grow to about 1e7, so the sides
+    # differ by about 2e-8: rounding of a holding identity, within 1e-10 of
+    # the right side's term magnitudes, not a failure
+    assert run(["verify", "abel", "--n", "100", "--trials", "1", "--seed", "7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 1e-10 < doc["max_abs_difference"] <= 1e-10 * doc["scale"]
+
+
 def test_verify_abel_echoes_its_inputs(capsys):
     # two runs that differ only in --seed, --nu or --n differ in their documents
     docs = {}

@@ -144,7 +144,7 @@ def _abel_rhs_per_vector(a, b, n):
     the whole array (the order of operations the shared walk must keep)."""
     import itertools
 
-    rhs = 0.0
+    rhs = scale = 0.0
     for regs in itertools.product((0, 1, 2), repeat=a.ndim):
         coef = 1.0
         for r, k in zip(regs, n):
@@ -163,8 +163,9 @@ def _abel_rhs_per_vector(a, b, n):
                 shape = [1] * arr.ndim
                 shape[axis] = -1
                 arr = np.cumsum(arr * d2.reshape(shape), axis=axis)
-        rhs += coef * float(arr[tuple(k - r for k, r in zip(n, regs))])
-    return rhs
+        term = coef * float(arr[tuple(k - r for k, r in zip(n, regs))])
+        rhs, scale = rhs + term, scale + abs(term)
+    return rhs, scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,7 +175,20 @@ def test_abel_shared_passes_keep_the_bits(order, seed):
     n = tuple(int(v) for v in rng.integers(2, 5, size=order))
     a = rng.standard_normal(tuple(v + 1 + int(rng.integers(0, 2)) for v in n))
     b = rng.uniform(0.1, 2.0, size=max(n) + 1 + int(rng.integers(0, 3)))
-    assert abel_identity_check(a, b, n).rhs == _abel_rhs_per_vector(a, b, n)
+    chk = abel_identity_check(a, b, n)
+    assert (chk.rhs, chk.scale) == _abel_rhs_per_vector(a, b, n)
+
+
+@pytest.mark.parametrize("n", [(100, 100), (300, 300), (60, 60, 60)])
+def test_abel_integer_data_sums_exactly(n):
+    # integer data: every float64 sum on either side is exact, so the sides
+    # agree to the bit, while standard-normal data at these sizes leaves
+    # rounding far above an absolute 1e-10
+    rng = np.random.default_rng(8)
+    a = rng.integers(-9, 10, size=tuple(k + 1 for k in n)).astype(float)
+    b = rng.integers(1, 5, size=max(n) + 1).astype(float)
+    chk = abel_identity_check(a, b, n)
+    assert chk.difference == 0.0 and chk.scale > 0.0
 
 
 def test_abel_high_order_runs_in_well_under_a_second():

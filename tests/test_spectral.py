@@ -790,6 +790,48 @@ def test_slab_stream_peak_memory():
     assert peak < plan.rows * 33 * 16 // 2, (peak, plan.rows)
 
 
+@pytest.mark.parametrize(
+    "bw, res, space, combos",
+    [
+        # the lacsum maximal --Jk 1 2 geometry: one free axis, batches of 15
+        # rows, the 4,096 rows of a combo ending in a batch of one
+        ((16, 16, 16), (64, 64, 64), JkIndexSpace(SampleJk(3, (1, 2)), (make_lacunary(2.0, 5),) * 2, (32,)), 3),
+        # the suites' geometry: two free axes, tiles of three shells
+        ((8, 17, 17), (32, 68, 68), cut_space(3, (0,), ((1, 2, 4, 8),)), 2),
+    ],
+)
+def test_stream_yields_allocate_no_large_transient(bw, res, space, combos):
+    # a transient of 128 KiB or more is glibc's initial mmap threshold, so
+    # whether it is mapped afresh or reused from the heap would depend on
+    # what the process freed before. Within a cut-value combo no yield may
+    # allocate one; the yield that opens a combo advances the last cut
+    # axis's running sum, which may
+    import tracemalloc
+
+    s = random_spectrum(np.random.default_rng(27), bw)
+    grid = TorusGrid(res)
+    plan = plan_prefix_blocks(s, grid, space)
+    stream = iter_prefix_slabs(s, grid, plan)
+    large = {"within": 0, "opening": 0}
+    seen, last = 0, -1
+    tracemalloc.start()
+    try:
+        while True:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            (row, _), _, _ = next(stream)
+            combo = row // plan.lac_size
+            if combo == combos:
+                break
+            if tracemalloc.get_traced_memory()[1] - before >= 128 << 10:
+                large["opening" if combo != last else "within"] += 1
+            seen, last = seen + 1, combo
+    finally:
+        tracemalloc.stop()
+    assert seen > 100 * combos
+    assert large["within"] == 0 and large["opening"] <= combos, large
+
+
 def test_plan_clamps_merges_and_skips_terms():
     # terms past the bandwidth clamp onto it and merge onto the smallest one
     s = zero_spectrum((5, 5, 5))
