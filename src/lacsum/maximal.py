@@ -31,6 +31,7 @@ streams two phantom axes, and the product weight is the empty product 1.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -286,6 +287,13 @@ def weak_type_ratios(m: np.ndarray, alphas: np.ndarray, sigma: float, grid: Toru
     return measures, alphas**2 * measures / sigma
 
 
+def _alpha_grid(top: float, points: int) -> np.ndarray:
+    """``np.geomspace(top / 1000, top, points)`` in decimal arithmetic: geomspace's bits follow SIMD dispatch."""
+    ctx = decimal.Context(prec=40)
+    exps = (ctx.subtract(ctx.divide(3 * k, max(points - 1, 1)), 3) for k in range(points))
+    return np.array([float(ctx.multiply(decimal.Decimal(top), ctx.power(10, e))) for e in exps])
+
+
 @dataclass(frozen=True)
 class WeakTypeTable:
     alphas: np.ndarray
@@ -324,7 +332,7 @@ def weak_type_table(
         m_max = float(m.max())
         if m_max <= 0:
             raise DegenerateInputError("maximal function vanishes; no level grid")
-        alphas = np.geomspace(m_max / 1000.0, m_max, 25)
+        alphas = _alpha_grid(m_max, 25)
     grid_alphas = np.asarray(alphas, dtype=float)  # level_set_measure rejects an alpha <= 0
     measures, ratios = weak_type_ratios(m, grid_alphas, sigma, grid)
     return WeakTypeTable(

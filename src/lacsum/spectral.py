@@ -31,9 +31,9 @@ Rectangular partial sums are served by two engines:
   cache-resident while it grows. Slabs are shell-major (each shell of a
   batch is one contiguous block). The last cut axis is summed inside the
   stream, once per combo of the others, so only one combo's rows are live
-  and the next combo reuses their buffer. Each free axis's shells are copied
-  coefficients times phases held contiguous (the second's up to a budget),
-  so no step of the stream leaves a transient for the allocator to place.
+  and the next combo reuses their buffer. Every shell of every axis is one
+  matmul pair product (``_pair_product``), whose bits are the same on every
+  BLAS whose gemm fuses the multiply-add, whatever numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Spectrum:
         return len(self.bandwidth)
 
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float(np.sum(self.coeffs.real ** 2 + self.coeffs.imag ** 2))  # np.abs's bits follow SIMD dispatch
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class GridFunction:
 def grid_l2(values: np.ndarray | GridFunction) -> float:
     """Average-normalized L2 norm, ``sqrt(mean |f|^2)`` (Parseval-compatible)."""
     v = values.values if isinstance(values, GridFunction) else values
-    return float(np.sqrt(np.mean(np.abs(v) ** 2)))
+    return float(np.sqrt(np.mean(v.real ** 2 + v.imag ** 2)))
 
 
 def _sign_profile(b: int) -> np.ndarray:
@@ -289,15 +289,32 @@ def split_lacunary_blocks(
 
 
 @functools.lru_cache(maxsize=64)
-def _phase_pair_cached(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _phase_tables(b: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per shell ``m``, the grid's rows ``(cos mx, sin mx)`` (``e^{imx}`` as
+    floats) and rows ``(cos, 0), (0, cos), (sin, 0), (0, sin)`` over (re, im)."""
     coords = -np.pi + 2.0 * np.pi * np.arange(length) / length
-    shells = np.arange(b + 1)
-    ep = np.exp(1j * np.outer(shells, coords))
-    en = np.exp(-1j * np.outer(shells, coords))
-    en[0] = 0.0  # the nu = 0 mode lives in the positive half only
-    ep.setflags(write=False)
-    en.setflags(write=False)
-    return ep, en
+    trig = np.exp(1j * np.outer(np.arange(b + 1), coords)).view(float).reshape(b + 1, length, 2)
+    table = trig.transpose(0, 2, 1)[:, :, None, :, None] * np.eye(2)[:, None, :]  # row 2k + i: trig[k] at i
+    return _freeze(trig), _freeze(table.reshape(b + 1, 4, 2 * length))
+
+
+def _pair_product(plus: np.ndarray, minus: np.ndarray, pairs: np.ndarray, trig: np.ndarray, table: np.ndarray,
+                  out: np.ndarray) -> None:
+    """``out[..., x, r] = plus_r e^{+imx} + minus_r e^{-imx}`` at a shell ``m
+    >= 1`` (``m = 0`` is ``c_0``, copied) as ``A cos mx + (iB) sin mx``, ``A, B
+    = plus +- minus`` in ``pairs[..., :, r]``, by one matmul: each component
+    is ``round(round(cos a) + sin b)`` on any FMA gemm. ``(M x 4) pairs @ (4 x
+    2L) table`` for one pair per row over M > 1 rows, else ``(L x 2) trig @ (2
+    x 2R) pairs``: never a unit dimension, which numpy sends to gemv."""
+    a, ib = pairs[..., 0, :], pairs[..., 1, :]
+    np.add(plus, minus, out=a)
+    np.subtract(minus.imag, plus.imag, out=ib.real)
+    np.subtract(plus.real, minus.real, out=ib.imag)
+    if pairs.shape[-1] == 1 and pairs.ndim > 2 and pairs.shape[-3] > 1:
+        rows = pairs.shape[:-2]
+        np.matmul(pairs.view(float).reshape(*rows, 4), table, out=out.view(float).reshape(*rows, table.shape[-1]))
+    else:
+        np.matmul(trig, pairs.view(float), out=out.view(float))
 
 
 # largest shell tensor ShellTensor.from_grid builds, in bytes (256 MiB)
@@ -471,28 +488,28 @@ def _shell_prefixes(
 ) -> Iterator[np.ndarray]:
     """Yield the running sum over the shells ``|nu| = 0, 1, ...`` of axis
     ``axis`` of ``arr`` (size ``2b + 1``, becoming its grid coordinate) at
-    each of the increasing ``values``; shell ``i`` is formed as
-    ``(c_{+i} e^{+i x} + c_{-i} e^{-i x}) + previous sum``.
+    each of the increasing ``values``; shell ``i`` is ``_pair_product``'s
+    ``c_{+i} e^{+i x} + c_{-i} e^{-i x}`` plus the previous sum.
 
     Given ``out``, the sum at ``values[j]`` is formed in ``out[j]`` itself.
     The shells no value keeps there go to two alternating spare buffers, so
     a yielded spare is overwritten two shells later; besides them only one
-    shell's temporary is live.
+    shell's pairs (A, iB) are held, two coefficient slices.
     """
-    ep, en = _phase_pair_cached(b, length)
-    # nu first, then a length-1 slot where the grid coordinate goes
-    coef = np.expand_dims(np.moveaxis(arr, axis, 0), axis + 1)
-    phase_shape = (length,) + (1,) * (arr.ndim - axis - 1)
-    tmp = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
+    trig, table = _phase_tables(b, length)
+    coef = np.moveaxis(arr, axis, 0)
+    lead, rest = arr.shape[:axis], arr.shape[axis + 1 :]
+    pairs = np.empty(lead + (2, math.prod(rest)), dtype=complex)
     kept = dict(zip(values, () if out is None else out))
-    spare = [np.empty_like(tmp) for _ in range(min(2, values[-1] + 1 - len(kept)))]
+    spare = [np.empty(lead + (length,) + rest, dtype=complex) for _ in range(min(2, values[-1] + 1 - len(kept)))]
     for i in range(values[-1] + 1):
         dest = kept[i] if i in kept else spare[i % len(spare)]
-        np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=dest)
-        np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
-        dest += tmp
         if i:
+            plus, minus = (coef[b + j].reshape(lead + (-1,)) for j in (i, -i))
+            _pair_product(plus, minus, pairs, trig[i], table[i], dest.reshape(lead + (length, -1)))
             dest += prev
+        else:
+            np.copyto(dest, np.expand_dims(coef[b], axis))
         prev = dest
         if i in values:
             yield dest
@@ -536,8 +553,6 @@ def _cut_stage(spectrum: Spectrum, grid: TorusGrid, plan: PrefixBlockPlan) -> np
 # slab budget of one yield in bytes; 256 KiB keeps a slab, its temporary and
 # a consumer's |z|^2 buffers within a 2 MiB L2
 _SLAB_BYTES = 1 << 18
-# phase-plane budget of one stream in bytes; 4 MiB holds the suites' (2.66 MB)
-_PLANE_BYTES = 1 << 22
 
 
 def iter_prefix_slabs(
@@ -567,19 +582,16 @@ def iter_prefix_slabs(
     sum runs here, once per leading combo, so its buffer holds one combo's
     ``lac_size`` rows at each cut value and the next combo reuses it.
 
-    Per batch, the first free axis's shells go into ``w[i, r, xa, nu_b]`` as
-    the batch's coefficients copied over ``xa`` times ``pa``, the phase pair
-    held over ``w``'s shape (twice its bytes: 522 KB for B = 16 on a 64^3
-    grid with one free axis, 1.37 MB for the suites' B = 17 on 68 x 68), and
-    are summed in place by steps made once per stream; the second free axis
-    is added one ``mb`` at a time into the slab, one tile of shells after the other, except on a
-    phantom axis, where ``w`` is the slab and is yielded itself, whole.
-    Shell ``mb`` adds columns ``nu_b = B_b +- mb`` of ``w``, each copied
-    over ``xb`` into a buffer and multiplied in place by its phase's
-    ``(xa, xb)`` plane, in the operand order that keeps the bits; an ``mb``
-    past the planes ``_PLANE_BYTES`` holds refills one spare pair on each
-    use. Free-axis buffers are allocated once per stream, the last cut
-    axis's shell buffers once per leading combo.
+    Per batch, every first-free-axis shell of ``w[i, r, xa, nu_b]`` is one
+    batched ``_pair_product`` of the pairs of rows ``nu_a = B_a +- i``, then
+    summed in place by steps made once per stream; the second free axis is
+    added one ``mb`` at a time into the slab, a tile of shells at a time, as
+    the pair product of columns ``nu_b = B_b +- mb`` over the tile's
+    (shell, row, xa) rows, except on a phantom axis, where ``w`` is the slab
+    and is yielded itself, whole. The phases are each free axis's trig rows
+    and pair table (97 KB for the suites' B = 17 on 68 points). Free-axis
+    buffers are allocated once per stream, the last cut axis's shell
+    buffers once per leading combo.
 
     A batch holds as many rows as fit in ``_SLAB_BYTES`` of slab (at least
     one), and a row too large for it splits into tiles of as many shells as
@@ -600,39 +612,29 @@ def iter_prefix_slabs(
         )
     else:
         combos = (arr,)
-    epb, enb = _phase_pair_cached(bb, lb)
+    (trig_a, table_a), (trig_b, table_b) = _phase_tables(ba, la), _phase_tables(bb, lb)
     kept = ba + 1 - sa
     batch = max(1, min(plan.lac_size, _SLAB_BYTES // (kept * la * lb * 16)))
     tile = max(1, min(kept, _SLAB_BYTES // (batch * la * lb * 16)))
     w_buf = np.empty((ba + 1, batch, la, 2 * bb + 1), dtype=complex)
-    wt_buf = np.empty_like(w_buf)
-    # (epa, ena) over w's whole shape: the build multiplies contiguous operands
-    pa = np.empty((2,) + w_buf.shape, dtype=complex)
-    pa[:] = np.stack(_phase_pair_cached(ba, la))[:, :, None, :, None]
+    wp_buf = np.empty((ba, batch, 2, 2 * bb + 1), dtype=complex)  # w's pairs (A, iB)
     steps = list(zip(w_buf[1:], w_buf[:-1]))  # a full batch's running-sum adds
     # on a phantom second axis w is the slab; a real free axis of bandwidth
     # 0 has more than one grid point and still needs w broadcast over them
     phantom = bb == 0 and lb == 1
     if not phantom:
-        slab_buf = np.empty((tile, batch, la, lb), dtype=complex)
-        col_buf = np.empty_like(slab_buf)
-        # (epb[mb], enb[mb]) broadcast over xa for mb <= held; slot 0, which
-        # mb = 0 never uses, is the spare pair for every mb past them
-        held = max(0, min(bb, _PLANE_BYTES // (2 * la * lb * 16) - 1))
-        planes = np.empty((held + 1, 2, la, lb), dtype=complex)
-        planes[1:] = np.stack((epb, enb), 1)[1 : held + 1, :, None]
+        # tile x batch x la rows each, a short tile's a leading block
+        slab_buf, col_buf = (np.empty((tile * batch * la, lb, 1), dtype=complex) for _ in "sc")
+        sp_buf = np.empty((tile * batch * la, 2, 1), dtype=complex)
     for combo, rows in enumerate(combos):
         rows = rows.reshape((plan.lac_size, 2 * ba + 1, 2 * bb + 1))
         for start in range(0, plan.lac_size, batch):
             n = min(batch, plan.lac_size - start)
             row = combo * plan.lac_size + start
-            r = rows[start : start + n].transpose(1, 0, 2)[:, :, None, :]  # (nu_a, r, 1, nu_b)
-            w, wt = w_buf[:, :n], wt_buf[:, :n]
-            np.copyto(w, r[ba:])
-            w *= pa[0, :, :n]  # r x phase, the order that keeps the bits
-            np.copyto(wt, r[ba::-1])
-            wt *= pa[1, :, :n]
-            w += wt
+            r = rows[start : start + n].transpose(1, 0, 2)  # (nu_a, r, nu_b)
+            w, wp = w_buf[:, :n], wp_buf[:, :n]
+            np.copyto(w[0], r[ba, :, None])
+            _pair_product(r[ba + 1 :], r[:ba][::-1], wp, trig_a[1:, None], table_a[1:], w[1:])  # every shell at once
             for shell, prev in steps if n == batch else zip(w[1:], w[:-1]):
                 shell += prev
             if phantom:
@@ -641,15 +643,14 @@ def iter_prefix_slabs(
                 continue
             for ma in range(sa, ba + 1, tile):
                 part = w[ma : ma + tile]
-                slab, col = slab_buf[: len(part), :n], col_buf[: len(part), :n]
-                np.copyto(slab, part[..., bb, None])
+                m = part.shape[0] * n * la
+                slab, col, sp = slab_buf[:m], col_buf[:m], sp_buf[:m]
+                shaped = slab.reshape(part.shape[:3] + (lb,))
+                np.copyto(shaped, part[..., bb, None])
                 for mb in range(bb + 1):
                     if mb:
-                        if mb > held:
-                            planes[0] = epb[mb, None], enb[mb, None]
-                        for nu_b, plane in zip((bb + mb, bb - mb), planes[mb if mb <= held else 0]):
-                            np.copyto(col, part[..., nu_b, None])
-                            col *= plane  # part x phase, the order that keeps the bits
-                            slab += col
+                        plus, minus = (part[..., bb + j].reshape(m, 1) for j in (mb, -mb))
+                        _pair_product(plus, minus, sp, trig_b[mb], table_b[mb], col)
+                        slab += col
                     if mb >= sb:
-                        yield (row, ma), mb, slab
+                        yield (row, ma), mb, shaped

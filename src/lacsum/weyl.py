@@ -260,4 +260,4 @@ def check_weyl_conditions(weight: WeylWeight, box: int) -> WeylConditionReport:
 def weighted_energy(spectrum, weight: WeylWeight) -> float:
     """Weighted coefficient energy ``sum |c_nu|^2 W(nu)`` over the spectrum box."""
     w = weight.fn(*np.ix_(*(np.arange(-b, b + 1) for b in spectrum.bandwidth)))
-    return float(np.sum((np.abs(spectrum.coeffs) ** 2) * w))
+    return float(np.sum((spectrum.coeffs.real ** 2 + spectrum.coeffs.imag ** 2) * w))

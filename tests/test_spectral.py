@@ -22,7 +22,8 @@ from lacsum import (
     synthesize,
 )
 from lacsum.spectral import (
-    _phase_pair_cached,
+    _pair_product,
+    _phase_tables,
     _shell_prefixes,
     iter_prefix_slabs,
     plan_prefix_blocks,
@@ -270,7 +271,19 @@ def test_shell_tensor_rejects_bad_shell_lists(shells):
     with pytest.raises(LacsumError):
         ShellTensor.from_grid(zero_spectrum((2, 2)), TorusGrid((4, 4)), shells)
 
-def _shell_expand(arr, axis, ep, en):
+def _pair(pos, neg, trig):
+    """``pos e^{+imx} + neg e^{-imx}`` over the grid rows ``trig = (cos mx,
+    sin mx)``, appended as a last axis: ``A cos + (iB) sin`` with ``A = pos +
+    neg`` and ``B = pos - neg`` (``neg`` None at ``m = 0``: ``A = c_0``,
+    ``B = 0``), by one np.matmul of ``trig`` and each pair's ``2 x 2``
+    floats, the rounding the stream's kernel gets in either orientation."""
+    a = pos.copy() if neg is None else pos + neg
+    ib = np.zeros_like(a) if neg is None else (neg.imag - pos.imag) + 1j * (pos.real - neg.real)
+    pairs = np.stack([a, ib], axis=-1)[..., None]
+    return np.matmul(trig, pairs.view(float)).view(complex)[..., 0]
+
+
+def _shell_expand(arr, axis, trig):
     """Turn coefficient axis ``axis`` (size 2b+1) into a (shell, grid) pair,
     the whole array at once: the pipeline the shell-at-a-time tensor build
     and the shell-major slab stream replaced, kept as their reference.
@@ -279,10 +292,10 @@ def _shell_expand(arr, axis, ep, en):
     grid coordinate; the shell value is ``c_{+i} e^{i i x} + c_{-i} e^{-i i x}``.
     """
     moved = np.moveaxis(arr, axis, -1)
-    b = ep.shape[0] - 1
+    b = trig.shape[0] - 1
     pos = moved[..., b:]
     neg = moved[..., b::-1]
-    out = pos[..., :, None] * ep + neg[..., :, None] * en
+    out = np.concatenate([_pair(pos[..., :1], None, trig[:1]), _pair(pos[..., 1:], neg[..., 1:], trig[1:])], axis=-2)
     return np.moveaxis(out, (-2, -1), (axis, axis + 1))
 
 
@@ -293,9 +306,48 @@ def _whole_array_shell_build(s, grid):
     dim = s.dimension
     arr = s.coeffs
     for p, (b, L) in enumerate(zip(s.bandwidth, grid.resolution)):
-        ep, en = _phase_pair_cached(b, L)
-        arr = np.cumsum(_shell_expand(arr, 2 * p, ep, en), axis=2 * p)
+        arr = np.cumsum(_shell_expand(arr, 2 * p, _phase_tables(b, L)[0]), axis=2 * p)
     return np.ascontiguousarray(np.transpose(arr, tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))))
+
+
+def _both_orientations(rows, length):
+    """Random pairs of shell 5 on ``length`` points through ``_pair_product``
+    as one pair per row over ``rows`` rows, ``(M x 4) pairs @ (4 x 2L)
+    table``, and as one row of them all, ``(L x 2) trig @ (2 x 2M) pairs``."""
+    rng = np.random.default_rng(1000 * rows + length)
+    plus, minus = (rng.standard_normal(rows) + 1j * rng.standard_normal(rows) for _ in range(2))
+    trig, table = (t[5] for t in _phase_tables(5, length))
+    by_rows = np.empty((rows, length, 1), dtype=complex)
+    _pair_product(plus[:, None], minus[:, None], np.empty((rows, 2, 1), dtype=complex), trig, table, by_rows)
+    by_trig = np.empty((length, rows), dtype=complex)
+    _pair_product(plus, minus, np.empty((2, rows), dtype=complex), trig, table, by_trig)
+    return plus, minus, trig, by_rows[..., 0], by_trig.T
+
+
+@pytest.mark.parametrize("rows", [2, 3, 7, 68, 333])
+@pytest.mark.parametrize("length", [2, 3, 7, 68, 333])
+def test_pair_product_orientations_agree(rows, length):
+    # remainder shapes of any gemm blocking: the two orientations give the
+    # same bits, negative zeros included
+    *_, by_rows, by_trig = _both_orientations(rows, length)
+    assert by_rows.tobytes() == by_trig.copy().tobytes()
+
+
+@pytest.mark.parametrize("rows, length", [(2, 333), (68, 68), (333, 7)])
+def test_pair_product_rounds_as_one_fma(rows, length):
+    # each component is round(round(cos a) + sin b), one product and one
+    # fused multiply-add, whatever the BLAS's SIMD width: the rule that keeps
+    # report bytes equal across hosts (a gemm kernel without FMA fails here)
+    from fractions import Fraction
+
+    plus, minus, trig, by_rows, _ = _both_orientations(rows, length)
+    a, ib = plus + minus, 1j * (plus - minus)
+    for r in range(rows):
+        for x in range(length):
+            (c, s), got = trig[x], by_rows[r, x]
+            for part in ("real", "imag"):
+                pa, pb = getattr(a[r], part), getattr(ib[r], part)
+                assert getattr(got, part) == float(Fraction(c * pa) + Fraction(s) * Fraction(pb)), (r, x, part)
 
 
 @pytest.mark.parametrize(
@@ -359,7 +411,7 @@ def test_shell_prefixes_in_place_matches_yields(values, axis):
     rng = np.random.default_rng(23)
     arr = rng.standard_normal((11, 3, 11)) + 1j * rng.standard_normal((11, 3, 11))
     yields = np.stack([acc.copy() for acc in _shell_prefixes(arr, axis, 5, 6, values)])
-    dense = np.cumsum(_shell_expand(arr, axis, *_phase_pair_cached(5, 6)), axis=axis)
+    dense = np.cumsum(_shell_expand(arr, axis, _phase_tables(5, 6)[0]), axis=axis)
     assert np.array_equal(yields, np.moveaxis(dense, axis, 0)[list(values)])
     out = np.full(yields.shape, np.nan, dtype=complex)
     for j, acc in enumerate(_shell_prefixes(arr, axis, 5, 6, values, out)):
@@ -541,24 +593,20 @@ def _whole_array_cut(spectrum, grid, plan):
     arr = np.transpose(spectrum.coeffs, plan.perm)
     for t, (axis, values) in enumerate(zip(plan.cut_axes, plan.cut_values)):
         b = spectrum.bandwidth[axis]
-        ep, en = _phase_pair_cached(b, grid.resolution[axis])
-        coef = np.expand_dims(np.moveaxis(arr, 2 * t, 0), 2 * t + 1)
-        phase_shape = ep.shape[1:] + (1,) * (arr.ndim - 2 * t - 1)
-        acc = np.empty(np.broadcast_shapes(coef.shape[1:], phase_shape), dtype=complex)
-        shell, tmp = np.empty_like(acc), np.empty_like(acc)
-        out = np.empty(acc.shape[:t] + (len(values),) + acc.shape[t:], dtype=complex)
-        dest = np.moveaxis(out, t, 0)
+        trig = _phase_tables(b, grid.resolution[axis])[0]
+        coef = np.moveaxis(arr, 2 * t, -1)  # nu last, the grid coordinate appended after it
+        acc = None
+        out = []
         for i in range(values[-1] + 1):
-            np.multiply(coef[b + i], ep[i].reshape(phase_shape), out=shell)
-            np.multiply(coef[b - i], en[i].reshape(phase_shape), out=tmp)
-            shell += tmp
-            if i:
-                acc += shell
-            else:
-                np.copyto(acc, shell)
+            shell = _pair(coef[..., b + i], coef[..., b - i] if i else None, trig[i])
+            acc = shell if acc is None else acc + shell
             if i in values:
-                dest[values.index(i)] = acc
-        arr = out
+                out.append(acc)
+        # stacked (values, leading axes, the rest, grid coordinate) to the
+        # stream's (leading values, values, leading grids, grid coordinate,
+        # the rest)
+        out = np.moveaxis(np.stack(out), -1, 2 * t + 1)
+        arr = np.moveaxis(out, 0, t)
     return arr.reshape((plan.rows,) + tuple(2 * b + 1 for b in plan.free_limits))
 
 
@@ -579,17 +627,15 @@ def test_streamed_slabs_match_whole_array_cut(bw, res, cut_axes, cut_values, mon
     (ba, bb), (la, lb) = plan.free_limits, plan.free_grid
     monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", 5 * (ba + 1) * la * lb * 16)
     rows = _whole_array_cut(s, grid, plan)
-    epa, ena = _phase_pair_cached(ba, la)
-    epb, enb = _phase_pair_cached(bb, lb)
+    trig_a, trig_b = _phase_tables(ba, la)[0], _phase_tables(bb, lb)[0]
     seen = 0
     for (row, ma), mb, slab in iter_prefix_slabs(s, grid, plan):
         if mb == 0:
-            w = np.cumsum(_shell_expand(rows[row : row + slab.shape[1]], 1, epa, ena), axis=1)
+            w = np.cumsum(_shell_expand(rows[row : row + slab.shape[1]], 1, trig_a), axis=1)
             w = np.moveaxis(w, 1, 0)[ma : ma + len(slab)]  # (ma, r, xa, nu_b), as streamed
             expected = np.repeat(w[..., bb, None], lb, axis=-1)
         else:
-            expected += w[..., bb + mb, None] * epb[mb]
-            expected += w[..., bb - mb, None] * enb[mb]
+            expected += _pair(w[..., bb + mb], w[..., bb - mb], trig_b[mb])
         assert np.array_equal(slab, expected), (row, ma, mb)
         seen += slab.shape[0] * slab.shape[1]
     assert seen == plan.rows * (ba + 1) * (bb + 1)
@@ -604,15 +650,14 @@ def _row_major_stream(spectrum, grid, plan):
     phantom second axis takes every shell at once)."""
     rows = _whole_array_cut(spectrum, grid, plan)
     (ba, bb), (la, lb), (sa, sb) = plan.free_limits, plan.free_grid, plan.free_start
-    epa, ena = _phase_pair_cached(ba, la)
-    epb, enb = _phase_pair_cached(bb, lb)
+    trig_a, trig_b = _phase_tables(ba, la)[0], _phase_tables(bb, lb)[0]
     budget, kept = lacsum.spectral._SLAB_BYTES, ba + 1 - sa
     batch = max(1, min(plan.lac_size, budget // (kept * la * lb * 16)))
     tile = kept if bb == 0 and lb == 1 else max(1, min(kept, budget // (batch * la * lb * 16)))
     for first in range(0, plan.rows, plan.lac_size):
         for start in range(0, plan.lac_size, batch):
             row = first + start
-            w = _shell_expand(rows[row : row + min(batch, plan.lac_size - start)], 1, epa, ena)
+            w = _shell_expand(rows[row : row + min(batch, plan.lac_size - start)], 1, trig_a)
             np.cumsum(w, axis=1, out=w)
             for ma in range(sa, ba + 1, tile):
                 part = w[:, ma : ma + tile]
@@ -620,8 +665,7 @@ def _row_major_stream(spectrum, grid, plan):
                 np.copyto(slab, part[..., bb, None])
                 for mb in range(bb + 1):
                     if mb:
-                        slab += part[..., bb + mb, None] * epb[mb]
-                        slab += part[..., bb - mb, None] * enb[mb]
+                        slab += _pair(part[..., bb + mb], part[..., bb - mb], trig_b[mb])
                     if mb >= sb:
                         yield (row, ma), mb, slab.copy()
 
@@ -697,46 +741,53 @@ def test_stream_tiles_are_bit_identical_to_row_major_stream(
 
 
 @pytest.mark.parametrize("min_term", [0, 4])
-@pytest.mark.parametrize("held", [0, 1, 17])
-def test_stream_is_bit_identical_at_suite_geometry(min_term, held, monkeypatch):
-    # the suites' 68 x 68 free grid at B = 17: tiles of three shells, and a
-    # plane budget holding no plane, one, or every one of mb = 1..17 beside
-    # the spare pair
+@pytest.mark.parametrize("tile", [0, 1, 17])
+def test_stream_is_bit_identical_at_suite_geometry(min_term, tile, monkeypatch):
+    # the suites' 68 x 68 free grid at B = 17: tiles of three shells under
+    # the default budget (0), of one, or of 17 (a tile of 17 and one of 1,
+    # or one of 14 for min_term 4), so each mb's pair product takes 68,
+    # 204 or 1,156 rows
     s = random_spectrum(np.random.default_rng(25), (1, 17, 17))
     grid = TorusGrid((2, 68, 68))
     plan = plan_prefix_blocks(s, grid, cut_space(3, (0,), ((1, 2, 4),)), min_term=min_term)
-    monkeypatch.setattr(lacsum.spectral, "_PLANE_BYTES", (held + 1) * 2 * 68 * 68 * 16)
+    if tile:
+        monkeypatch.setattr(lacsum.spectral, "_SLAB_BYTES", tile * 68 * 68 * 16)
     tiles = [len(slab) for (row, _), mb, slab in iter_prefix_slabs(s, grid, plan) if row == 0 and mb == 17]
-    assert tiles == [3] * (len(tiles) - 1) + [(18 - min_term) % 3 or 3]
+    size = tile or 3
+    assert tiles == [size] * (len(tiles) - 1) + [(18 - min_term) % size or size]
     _assert_stream_is_row_major_stream(s, grid, plan)
 
 
-def test_stream_phase_planes_stay_within_budget(monkeypatch):
-    # on a 256 x 256 free grid every phase plane of B = 17 would take
-    # 18 x 2 x 65,536 x 16 bytes (37.7 MB); the stream holds the planes that
-    # fit its budget beside one spare pair
+def test_stream_phase_tables_stay_small():
+    # the stream's phase operands are each free axis's (B + 1, L, 2) trig
+    # rows, the float view of the e^{imx} table, and its (B + 1, 4, 2 L)
+    # pair table: 19,584 and 78,336 bytes for the suites' B = 17 on 68
+    # points, linear in the grid where phase planes over (xa, xb) grew with
+    # its square
     import tracemalloc
 
+    trig, table = _phase_tables(17, 68)
+    assert (trig.shape, table.shape) == ((18, 68, 2), (18, 4, 136))
+    assert (trig.nbytes, table.nbytes) == (19_584, 78_336)
+    phases = np.exp(1j * np.outer(np.arange(18), TorusGrid((68,)).axis_coords(0)))
+    assert np.array_equal(trig.view(complex)[..., 0], phases)
+    # on a 256 x 256 free grid the planes of B = 17 would have taken
+    # 18 x 2 x 65,536 x 16 bytes (37.7 MB); through the first tile's last mb
+    # the stream holds its buffers (w, 2.6 MB; slab and column, 1 MiB each)
+    # and 0.4 MB of tables
     s = random_spectrum(np.random.default_rng(26), (1, 17, 17))
     grid = TorusGrid((2, 256, 256))
     plan = plan_prefix_blocks(s, grid, cut_space(3, (0,), ((1,),)))
-    pair = 2 * 256 * 256 * 16
-
-    def peak(budget):
-        monkeypatch.setattr(lacsum.spectral, "_PLANE_BYTES", budget)
-        tracemalloc.start()
-        try:
-            # through the first tile's last mb, past every plane
-            for _, mb, _ in iter_prefix_slabs(s, grid, plan):
-                if mb == 17:
-                    break
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    spare = peak(0)
-    for budget in (4 * pair, lacsum.spectral._PLANE_BYTES):
-        assert budget - 2 * pair < peak(budget) - spare <= budget, budget
+    _phase_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        for _, mb, _ in iter_prefix_slabs(s, grid, plan):
+            if mb == 17:
+                break
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
 
 
 FAMILIES = ((1,), (1, 2), (1, 3), (1, 2, 4))

@@ -100,6 +100,27 @@ def test_identity_suite_perturbation_fails():
     assert rep.results["checks"]["abel"]["max_deviation"] >= 1e-6
 
 
+def test_identity_summary_holds_each_check_to_its_bound():
+    # the Abel check is held to tolerance x its rounding scale, so a passing
+    # report's raw maximum can sit above the tolerance (1.04e-10 against
+    # 1e-10 here); worst_ratio, the largest deviation over its own bound, is
+    # what the verdict reads
+    cfg = ExperimentConfig(seed=1, **{**SMALL_IDENTITY, "abel_trials": 3, "abel_max_n": 100})
+    rep = run_identity_suite(cfg)
+    tol, checks = rep.summary["tolerance"], rep.results["checks"].values()
+    assert rep.passed and rep.summary["max_deviation"] > tol
+    assert rep.summary["worst_ratio"] == max(c["max_deviation"] / (tol * c.get("scale", 1.0)) for c in checks) <= 1
+    perturbed = run_identity_suite(dataclasses.replace(cfg, perturb=True))
+    assert not perturbed.passed and perturbed.summary["worst_ratio"] > 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+def test_identity_tolerance_must_be_positive(tol):
+    # the verdict divides each deviation by tolerance x scale
+    with pytest.raises(LacsumError, match="identity_tolerance must be > 0"):
+        ExperimentConfig(identity_tolerance=tol)
+
+
 def test_identity_suite_no_cases_marker():
     cfg = ExperimentConfig(
         seed=5,
