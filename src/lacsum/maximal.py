@@ -270,21 +270,18 @@ def weighted_maximal(
 # level sets and weak-type tables
 
 
-def level_set_measure(m: np.ndarray, alpha: float, grid: TorusGrid) -> float:
-    """Discrete measure of ``{x : |M(x)| > alpha}`` for values ``m`` on ``grid``.
-
-    ``(2*pi)^N`` times the fraction of grid points exceeding the level.
-    """
-    if alpha <= 0:
+def level_set_measure(m: np.ndarray, alphas: float | np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Discrete measures ``(2*pi)^N * #{x : |m(x)| > alpha} / #grid`` at each level of
+    ``alphas`` (a scalar gives a scalar), all counted from one in-place sort of ``|m|``."""
+    if np.shape(m) != grid.resolution:
+        raise LacsumError(f"values of shape {np.shape(m)} are not on the {grid.resolution} grid")
+    alphas = np.asarray(alphas, dtype=float)
+    if np.any(alphas <= 0):
         raise LacsumError("alpha must be positive")
-    frac = float(np.count_nonzero(np.abs(m) > alpha)) / m.size
-    return (2.0 * np.pi) ** grid.dimension * frac
-
-
-def weak_type_ratios(m: np.ndarray, alphas: np.ndarray, sigma: float, grid: TorusGrid) -> tuple:
-    """Level-set measures ``mu{|m| > alpha}`` at ``alphas`` and the ratios ``alpha^2 mu / sigma``."""
-    measures = np.asarray([level_set_measure(m, a, grid) for a in alphas])
-    return measures, alphas**2 * measures / sigma
+    levels = np.abs(m).ravel("K")  # a fresh array, so ravel is a view of it
+    levels.sort()
+    counts = levels.size - np.searchsorted(levels, alphas, side="right")
+    return (2.0 * np.pi) ** grid.dimension * (counts / levels.size)
 
 
 def _alpha_grid(top: float, points: int) -> np.ndarray:
@@ -334,7 +331,8 @@ def weak_type_table(
             raise DegenerateInputError("maximal function vanishes; no level grid")
         alphas = _alpha_grid(m_max, 25)
     grid_alphas = np.asarray(alphas, dtype=float)  # level_set_measure rejects an alpha <= 0
-    measures, ratios = weak_type_ratios(m, grid_alphas, sigma, grid)
+    measures = level_set_measure(m, grid_alphas, grid)
+    ratios = grid_alphas**2 * measures / sigma
     return WeakTypeTable(
         alphas=grid_alphas,
         measures=measures,

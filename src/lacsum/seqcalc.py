@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LacsumError
-from .lattice import Index, JkIndexSpace, check_index
+from .lattice import JkIndexSpace, check_index
 from .spectral import Spectrum, restrict
 
 

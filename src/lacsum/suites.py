@@ -8,8 +8,8 @@ schema tag). ``_COMMAND_FIELDS`` names the config fields each suite (and
 ``gen``) reads, with its defaults: it fills the config, bounds the keys a
 ``--config`` file or flag may set, and is the report's config echo. The
 convergence and maximal runners check their config before any trial (an
-unknown weight, or ``alpha_points`` x grid points over the level-set
-budget, is an input error), run one trial function per trial on plain,
+unknown weight, or ``alpha_points`` x grid points over the weak-type input
+bound, is an input error), run one trial function per trial on plain,
 picklable arguments, and build their summaries from the trials' rows.
 
 Suites:
@@ -39,8 +39,7 @@ import numpy as np
 from . import __version__
 from .errors import LacsumError
 from .lattice import JkIndexSpace, SampleJk, make_lacunary, make_lacunary_covering
-# level_set_measure is unused here, but perfbench/tracing.py patches it on this module too
-from .maximal import _alpha_grid, _squared_modulus, level_set_measure, sweep_space, weak_type_ratios  # noqa: F401
+from .maximal import _alpha_grid, _squared_modulus, level_set_measure, sweep_space
 from .seqcalc import abel_identity_check, telescope_split
 from .decomp import decompose_free_pair, min_log_inverse
 from .spectral import (
@@ -300,8 +299,7 @@ def gen_test_function(
     family: str,
     bandwidth: int | Sequence[int],
     dimension: int | None = None,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    seed: int | Sequence[int] = 0,
     beta: float = 2.0,
     eps: float = 0.5,
     mode: Sequence[int] = (1, 2, 3),
@@ -316,6 +314,7 @@ def gen_test_function(
     borderline``: squared magnitudes proportional to the reciprocal of the
     free-axes log product times ``prod (|nu_j|+1)^-(1+eps)``, so the weighted
     energy converges while the plain energy decays slowly; needs ``sample``.
+    ``seed`` (an int or a ``(seed, trial)`` pair) seeds ``np.random.default_rng``.
     """
     if family not in FAMILIES:
         raise LacsumError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -339,7 +338,7 @@ def gen_test_function(
     need = math.prod(2 * b + 1 for b in bw) * 16
     if need > _ARRAY_BYTES:
         raise LacsumError(f"test spectrum would take {need} bytes (> {_ARRAY_BYTES})")
-    gen = rng if rng is not None else np.random.default_rng(seed)
+    gen = np.random.default_rng(seed)
     shape = tuple(2 * b + 1 for b in bw)
 
     if family == "single_mode":
@@ -391,7 +390,7 @@ def _trial_spectrum(cfg: ExperimentConfig, trial: int, bw: tuple[int, ...], samp
     return gen_test_function(
         cfg.family,
         bandwidth=bw,
-        rng=_trial_rng(cfg.seed, trial),
+        seed=(cfg.seed, trial),
         beta=cfg.beta,
         eps=cfg.eps,
         mode=cfg.mode,
@@ -422,7 +421,7 @@ def _suite_layout(cfg: ExperimentConfig) -> tuple[SampleJk, tuple[int, ...], Tor
 # largest regime work of one Abel check, regime vectors x hypersequence cells:
 # order 8 at n = 2 (9^8) takes about 0.1 s on a 2-core Xeon (shared regime passes)
 _ABEL_WORK = 10**8
-_WEAK_TYPE_WORK = 10**9  # largest alpha points x grid points of one maximal-suite level set pass
+_WEAK_TYPE_WORK = 10**9  # input bound on alpha points x grid points; the level sets take one sort
 
 
 def abel_max_deviation(
@@ -723,7 +722,7 @@ def _maximal_trial(cfg: ExperimentConfig, trial: int, bw: tuple[int, ...], grid:
             pair_ratio = grid_l2(m_u) ** 2 / sigma_pair
         wt = 0.0
         if alphas is not None and sigma > 0:
-            wt = float(weak_type_ratios(m_u, alphas, sigma, grid)[1].max())
+            wt = float((alphas**2 * level_set_measure(m_u, alphas, grid) / sigma).max())
         rows.append(
             {
                 "trial": trial,

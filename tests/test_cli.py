@@ -277,7 +277,7 @@ def test_converge_level_past_a_lacunary_bandwidth(tmp_path, capsys):
     assert [r["level"] for r in rows] == [4, 8]
     # oracle: the partial sums at every index whose components all reach the
     # level (lacunary terms 1, 2, 4, 8, 16; free values up to the cap 8)
-    s = gen_test_function("random_decay", (3, 8, 8), rng=np.random.default_rng([1, 0]), beta=3.0)
+    s = gen_test_function("random_decay", (3, 8, 8), seed=[1, 0], beta=3.0)
     grid = TorusGrid((12, 32, 32))
     f = partial_sum(s, (3, 8, 8), grid).values
     for row in rows:

@@ -238,6 +238,42 @@ def test_level_set_measure_values():
         level_set_measure(ones, 0.0, grid)
 
 
+def test_level_set_counts_every_alpha_from_one_sort():
+    # each level counts what a direct comparison counts, bit for bit: values
+    # tied exactly at an alpha, a level above max|m| (measure 0) and one
+    # below min|m| (the whole torus), on values laid out transposed
+    rng = np.random.default_rng(11)
+    grid = TorusGrid((4, 6))
+    m = (rng.choice([0.25, 0.5, 1.0, 2.0], size=(6, 4)) * rng.choice([-1.0, 1.0], size=(6, 4))).T
+    alphas = np.array([0.1, 0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0])
+    expected = [(2 * np.pi) ** 2 * (np.count_nonzero(np.abs(m) > a) / m.size) for a in alphas]
+    measures = level_set_measure(m, alphas, grid)
+    assert np.array_equal(measures, expected)
+    assert measures[0] == (2 * np.pi) ** 2 and measures[-1] == 0.0
+    scalar = level_set_measure(m, 0.5, grid)
+    assert np.ndim(scalar) == 0 and scalar == expected[3]
+
+
+class _NoAbs:
+    def __abs__(self):
+        raise AssertionError("|m| taken before the alpha check")
+
+
+@pytest.mark.parametrize("alphas", [0.0, [0.5, 0.0], [-1.0, 2.0], [1.0, 2.0, -0.5]])
+def test_level_set_rejects_a_nonpositive_alpha_before_sorting(alphas):
+    grid = TorusGrid((2, 4))
+    m = np.full(grid.resolution, _NoAbs(), dtype=object)
+    with pytest.raises(LacsumError, match="positive"):
+        level_set_measure(m, alphas, grid)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4, 1), (4, 4, 5)])
+def test_level_set_rejects_values_off_the_grid(shape):
+    # the measure of (2 pi)^3 times a fraction needs the grid's own points
+    with pytest.raises(LacsumError, match="grid"):
+        level_set_measure(np.ones(shape), 0.5, TorusGrid((4, 4, 4)))
+
+
 def test_level_set_monotone_in_alpha():
     rng = np.random.default_rng(8)
     grid = TorusGrid((6, 6))
