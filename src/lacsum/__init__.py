@@ -38,12 +38,10 @@ from .weyl import (
     weighted_energy,
 )
 from .maximal import (
-    MaximalReport,
     gather_max,
     level_set_measure,
     sweep_space,
     weak_type_table,
-    weighted_maximal,
 )
 from .seqcalc import (
     AbelCheck,

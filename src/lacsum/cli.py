@@ -221,16 +221,24 @@ def _cmd_maximal(args) -> int:
     )
     grid = _grid_for(args, spectrum)
     weight = weight_from_kind(args.weight, sample)
-    table = weak_type_table(spectrum, space, weight, grid)
-    report = table.report
+    table = weak_type_table(spectrum, space, weight, grid)  # raises at sigma 0; sigma > 0 gives input_l2 > 0
+    m_l2, input_l2 = grid_l2(table.values), float(np.sqrt(spectrum.energy()))
     doc = {
         "schema": "lacsum.maximal/1",
         "grid": list(grid.resolution),
-        "space": report.space,
-        "weight": report.weight,
-        "m_l2": report.m_l2,
-        "input_l2": report.input_l2,
-        "ratio": report.ratio,
+        "space": {
+            "dimension": n,
+            "lacunary_axes": list(sample.lacunary_axes),
+            "free_axes": list(sample.free_axes),
+            "ratios": [f.q for f in space.families],
+            "terms": [list(f.terms) for f in space.families],
+            "free_caps": list(space.free_caps),
+            "index_count": space.count,
+        },
+        "weight": weight.description,
+        "m_l2": m_l2,
+        "input_l2": input_l2,
+        "ratio": m_l2 / input_l2,
         "weak_type": {
             "alphas": list(table.alphas),
             "ratios": list(table.ratios),

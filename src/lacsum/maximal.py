@@ -13,9 +13,9 @@ One blocked sweep serves every shape of space: it streams
 their clamped values, the first two free axes carrying a full prefix range),
 reduces each slab (a tile of shells of a batch of rows) into a slice of
 its running maxima, and serves several weights and cap levels in one pass,
-so ``weighted_maximal`` reports every weight it is given, and
-``weak_type_table`` the weighted report beside the unweighted maximum, from
-one stream. Only the maximal values are kept, not the indices attaining them.
+so ``weak_type_table`` gets the weighted maximal function beside the
+unweighted one from one stream. Only the maximal values are kept, not the
+indices attaining them.
 ``gather_max`` looks up an explicit index list in a ``ShellTensor`` instead;
 it is the independent oracle the tests check the sweep against.
 
@@ -44,23 +44,10 @@ from .spectral import (
     ShellTensor,
     Spectrum,
     TorusGrid,
-    grid_l2,
     iter_prefix_slabs,
     plan_prefix_blocks,
 )
 from .weyl import WeylWeight, unit_weight, weighted_energy
-
-
-@dataclass(frozen=True)
-class MaximalReport:
-    """Result of one maximal sweep over a fixed index space."""
-
-    values: np.ndarray
-    space: dict
-    weight: str
-    m_l2: float
-    input_l2: float
-    ratio: float
 
 
 def _squared_modulus():
@@ -227,46 +214,6 @@ def gather_max(
 
 
 # ---------------------------------------------------------------------------
-# operator-level entry point
-
-
-def weighted_maximal(
-    spectrum: Spectrum,
-    space: JkIndexSpace,
-    weights: Sequence[WeylWeight],
-    grid: TorusGrid,
-) -> list[MaximalReport]:
-    """Maximum of ``|S_n(x)| / sqrt(W(n))`` over every index of the space,
-    one report per weight, all from one blocked pass."""
-    m_values = sweep_space(spectrum, grid, space, weights)
-    summary = {
-        "dimension": space.sample.dimension,
-        "lacunary_axes": list(space.sample.lacunary_axes),
-        "free_axes": list(space.sample.free_axes),
-        "ratios": [f.q for f in space.families],
-        "terms": [list(f.terms) for f in space.families],
-        "free_caps": list(space.free_caps),
-        "index_count": space.count,
-    }
-    input_l2 = float(np.sqrt(spectrum.energy()))
-    reports = []
-    for wi, w in enumerate(weights):
-        values = m_values[wi, 0]
-        m_l2 = grid_l2(values)
-        reports.append(
-            MaximalReport(
-                values=values,
-                space=summary,
-                weight=w.description,
-                m_l2=m_l2,
-                input_l2=input_l2,
-                ratio=m_l2 / input_l2 if input_l2 > 0 else 0.0,
-            )
-        )
-    return reports
-
-
-# ---------------------------------------------------------------------------
 # level sets and weak-type tables
 
 
@@ -276,8 +223,8 @@ def level_set_measure(m: np.ndarray, alphas: float | np.ndarray, grid: TorusGrid
     if np.shape(m) != grid.resolution:
         raise LacsumError(f"values of shape {np.shape(m)} are not on the {grid.resolution} grid")
     alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0):
-        raise LacsumError("alpha must be positive")
+    if not np.all((alphas > 0) & np.isfinite(alphas)):
+        raise LacsumError("alpha must be finite and positive")
     levels = np.abs(m).ravel("K")  # a fresh array, so ravel is a view of it
     levels.sort()
     counts = levels.size - np.searchsorted(levels, alphas, side="right")
@@ -298,7 +245,7 @@ class WeakTypeTable:
     ratios: np.ndarray
     sigma: float
     max_ratio: float
-    report: MaximalReport  # the weighted maximal over the same space
+    values: np.ndarray  # the weighted maximal function over the same space
 
 
 def weak_type_table(
@@ -313,7 +260,7 @@ def weak_type_table(
     ``M`` is the unweighted maximum over the space; ``Sigma`` is the weighted
     coefficient energy of the input. Without ``alphas`` the grid is 25
     geometric levels from ``max M / 1000`` to ``max M``. The table also
-    carries the weighted maximal report of the same space; one slab pass
+    carries the weighted maximal function of the same space; one slab pass
     sweeps both weights.
     """
     if alphas is not None and np.size(alphas) == 0:
@@ -321,16 +268,13 @@ def weak_type_table(
     sigma = weighted_energy(spectrum, weight)
     if sigma <= 0:
         raise DegenerateInputError("weighted energy is zero")
-    report, unit_report = weighted_maximal(
-        spectrum, space, [weight, unit_weight(spectrum.dimension)], grid
-    )
-    m = unit_report.values
+    values, m = sweep_space(spectrum, grid, space, [weight, unit_weight(spectrum.dimension)])[:, 0]
     if alphas is None:
         m_max = float(m.max())
         if m_max <= 0:
             raise DegenerateInputError("maximal function vanishes; no level grid")
         alphas = _alpha_grid(m_max, 25)
-    grid_alphas = np.asarray(alphas, dtype=float)  # level_set_measure rejects an alpha <= 0
+    grid_alphas = np.asarray(alphas, dtype=float)  # level_set_measure rejects a bad alpha
     measures = level_set_measure(m, grid_alphas, grid)
     ratios = grid_alphas**2 * measures / sigma
     return WeakTypeTable(
@@ -339,5 +283,5 @@ def weak_type_table(
         ratios=ratios,
         sigma=sigma,
         max_ratio=float(ratios.max()),
-        report=report,
+        values=values,
     )

@@ -305,6 +305,43 @@ def test_alpha_points_over_budget_exits_2_before_any_trial(tmp_path, capsys):
     assert err.startswith("error: ") and "alpha_points" in err and err.count("\n") == 1
 
 
+def test_alpha_points_budget_ignores_the_grid_size(tmp_path, capsys):
+    # the bound is on the alpha grid's own cost, whatever the grid: 5,000
+    # points on a 60^3 grid run, 10^5 + 1 on an 8^3 grid do not
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text("alpha_points = 5000\n")
+    assert run(["maximal-suite", "--trials", "0", "--grid", "60", "--config", str(cfgfile)]) == 0
+    capsys.readouterr()
+    cfgfile.write_text("alpha_points = 100001\n")
+    assert run(["maximal-suite", "--trials", "0", "--grid", "8", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha_points" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "nu, message",
+    [
+        (None, "weighted energy is zero"),
+        # one mode at (3, 3, 3), and the space holds only the index (1, 0, 0)
+        ((3, 3, 3), "maximal function vanishes"),
+    ],
+)
+def test_maximal_degenerate_input_exits_2(tmp_path, capsys, nu, message):
+    from lacsum.serialize import save_json, spectrum_to_dict
+    from spectra import single_mode_spectrum, zero_spectrum
+
+    s = zero_spectrum((3, 3, 3)) if nu is None else single_mode_spectrum((3, 3, 3), nu)
+    spec = tmp_path / "f.json"
+    save_json(spectrum_to_dict(s), spec)
+    out = tmp_path / "max.json"
+    rc = run(["maximal", "--spec", str(spec), "--Jk", "1", "--lambda-count", "1", "--free-cap", "0",
+              "--grid", "8", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_report_reemit(tmp_path):
     cfgfile = tmp_path / "m.cfg"
     cfgfile.write_text(
@@ -458,8 +495,9 @@ def test_maximal_all_lacunary_space(tmp_path, capsys):
         TorusGrid,
         enumerate_jk_indices,
         gather_max,
+        grid_l2,
         make_lacunary,
-        weighted_maximal,
+        sweep_space,
     )
     from lacsum.weyl import product_weight
 
@@ -478,10 +516,10 @@ def test_maximal_all_lacunary_space(tmp_path, capsys):
     assert doc["weak_type"]["sigma"] == s.energy()
     space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * 3, ())
     grid = TorusGrid((12,) * 3)
-    [report] = weighted_maximal(s, space, [product_weight(sample)], grid)
-    assert doc["m_l2"] == report.m_l2
+    blocked = sweep_space(s, grid, space, [product_weight(sample)])[0, 0]
+    assert doc["m_l2"] == grid_l2(blocked)
     values = gather_max(s, grid, list(enumerate_jk_indices(space)), product_weight(sample))
-    assert np.max(np.abs(report.values - values)) < 1e-10
+    assert np.max(np.abs(blocked - values)) < 1e-10
     capsys.readouterr()
 
 
@@ -794,9 +832,10 @@ def test_maximal_one_pass_matches_two_calls(
         JkIndexSpace,
         SampleJk,
         TorusGrid,
+        grid_l2,
         make_lacunary,
+        sweep_space,
         weak_type_table,
-        weighted_maximal,
     )
     from lacsum.serialize import save_csv, save_json
     from lacsum.weyl import weight_from_kind
@@ -820,23 +859,33 @@ def test_maximal_one_pass_matches_two_calls(
     assert sweeps == sweeps_expected  # one pass, carrying both weights
     monkeypatch.undo()
 
-    # the document the weighted report and the weak-type table give separately
+    # the document a one-weight sweep and the weak-type table give separately
     s = spectrum_from_dict(load_json(spec))
     sample = SampleJk(n, jk)
     family = make_lacunary(2.0, 3)
-    space = JkIndexSpace(sample, (family,) * len(jk), (free_cap,) * (n - len(jk)))
+    n_free = n - len(jk)
+    space = JkIndexSpace(sample, (family,) * len(jk), (free_cap,) * n_free)
     grid = TorusGrid((grid_size,) * n)
     weight = weight_from_kind("product", sample)
-    [report] = weighted_maximal(s, space, [weight], grid)
+    m_l2 = grid_l2(sweep_space(s, grid, space, [weight])[0, 0])
+    input_l2 = float(np.sqrt(s.energy()))
     table = weak_type_table(s, space, weight, grid)
     doc = {
         "schema": "lacsum.maximal/1",
         "grid": [grid_size] * n,
-        "space": report.space,
-        "weight": report.weight,
-        "m_l2": report.m_l2,
-        "input_l2": report.input_l2,
-        "ratio": report.ratio,
+        "space": {
+            "dimension": n,
+            "lacunary_axes": list(jk),
+            "free_axes": [a for a in range(1, n + 1) if a not in jk],
+            "ratios": [2.0] * len(jk),
+            "terms": [[1, 2, 4]] * len(jk),
+            "free_caps": [free_cap] * n_free,
+            "index_count": 3 ** len(jk) * (free_cap + 1) ** n_free,
+        },
+        "weight": weight.description,
+        "m_l2": m_l2,
+        "input_l2": input_l2,
+        "ratio": m_l2 / input_l2,
         "weak_type": {
             "alphas": list(table.alphas),
             "ratios": list(table.ratios),

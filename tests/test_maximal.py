@@ -12,6 +12,7 @@ from lacsum import (
     TorusGrid,
     enumerate_jk_indices,
     gather_max,
+    grid_l2,
     level_set_measure,
     make_lacunary,
     min_pair_weight,
@@ -22,7 +23,6 @@ from lacsum import (
     unit_weight,
     weak_type_table,
     weighted_energy,
-    weighted_maximal,
 )
 from lacsum.weyl import weight_from_kind
 from spectra import chirp_spectrum, single_mode_spectrum, zero_spectrum
@@ -43,18 +43,17 @@ GRID = TorusGrid((8, 8, 8))
 
 def test_zero_spectrum_gives_zero_maximal():
     space, sample = small_space()
-    [rep] = weighted_maximal(zero_spectrum((4, 4, 4)), space, [product_weight(sample)], GRID)
-    assert np.max(rep.values) == 0.0
-    assert rep.ratio == 0.0
+    m_values = sweep_space(zero_spectrum((4, 4, 4)), GRID, space, [product_weight(sample)])
+    assert np.max(m_values) == 0.0
 
 
 def test_single_mode_closed_form():
     space, sample = small_space()
     s = single_mode_spectrum((4, 4, 4), (1, 2, 3))
-    [rep] = weighted_maximal(s, space, [product_weight(sample)], GRID)
+    values = sweep_space(s, GRID, space, [product_weight(sample)])[0, 0]
     expected = 1.0 / np.sqrt(np.log(4.0) * np.log(5.0))
-    assert np.max(np.abs(rep.values - expected)) < 1e-10
-    assert rep.ratio == pytest.approx(expected, abs=1e-10)
+    assert np.max(np.abs(values - expected)) < 1e-10
+    assert grid_l2(values) / np.sqrt(s.energy()) == pytest.approx(expected, abs=1e-10)
 
 
 def test_weighted_dominated_by_unweighted_over_min_weight():
@@ -62,9 +61,9 @@ def test_weighted_dominated_by_unweighted_over_min_weight():
     space, sample = small_space()
     s = random_spectrum(rng, (4, 4, 4))
     w = product_weight(sample)
-    rw, ru = weighted_maximal(s, space, [w, unit_weight(3)], GRID)
+    m_w, m_u = sweep_space(s, GRID, space, [w, unit_weight(3)])[:, 0]
     min_w = min(w.evaluate(np.asarray(i)) for i in enumerate_jk_indices(space))
-    assert np.all(rw.values <= ru.values / np.sqrt(min_w) + 1e-12)
+    assert np.all(m_w <= m_u / np.sqrt(min_w) + 1e-12)
 
 
 def test_blocked_equals_gather_oracle():
@@ -72,9 +71,9 @@ def test_blocked_equals_gather_oracle():
     space, sample = small_space(caps=(5, 7))
     s = random_spectrum(rng, (4, 3, 4))
     w = product_weight(sample)
-    [blocked] = weighted_maximal(s, space, [w], GRID)
+    blocked = sweep_space(s, GRID, space, [w])[0, 0]
     values = gather_max(s, GRID, list(enumerate_jk_indices(space)), w)
-    assert np.max(np.abs(blocked.values - values)) < 1e-10
+    assert np.max(np.abs(blocked - values)) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,8 +103,8 @@ def test_brute_force_loop_oracle(n_free, data, seed):
     for idx in enumerate_jk_indices(space):
         vals = np.abs(partial_sum(s, idx, grid).values) / np.sqrt(w.evaluate(np.asarray(idx)))
         best = np.maximum(best, vals)
-    [rep] = weighted_maximal(s, space, [w], grid)
-    assert np.max(np.abs(rep.values - best)) < 1e-10
+    values = sweep_space(s, grid, space, [w])[0, 0]
+    assert np.max(np.abs(values - best)) < 1e-10
 
 
 def test_maximal_verdict_depends_on_the_weight():
@@ -117,8 +116,9 @@ def test_maximal_verdict_depends_on_the_weight():
     for lam in (4, 8):
         grid = TorusGrid((2, 12 * lam, 12 * lam))
         space = JkIndexSpace(sample, (make_lacunary(2.0, 1),), (3 * lam, 3 * lam))
-        reports = weighted_maximal(chirp_spectrum(lam, grid), space, weights, grid)
-        ratios.append([r.ratio for r in reports])
+        s = chirp_spectrum(lam, grid)
+        m_values = sweep_space(s, grid, space, weights)[:, 0]
+        ratios.append([grid_l2(m) / np.sqrt(s.energy()) for m in m_values])
     (unit_4, product_4), (unit_8, product_8) = ratios
     assert unit_8 > unit_4
     assert product_8 < product_4
@@ -132,10 +132,10 @@ def test_monotone_under_space_enlargement():
     small = JkIndexSpace(sample, (make_lacunary(2.0, 2),), (2, 2))
     big_caps = JkIndexSpace(sample, (make_lacunary(2.0, 2),), (4, 4))
     big_terms = JkIndexSpace(sample, (make_lacunary(2.0, 3),), (2, 2))
-    [m_small] = weighted_maximal(s, small, [w], GRID)
+    m_small = sweep_space(s, GRID, small, [w])[0, 0]
     for bigger in (big_caps, big_terms):
-        [m_big] = weighted_maximal(s, bigger, [w], GRID)
-        assert np.all(m_big.values >= m_small.values)
+        m_big = sweep_space(s, GRID, bigger, [w])[0, 0]
+        assert np.all(m_big >= m_small)
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,9 +180,9 @@ def test_single_free_maximal_dominates_function():
     sample = SampleJk(3, (1, 2))
     fam = make_lacunary(2.0, 2)  # terms 1, 2 reach the bandwidth
     space = JkIndexSpace(sample, (fam, fam), (5,))
-    [rep] = weighted_maximal(s, space, [unit_weight(3)], GRID)
+    values = sweep_space(s, GRID, space, [unit_weight(3)])[0, 0]
     f = synthesize(s, GRID).values
-    assert np.all(rep.values >= np.abs(f) - 1e-12)
+    assert np.all(values >= np.abs(f) - 1e-12)
 
 
 def test_single_free_maximal_matches_enumeration():
@@ -191,11 +191,11 @@ def test_single_free_maximal_matches_enumeration():
     sample = SampleJk(3, (1, 2))
     fam = make_lacunary(2.0, 3)
     space = JkIndexSpace(sample, (fam, fam), (4,))
-    [rep] = weighted_maximal(s, space, [unit_weight(3)], GRID)
+    values = sweep_space(s, GRID, space, [unit_weight(3)])[0, 0]
     best = np.zeros(GRID.resolution)
     for idx in enumerate_jk_indices(space):
         best = np.maximum(best, np.abs(partial_sum(s, idx, GRID).values))
-    assert np.max(np.abs(rep.values - best)) < 1e-10
+    assert np.max(np.abs(values - best)) < 1e-10
 
 
 def test_tied_maximum_matches_gather():
@@ -208,10 +208,10 @@ def test_tied_maximum_matches_gather():
     s = Spectrum(bw, coeffs)
     grid = TorusGrid((4, 8, 8))
     space = JkIndexSpace(SampleJk(3, (1,)), (make_lacunary(2.0, 1),), (2, 2))
-    [rep] = weighted_maximal(s, space, [unit_weight(3)], grid)
+    blocked = sweep_space(s, grid, space, [unit_weight(3)])[0, 0]
     values = gather_max(s, grid, list(enumerate_jk_indices(space)), unit_weight(3))
-    assert np.max(np.abs(rep.values - values)) < 1e-12
-    assert abs(rep.values[2, 4, 4] - 1.0) < 1e-12
+    assert np.max(np.abs(blocked - values)) < 1e-12
+    assert abs(blocked[2, 4, 4] - 1.0) < 1e-12
 
 
 def test_four_dimensional_two_lacunary_axes():
@@ -223,9 +223,9 @@ def test_four_dimensional_two_lacunary_axes():
     space = JkIndexSpace(sample, (fam, fam), (2, 2))
     grid = TorusGrid((6, 6, 6, 6))
     w = product_weight(sample)
-    [blocked] = weighted_maximal(s, space, [w], grid)
+    blocked = sweep_space(s, grid, space, [w])[0, 0]
     values = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
-    assert np.max(np.abs(blocked.values - values)) < 1e-10
+    assert np.max(np.abs(blocked - values)) < 1e-10
 
 
 def test_level_set_measure_values():
@@ -259,7 +259,10 @@ class _NoAbs:
         raise AssertionError("|m| taken before the alpha check")
 
 
-@pytest.mark.parametrize("alphas", [0.0, [0.5, 0.0], [-1.0, 2.0], [1.0, 2.0, -0.5]])
+@pytest.mark.parametrize(
+    "alphas",
+    [0.0, [0.5, 0.0], [-1.0, 2.0], [1.0, 2.0, -0.5], np.nan, [0.5, np.nan], np.inf, [0.1, np.inf], -np.inf],
+)
 def test_level_set_rejects_a_nonpositive_alpha_before_sorting(alphas):
     grid = TorusGrid((2, 4))
     m = np.full(grid.resolution, _NoAbs(), dtype=object)
@@ -338,37 +341,39 @@ def test_weak_type_degenerate_sigma():
     [((3, (1, 2), "blocked")), ((3, (1,), "blocked")), ((4, (1,), "gather"))],
 )
 def test_weak_type_matches_separate_maximals(n, jk, oracle):
-    # one pass over both weights gives what two weighted_maximal calls give,
-    # for one, two or three free axes; the three-free-axis space is also
-    # checked against the gather oracle
+    # one pass over both weights gives what two one-weight sweeps give, for
+    # one, two or three free axes; the three-free-axis space is also checked
+    # against the gather oracle
     sample = SampleJk(n, jk)
     space = JkIndexSpace(sample, (make_lacunary(2.0, 3),) * len(jk), (3,) * (n - len(jk)))
     s = random_spectrum(np.random.default_rng(20), (2,) * n)
     grid = TorusGrid((8,) * n)
     w = product_weight(sample)
     table = weak_type_table(s, space, w, grid)
-    [report] = weighted_maximal(s, space, [w], grid)
-    m = weighted_maximal(s, space, [unit_weight(n)], grid)[0].values
-    assert np.array_equal(table.report.values, report.values)
-    assert not np.array_equal(report.values, m)  # the weight does change M
-    assert (table.report.weight, table.report.m_l2, table.report.ratio) == (
-        report.weight,
-        report.m_l2,
-        report.ratio,
-    )
+    weighted = sweep_space(s, grid, space, [w])[0, 0]
+    m = sweep_space(s, grid, space, [unit_weight(n)])[0, 0]
+    assert np.array_equal(table.values, weighted)
+    assert not np.array_equal(weighted, m)  # the weight does change M
     assert np.array_equal(table.measures, [level_set_measure(m, a, grid) for a in table.alphas])
     if oracle == "gather":
         values = gather_max(s, grid, list(enumerate_jk_indices(space)), w)
-        assert np.max(np.abs(report.values - values)) < 1e-10
+        assert np.max(np.abs(weighted - values)) < 1e-10
 
 
 def test_report_norms_are_consistent():
+    # a report's input_l2 is sqrt(energy), the grid L2 norm of f on a grid
+    # that does not alias; the space reaches the full sum (term 8 and caps 6
+    # clamp at bandwidth 4), so the unit-weight maximal dominates |f| and its
+    # ratio m_l2 / input_l2 is at least 1
     rng = np.random.default_rng(10)
     space, sample = small_space()
     s = random_spectrum(rng, (4, 4, 4))
-    [rep] = weighted_maximal(s, space, [product_weight(sample)], GRID)
-    assert rep.input_l2 == pytest.approx(np.sqrt(s.energy()), rel=1e-12)
-    assert rep.ratio == pytest.approx(rep.m_l2 / rep.input_l2, rel=1e-12)
+    grid = TorusGrid((10, 10, 10))
+    f = synthesize(s, grid).values
+    assert grid_l2(f) == pytest.approx(np.sqrt(s.energy()), rel=1e-12)
+    m = sweep_space(s, grid, space, [unit_weight(3)])[0, 0]
+    assert np.all(m >= np.abs(f) - 1e-12)
+    assert grid_l2(m) >= grid_l2(f) - 1e-12
     assert weighted_energy(s, unit_weight(3)) == pytest.approx(s.energy(), rel=1e-12)
 
 
