@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LacsumError
 from .lattice import Index, check_index
-from .spectral import ShellTensor, Spectrum, TorusGrid, clamp_index, grid_l2, partial_sum
+from .spectral import ShellTensor, Spectrum, TorusGrid, clamp_index, frequency_mesh, grid_l2, partial_sum
 
 
 def min_log_inverse(t: int | np.ndarray, q: int | np.ndarray) -> float | np.ndarray:
@@ -46,13 +46,8 @@ def _free_pair_positions(dimension: int, free_axes: Sequence[int]) -> tuple[int,
 
 def _pair_weight_table(spectrum: Spectrum, free_axes: Sequence[int]) -> np.ndarray:
     a, b = _free_pair_positions(spectrum.dimension, free_axes)
-    ba, bb = spectrum.bandwidth[a], spectrum.bandwidth[b]
-    ta = np.abs(np.arange(-ba, ba + 1))
-    tb = np.abs(np.arange(-bb, bb + 1))
-    table = min_log_inverse(ta[:, None], tb[None, :])
-    shape = [1] * spectrum.dimension
-    shape[a], shape[b] = 2 * ba + 1, 2 * bb + 1
-    return table.reshape(shape)
+    nu = frequency_mesh(spectrum.bandwidth)
+    return min_log_inverse(nu[a], nu[b])
 
 
 def coefficient_transfer(spectrum: Spectrum, free_axes: Sequence[int]) -> Spectrum:

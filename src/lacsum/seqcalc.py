@@ -111,11 +111,8 @@ def abel_identity_check(a: np.ndarray, b, n: Sequence[int]) -> AbelCheck:
             f"need weight values up to {max(idx)}, have {values.size - 1}"
         )
 
-    boxed = arr[tuple(slice(0, k + 1) for k in idx)].copy()
-    for axis, k in enumerate(idx):
-        shape = [1] * nu
-        shape[axis] = k + 1
-        boxed *= values[: k + 1].reshape(shape)
+    # the box times each axis's weights in axis order
+    boxed = math.prod(np.ix_(*(values[: k + 1] for k in idx)), start=arr[tuple(slice(0, k + 1) for k in idx)])
     lhs = float(boxed.sum())
 
     # regime vectors in itertools.product order, depth first: an axis's passes

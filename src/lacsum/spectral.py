@@ -141,10 +141,10 @@ def grid_l2(values: np.ndarray | GridFunction) -> float:
     return float(np.sqrt(np.mean(v.real ** 2 + v.imag ** 2)))
 
 
-def _sign_profile(b: int) -> np.ndarray:
-    # (-1)**nu for nu = -b..b
-    nus = np.arange(-b, b + 1)
-    return np.where(nus % 2 == 0, 1.0, -1.0)
+def frequency_mesh(bandwidth: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The open mesh (``np.ix_``) of the per-axis frequencies ``-B..B``: slot
+    ``i`` of a coefficient box holds ``nu = i - B``."""
+    return np.ix_(*(np.arange(-b, b + 1) for b in bandwidth))
 
 
 def _axis_matrix(b: int, coords: np.ndarray) -> np.ndarray:
@@ -179,15 +179,10 @@ def synthesize(spectrum: Spectrum, grid: TorusGrid, method: str = "fft") -> Grid
         return GridFunction(grid, vals)
     if method != "fft":
         raise LacsumError(f"unknown synthesis method {method!r}")
-    res = grid.resolution
-    signed = spectrum.coeffs.copy()
-    for p, b in enumerate(spectrum.bandwidth):
-        shape = [1] * spectrum.dimension
-        shape[p] = 2 * b + 1
-        signed = signed * _sign_profile(b).reshape(shape)
-    folded = np.zeros(res, dtype=complex)
-    bins = [np.mod(np.arange(-b, b + 1), L) for b, L in zip(spectrum.bandwidth, res)]
-    np.add.at(folded, np.ix_(*bins), signed)
+    nu = frequency_mesh(spectrum.bandwidth)
+    folded = np.zeros(grid.resolution, dtype=complex)
+    bins = tuple(np.mod(v, L) for v, L in zip(nu, grid.resolution))
+    np.add.at(folded, bins, spectrum.coeffs * np.where(sum(nu) % 2, -1.0, 1.0))
     vals = np.fft.ifftn(folded) * grid.npoints
     return GridFunction(grid, vals)
 
@@ -207,13 +202,9 @@ def analyze(f: GridFunction, bandwidth: Sequence[int]) -> Spectrum:
                 f"grid size {L} cannot resolve bandwidth {b} (need L >= {2 * b + 2})"
             )
     transform = np.fft.fftn(f.values) / f.grid.npoints
-    bins = [np.mod(np.arange(-b, b + 1), L) for b, L in zip(bw, f.grid.resolution)]
-    coeffs = transform[np.ix_(*bins)].copy()
-    for p, b in enumerate(bw):
-        shape = [1] * len(bw)
-        shape[p] = 2 * b + 1
-        coeffs *= _sign_profile(b).reshape(shape)
-    return Spectrum(bw, coeffs)
+    nu = frequency_mesh(bw)
+    bins = tuple(np.mod(v, L) for v, L in zip(nu, f.grid.resolution))
+    return Spectrum(bw, transform[bins] * np.where(sum(nu) % 2, -1.0, 1.0))
 
 
 def clamp_index(n: Sequence[int], bandwidth: Sequence[int]) -> tuple[Index, bool]:
@@ -271,16 +262,11 @@ def split_lacunary_blocks(
             terms[-1],
             b,
         )
-    absk = np.abs(np.arange(-b, b + 1))
-    block = np.searchsorted(terms, absk, side="left") + 1
-    block[absk == 0] = 0
-    block = np.minimum(block, len(terms))
-    odd = (block % 2).astype(bool)
-    shape = [1] * spectrum.dimension
-    shape[pos] = 2 * b + 1
-    odd_mask = odd.reshape(shape)
-    g1 = np.where(odd_mask, spectrum.coeffs, 0.0)
-    g2 = np.where(odd_mask, 0.0, spectrum.coeffs)
+    absk = np.abs(frequency_mesh(spectrum.bandwidth)[pos])
+    block = np.minimum(np.searchsorted(terms, absk, side="left") + 1, len(terms))
+    odd = (absk > 0) & (block % 2 == 1)
+    g1 = np.where(odd, spectrum.coeffs, 0.0)
+    g2 = np.where(odd, 0.0, spectrum.coeffs)
     return Spectrum(spectrum.bandwidth, g1), Spectrum(spectrum.bandwidth, g2)
 
 

@@ -48,6 +48,7 @@ from .spectral import (
     ShellTensor,
     Spectrum,
     TorusGrid,
+    frequency_mesh,
     grid_l2,
     iter_prefix_slabs,
     plan_prefix_blocks,
@@ -283,16 +284,8 @@ def emit_report(report: Report, path: str | Path, fmt: str = "json") -> list[Pat
 
 
 def _decay_profile(bandwidth: tuple[int, ...], beta: float) -> np.ndarray:
-    prof = np.ones(tuple(2 * b + 1 for b in bandwidth))
-    for p, b in enumerate(bandwidth):
-        shape = [1] * len(bandwidth)
-        shape[p] = 2 * b + 1
-        prof = prof * ((np.abs(np.arange(-b, b + 1)) + 1.0) ** (-beta)).reshape(shape)
-    return prof
-
-
-def _random_phases(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.exp(2j * np.pi * rng.random(shape))
+    """``prod (|nu_j| + 1)^-beta`` over the box, one axis factor at a time."""
+    return math.prod((np.abs(v) + 1.0) ** (-beta) for v in frequency_mesh(bandwidth))
 
 
 def gen_test_function(
@@ -358,21 +351,16 @@ def gen_test_function(
         if beta <= 0.5:
             raise LacsumError(f"product_1d needs beta > 1/2, got {beta}")
         coeffs = np.ones(shape, dtype=complex)
-        for p, b in enumerate(bw):
-            line = (gen.standard_normal(2 * b + 1) + 1j * gen.standard_normal(2 * b + 1)) * (
-                (np.abs(np.arange(-b, b + 1)) + 1.0) ** (-beta)
-            )
-            sh = [1] * len(bw)
-            sh[p] = 2 * b + 1
-            coeffs = coeffs * line.reshape(sh)
+        for v in frequency_mesh(bw):
+            line = gen.standard_normal(v.shape) + 1j * gen.standard_normal(v.shape)
+            coeffs = coeffs * (line * (np.abs(v) + 1.0) ** (-beta))
     else:  # weyl_borderline
         if sample is None or sample.dimension != len(bw):
             raise LacsumError("weyl_borderline needs a matching axis sample")
         if eps <= 0:
             raise LacsumError(f"weyl_borderline needs eps > 0, got {eps}")
-        logs = product_weight(sample).fn(*np.ix_(*(np.arange(-b, b + 1) for b in bw)))
-        mag2 = _decay_profile(bw, (1.0 + eps)) / logs
-        coeffs = np.sqrt(mag2) * _random_phases(gen, shape)
+        mag2 = _decay_profile(bw, (1.0 + eps)) / product_weight(sample).fn(*frequency_mesh(bw))
+        coeffs = np.sqrt(mag2) * np.exp(2j * np.pi * gen.random(shape))
 
     if normalize and family != "single_mode":
         norm = np.sqrt(np.sum(coeffs.real ** 2 + coeffs.imag ** 2))

@@ -26,6 +26,7 @@ coefficient functional ``sum |c_nu|^2 W(nu)`` over a spectrum's box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,18 +34,7 @@ import numpy as np
 
 from .errors import LacsumError
 from .lattice import SampleJk
-
-_LOG_CACHE = np.log(np.arange(2.0, 131.0))
-
-
-def _log_plus2(values: np.ndarray) -> np.ndarray:
-    """Memoized table of log(v + 2) for nonnegative integer v."""
-    global _LOG_CACHE
-    if values.size:
-        top = int(values.max())
-        if top >= _LOG_CACHE.size:
-            _LOG_CACHE = np.log(np.arange(2.0, 2.0 * top + 3.0))
-    return _LOG_CACHE[values]
+from .spectral import Spectrum, frequency_mesh
 
 
 @dataclass(frozen=True)
@@ -74,36 +64,35 @@ class WeylWeight:
         return float(out) if arr.ndim == 1 else out.copy()
 
 
-def _log_product(nu: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
+def _log_weight(kind: str, description: str, dimension: int, axes: Sequence[int]) -> WeylWeight:
     """Product of log(|nu_a| + 2) over ``axes`` in order; a 0-d one for no axes.
 
     The result reads only ``axes``, so it broadcasts to the mesh shape
     without repeating itself along the other axes.
     """
-    out = np.ones(())
-    for a in axes:
-        out = out * _log_plus2(np.abs(nu[a]))
-    return out
+
+    def fn(*nu: np.ndarray) -> np.ndarray:
+        return math.prod((np.log(np.abs(nu[a]) + 2.0) for a in axes), start=np.ones(()))
+
+    return WeylWeight(kind=kind, description=description, dimension=dimension, monotone=True, fn=fn)
 
 
 def product_weight(sample: SampleJk) -> WeylWeight:
     """Product of log(|nu_a| + 2) over the free axes of ``sample``."""
-    free = sample.free_positions
-
-    def fn(*nu: np.ndarray) -> np.ndarray:
-        return _log_product(nu, free)
-
-    return WeylWeight(
-        kind="product",
-        description=f"prod of log(|nu_a|+2) over free axes {sample.free_axes}",
-        dimension=sample.dimension,
-        monotone=True,
-        fn=fn,
+    return _log_weight(
+        "product",
+        f"prod of log(|nu_a|+2) over free axes {sample.free_axes}",
+        sample.dimension,
+        sample.free_positions,
     )
 
 
 def min_pair_weight(sample: SampleJk) -> WeylWeight:
-    """log^2(min(|nu_i|, |nu_j|) + 2) over the two free axes of ``sample``."""
+    """log^2(min(|nu_i|, |nu_j|) + 2) over the two free axes of ``sample``.
+
+    log is increasing, so the smaller of the two axis logs is the log of the
+    smaller component, bit for bit, at two vectors' worth of logs.
+    """
     if len(sample.free_axes) != 2:
         raise LacsumError(
             f"min-pair weight needs exactly two free axes, sample has {len(sample.free_axes)}"
@@ -111,7 +100,7 @@ def min_pair_weight(sample: SampleJk) -> WeylWeight:
     i, j = sample.free_positions
 
     def fn(*nu: np.ndarray) -> np.ndarray:
-        return _log_plus2(np.minimum(np.abs(nu[i]), np.abs(nu[j]))) ** 2
+        return np.minimum(np.log(np.abs(nu[i]) + 2.0), np.log(np.abs(nu[j]) + 2.0)) ** 2
 
     return WeylWeight(
         kind="minpair",
@@ -126,41 +115,26 @@ def full_product_weight(dimension: int) -> WeylWeight:
     """Product of log(|nu_j| + 2) over every axis."""
     if dimension < 1:
         raise LacsumError("dimension must be >= 1")
-
-    def fn(*nu: np.ndarray) -> np.ndarray:
-        return _log_product(nu, range(dimension))
-
-    return WeylWeight(
-        kind="full",
-        description=f"prod of log(|nu_j|+2) over all {dimension} axes",
-        dimension=dimension,
-        monotone=True,
-        fn=fn,
-    )
+    return _log_weight("full", f"prod of log(|nu_j|+2) over all {dimension} axes", dimension, range(dimension))
 
 
 def unit_weight(dimension: int) -> WeylWeight:
-    def fn(*nu: np.ndarray) -> np.ndarray:
-        return _log_product(nu, ())
-
-    return WeylWeight(
-        kind="unit", description="W == 1", dimension=dimension, monotone=True, fn=fn
-    )
+    return _log_weight("unit", "W == 1", dimension, ())
 
 
-WEIGHT_KINDS = ("product", "minpair", "full", "unit")
+_KINDS: dict[str, Callable[[SampleJk], WeylWeight]] = {
+    "product": product_weight,
+    "minpair": min_pair_weight,
+    "full": lambda sample: full_product_weight(sample.dimension),
+    "unit": lambda sample: unit_weight(sample.dimension),
+}
+WEIGHT_KINDS = tuple(_KINDS)
 
 
 def weight_from_kind(kind: str, sample: SampleJk) -> WeylWeight:
-    if kind == "product":
-        return product_weight(sample)
-    if kind == "minpair":
-        return min_pair_weight(sample)
-    if kind == "full":
-        return full_product_weight(sample.dimension)
-    if kind == "unit":
-        return unit_weight(sample.dimension)
-    raise LacsumError(f"unknown weight kind {kind!r}, expected one of {WEIGHT_KINDS}")
+    if kind not in _KINDS:
+        raise LacsumError(f"unknown weight kind {kind!r}, expected one of {WEIGHT_KINDS}")
+    return _KINDS[kind](sample)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +231,7 @@ def check_weyl_conditions(weight: WeylWeight, box: int) -> WeylConditionReport:
     )
 
 
-def weighted_energy(spectrum, weight: WeylWeight) -> float:
+def weighted_energy(spectrum: Spectrum, weight: WeylWeight) -> float:
     """Weighted coefficient energy ``sum |c_nu|^2 W(nu)`` over the spectrum box."""
-    w = weight.fn(*np.ix_(*(np.arange(-b, b + 1) for b in spectrum.bandwidth)))
+    w = weight.fn(*frequency_mesh(spectrum.bandwidth))
     return float(np.sum((spectrum.coeffs.real ** 2 + spectrum.coeffs.imag ** 2) * w))
