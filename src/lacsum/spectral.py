@@ -7,6 +7,10 @@ synthesis are exact inverses on band-limited data with the plain-average
 coefficient normalization, so the discrete Parseval identity
 ``mean |f|^2 == sum |c|^2`` holds without extra factors.
 
+``frequency_mesh`` owns the box layout (slot ``i`` holds ``nu = i - B``):
+every per-axis factor over a box (signs, fold bins, block masks, weights,
+decay profiles) is a function of its open-mesh vectors.
+
 Rectangular partial sums are served by two engines:
 
 * ``partial_sum`` restricts the coefficient box and synthesizes (FFT with a

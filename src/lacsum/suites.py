@@ -201,8 +201,9 @@ def config_from_mapping(mapping: dict, command: str) -> ExperimentConfig:
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Plain ``key = value`` lines; ``#`` starts a comment."""
+    """Plain ``key = value`` lines, each key once; ``#`` starts a comment."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -213,8 +214,11 @@ def parse_config_file(path: str | Path) -> dict:
             continue
         if "=" not in body:
             raise LacsumError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = body.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in first:
+            raise LacsumError(f"{path}:{lineno}: key {key!r} is already set on line {first[key]}")
+        first[key] = lineno
+        out[key] = value
     return out
 
 
@@ -283,9 +287,15 @@ def emit_report(report: Report, path: str | Path, fmt: str = "json") -> list[Pat
 # test-function generation
 
 
+def _decay(v: np.ndarray, beta: float) -> np.ndarray:
+    """``(|v| + 1)^-beta`` by libm's ``pow``, elementwise: numpy's AVX-512
+    ``pow`` rounds differently, so its bits would follow the SIMD dispatch."""
+    return np.reshape([math.pow(abs(k) + 1.0, -beta) for k in v.ravel().tolist()], v.shape)
+
+
 def _decay_profile(bandwidth: tuple[int, ...], beta: float) -> np.ndarray:
     """``prod (|nu_j| + 1)^-beta`` over the box, one axis factor at a time."""
-    return math.prod((np.abs(v) + 1.0) ** (-beta) for v in frequency_mesh(bandwidth))
+    return math.prod(_decay(v, beta) for v in frequency_mesh(bandwidth))
 
 
 def gen_test_function(
@@ -353,7 +363,7 @@ def gen_test_function(
         coeffs = np.ones(shape, dtype=complex)
         for v in frequency_mesh(bw):
             line = gen.standard_normal(v.shape) + 1j * gen.standard_normal(v.shape)
-            coeffs = coeffs * (line * (np.abs(v) + 1.0) ** (-beta))
+            coeffs = coeffs * (line * _decay(v, beta))
     else:  # weyl_borderline
         if sample is None or sample.dimension != len(bw):
             raise LacsumError("weyl_borderline needs a matching axis sample")

@@ -11,17 +11,21 @@ one-dimensional factor ``log(|.| + 2)`` only on selected axes:
 * ``full_product_weight``: the factor on every axis;
 * ``unit_weight`` for unweighted sweeps.
 
-A weight's ``fn`` takes one broadcastable integer array per axis (an open
-mesh, as ``np.ix_`` returns it), so a product weight multiplies
-one-dimensional factors and never sees a stacked ``(..., N)`` mesh; its
-result broadcasts to the mesh shape. ``evaluate`` takes stacked vectors.
+The product, full and unit weights are one log product over a set of axes
+(the empty set for the unit weight), built by one constructor. A weight's
+``fn`` takes one broadcastable integer array per axis (an open mesh, as
+``spectral.frequency_mesh`` returns it), so a product weight multiplies
+one-dimensional factors ``np.log(|nu_a| + 2)`` and never sees a stacked
+``(..., N)`` mesh; its result broadcasts to the mesh shape. ``evaluate``
+takes stacked vectors.
 
 ``check_weyl_conditions`` verifies positivity, evenness and coordinatewise
 monotonicity exhaustively on a finite box, returning the first violating
 witness per condition (in C order over the orthant). It runs on a weight's
 distinct values, cutting every axis that the weight does not read to length
 1, so only the full product walks the whole box. ``weighted_energy`` is the
-coefficient functional ``sum |c_nu|^2 W(nu)`` over a spectrum's box.
+coefficient functional ``sum |c_nu|^2 W(nu)``, the weight evaluated on the
+spectrum's frequency mesh.
 """
 
 from __future__ import annotations
@@ -79,20 +83,12 @@ def _log_weight(kind: str, description: str, dimension: int, axes: Sequence[int]
 
 def product_weight(sample: SampleJk) -> WeylWeight:
     """Product of log(|nu_a| + 2) over the free axes of ``sample``."""
-    return _log_weight(
-        "product",
-        f"prod of log(|nu_a|+2) over free axes {sample.free_axes}",
-        sample.dimension,
-        sample.free_positions,
-    )
+    description = f"prod of log(|nu_a|+2) over free axes {sample.free_axes}"
+    return _log_weight("product", description, sample.dimension, sample.free_positions)
 
 
 def min_pair_weight(sample: SampleJk) -> WeylWeight:
-    """log^2(min(|nu_i|, |nu_j|) + 2) over the two free axes of ``sample``.
-
-    log is increasing, so the smaller of the two axis logs is the log of the
-    smaller component, bit for bit, at two vectors' worth of logs.
-    """
+    """log^2(min(|nu_i|, |nu_j|) + 2) over the two free axes of ``sample``."""
     if len(sample.free_axes) != 2:
         raise LacsumError(
             f"min-pair weight needs exactly two free axes, sample has {len(sample.free_axes)}"
@@ -100,6 +96,7 @@ def min_pair_weight(sample: SampleJk) -> WeylWeight:
     i, j = sample.free_positions
 
     def fn(*nu: np.ndarray) -> np.ndarray:
+        # log increases, so the smaller axis log is the log of the smaller |nu|, bit for bit
         return np.minimum(np.log(np.abs(nu[i]) + 2.0), np.log(np.abs(nu[j]) + 2.0)) ** 2
 
     return WeylWeight(

@@ -291,6 +291,18 @@ def test_converge_level_past_a_lacunary_bandwidth(tmp_path, capsys):
         assert abs(row["sup_error"] - worst) <= 1e-12, (level, row["sup_error"], worst)
 
 
+def test_config_key_set_twice_exits_2(tmp_path, capsys):
+    # the report's echo could show only one of the two values
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("trials = 2\ntrials = 3\n")
+    out = tmp_path / "r.json"
+    assert run(["maximal-suite", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "c.cfg:2: key 'trials' is already set on line 1" in err
+    assert not out.exists()
+
+
 def test_alpha_points_over_budget_exits_2_before_any_trial(tmp_path, capsys):
     # 10^7 level-set passes over the default grid's 147,968 points would take
     # over an hour per cap level
@@ -928,7 +940,10 @@ def test_config_field_flags_reach_the_echo(cmd, tmp_path):
     flags = {a.dest: a.option_strings[0] for a in _subparser(cmd)._actions if a.dest in fields}
     assert set(flags) <= set(_FLAG_FIELDS), sorted(set(flags) - set(_FLAG_FIELDS))
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(_FUZZ_BASE[cmd] + "".join(f"{k} = {_FLAG_FIELDS[k][0]}\n" for k in flags))
+    # each key once: the flagged fields' config values replace the base's
+    config = dict(line.split(" = ") for line in _FUZZ_BASE[cmd].splitlines())
+    config.update({k: _FLAG_FIELDS[k][0] for k in flags})
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     argv = cmd.split() + [w for k, flag in flags.items() for w in [flag, *_FLAG_FIELDS[k][1]]]
     out = tmp_path / "r.json"
     assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 0

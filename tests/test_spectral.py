@@ -99,11 +99,13 @@ def test_synthesize_zero():
 
 def test_fft_matches_direct():
     rng = np.random.default_rng(1)
-    s = random_spectrum(rng, (3, 4))
-    grid = TorusGrid((12, 14))
-    a = synthesize(s, grid).values
-    b = synthesize(s, grid, method="direct").values
-    assert np.max(np.abs(a - b)) < 1e-10
+    # the last two grids alias: the FFT path folds colliding modes onto one bin
+    for bandwidth, resolution in [((3, 4), (12, 14)), ((3, 4), (4, 6)), ((7,), (2,))]:
+        s = random_spectrum(rng, bandwidth)
+        grid = TorusGrid(resolution)
+        a = synthesize(s, grid).values
+        b = synthesize(s, grid, method="direct").values
+        assert np.max(np.abs(a - b)) < 1e-10, (bandwidth, resolution)
 
 
 def brute_force_partial_sum(s, n, grid):

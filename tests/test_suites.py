@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lacsum import (
 )
 from lacsum.suites import (
     ExperimentConfig,
+    _decay_profile,
     coefficient_tail,
     config_from_mapping,
     emit_report,
@@ -532,6 +534,25 @@ def test_parse_config_file(tmp_path):
 
 def test_parse_config_file_bad_line(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("just words\n")
-    with pytest.raises(LacsumError):
-        parse_config_file(p)
+    for text, message in [
+        ("just words\n", "expected 'key = value'"),
+        # the echo could show only one of the two values
+        ("trials = 2\n# again\n trials = 3\n", ":3: key 'trials' is already set on line 1"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(LacsumError, match=message):
+            parse_config_file(p)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 1.3])
+def test_decay_profile_is_libm_pow_per_axis(beta):
+    # numpy's AVX-512 pow rounds (|nu| + 1)^-beta differently from libm's
+    # from 31^-2 on, and at small values for a non-integer beta
+    bandwidth = (40, 2, 40)
+    expected = np.ones(tuple(2 * b + 1 for b in bandwidth))
+    for p, b in enumerate(bandwidth):
+        shape = [1] * len(bandwidth)
+        shape[p] = 2 * b + 1
+        line = np.array([math.pow(abs(k) + 1.0, -beta) for k in range(-b, b + 1)])
+        expected = expected * line.reshape(shape)
+    assert np.array_equal(_decay_profile(bandwidth, beta), expected)

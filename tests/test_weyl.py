@@ -67,6 +67,31 @@ def test_full_product():
     assert w.evaluate((1, 2)) == pytest.approx(np.log(3.0) * np.log(4.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("n, step", [(2, 1), (3, 7), (4, 23)])
+def test_weights_equal_their_formulas_bit_for_bit(n, step):
+    # every sample and kind on a signed mesh with |nu| <= 300 (strided past
+    # N = 2 to keep the mesh near 10^6 points)
+    half = np.r_[np.arange(0, 300, step), 300]
+    nu = np.ix_(*[np.unique(np.r_[-half, half])] * n)
+    shape = np.broadcast_shapes(*(v.shape for v in nu))
+    for lacunary in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), k) for k in range(1, n + 1)
+    ):
+        sample = SampleJk(n, lacunary)
+        free = sample.free_positions
+        for kind in WEIGHT_KINDS:
+            if kind == "minpair":
+                if len(free) != 2:
+                    continue
+                expected = np.log(np.minimum(np.abs(nu[free[0]]), np.abs(nu[free[1]])) + 2.0) ** 2
+            else:
+                expected = np.ones(())
+                for a in {"product": free, "full": range(n), "unit": ()}[kind]:
+                    expected = expected * np.log(np.abs(nu[a]) + 2.0)
+            got = weight_from_kind(kind, sample).fn(*nu)
+            assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(expected, shape)), (kind, lacunary)
+
+
 def test_conditions_pass_for_shipped_weights():
     for w in (
         product_weight(SampleJk(3, (1,))),
