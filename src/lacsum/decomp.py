@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LacsumError
 from .lattice import Index, check_index
-from .spectral import ShellTensor, Spectrum, TorusGrid, clamp_index, frequency_mesh, grid_l2, partial_sum
+from .spectral import ShellTensor, Spectrum, TorusGrid, clamp_index, frequency_mesh, grid_l2, max_modulus, partial_sum
 
 
 def min_log_inverse(t: int | np.ndarray, q: int | np.ndarray) -> float | np.ndarray:
@@ -69,13 +69,10 @@ def _sum_engine(spectrum: Spectrum, grid: TorusGrid, shells: Sequence | None = N
     try:
         tensor = ShellTensor.from_grid(spectrum, grid, shells)
     except LacsumError:
-        def many(rows):
-            return np.stack([partial_sum(spectrum, r, grid).values for r in rows])
-
         def one(idx):
             return partial_sum(spectrum, idx, grid).values
 
-        return many, one
+        return (lambda rows: np.stack([one(r) for r in rows])), one
     return tensor.partial_sums, tensor.query
 
 
@@ -135,12 +132,8 @@ def decompose_free_pair(
     lookup_many, lookup_one = _sum_engine(Spectrum(box, g_spectrum.coeffs[central]), grid, shells)
 
     def sums_at(pairs: list[tuple[int, int]]) -> np.ndarray:
-        rows = []
-        for ta, tb in pairs:
-            full = list(idx)
-            full[a], full[b] = ta, tb
-            rows.append(full)
-        return lookup_many(rows)
+        # the partial sums at idx with its free pair (a < b) set to each (ta, tb)
+        return lookup_many([[*idx[:a], ta, *idx[a + 1 : b], tb, *idx[b + 1 :]] for ta, tb in pairs])
 
     shape = grid.resolution
     zero = np.zeros(shape, dtype=complex)
@@ -178,13 +171,12 @@ def decompose_free_pair(
     total = term1 + term2 + term3 + term4
     f_spectrum = apply_pair_weight(g_spectrum, free_axes)
     reference = partial_sum(f_spectrum, idx, grid).values
-    max_error = float(np.max(np.abs(total - reference))) if total.size else 0.0
     return DecompositionResult(
         index=idx,
         free_axes=(a + 1, b + 1),
         diagonal_cut=n0,
         terms=(term1, term2, term3, term4),
         reference=reference,
-        max_error=max_error,
+        max_error=max_modulus(total - reference),
     )
 

@@ -13,8 +13,8 @@ decay profiles) is a function of its open-mesh vectors.
 
 Rectangular partial sums are served by two engines:
 
-* ``partial_sum`` restricts the coefficient box and synthesizes (FFT with a
-  direct-evaluation fallback used as the test oracle);
+* ``partial_sum`` restricts the coefficient box and synthesizes by FFT; the
+  oracle ``direct_box_sums`` sums boxes literally in a fixed order, no BLAS;
 * ``ShellTensor`` groups coefficients into shells ``(|nu_1|, ..., |nu_N|)``
   and stores their cumulative prefix sums per grid point, after which any
   box sum is a single lookup. It and the stream's cut stage share one
@@ -47,7 +47,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +55,8 @@ from .errors import AliasingError, LacsumError
 from .lattice import Index, JkIndexSpace, LacunaryFamily, check_index
 
 log = logging.getLogger(__name__)
+# an array this module built: a GridFunction takes it as its values without a copy
+_Built = NamedTuple("_Built", [("array", np.ndarray)])
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,13 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a ``TorusGrid``."""
+    """Complex samples on a ``TorusGrid``, a read-only copy of ``values``."""
 
     grid: TorusGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=complex)
+        arr = self.values.array if isinstance(self.values, _Built) else np.array(self.values, dtype=complex)
         if arr.shape != self.grid.resolution:
             raise LacsumError(f"value shape {arr.shape} != grid {self.grid.resolution}")
         if not np.all(np.isfinite(arr)):
@@ -143,6 +145,11 @@ def grid_l2(values: np.ndarray | GridFunction) -> float:
     """Average-normalized L2 norm, ``sqrt(mean |f|^2)`` (Parseval-compatible)."""
     v = values.values if isinstance(values, GridFunction) else values
     return float(np.sqrt(np.mean(v.real ** 2 + v.imag ** 2)))
+
+
+def max_modulus(z: np.ndarray) -> float:
+    """``max |z|`` as ``sqrt(re^2 + im^2)`` (0 if empty): ``np.abs``'s bits follow SIMD dispatch."""
+    return float(np.sqrt(np.max(z.real ** 2 + z.imag ** 2))) if z.size else 0.0
 
 
 def frequency_mesh(bandwidth: Sequence[int]) -> tuple[np.ndarray, ...]:
@@ -162,33 +169,58 @@ def _axis_matrix_cached(b: int, length: int) -> np.ndarray:
     return _freeze(_axis_matrix(b, TorusGrid((length,)).axis_coords(0)))
 
 
-def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def direct_box_sums(spectrum: Spectrum, grid: TorusGrid, bounds: Sequence[Sequence[int]]) -> np.ndarray:
+    """``S_n`` summed literally on the grid for each box ``n`` of a family, as
+    ``(boxes..., grid...)``; axis ``j`` takes each bound in the nondecreasing
+    ``bounds[j]``. The independent oracle, with no BLAS and no reduction: axis
+    by axis, modes ``-B..B`` ascending, each term ``(mr ar - mi ai, mr ai + mi
+    ar)`` is added to the split sums, every product and add its own ufunc. A
+    box skips the modes past its bound, so it keeps the bits of its own sum."""
+    beta = [list(v) for v in bounds]
+    if grid.dimension != spectrum.dimension or len(beta) != grid.dimension or any(
+            not v or v != sorted(v) or not 0 <= v[0] <= v[-1] <= b for v, b in zip(beta, spectrum.bandwidth)):
+        raise LacsumError(f"box bounds must be nondecreasing lists within each bandwidth, got {bounds}")
+    acc = spectrum.coeffs
+    for p, (b, length, v) in enumerate(zip(spectrum.bandwidth, grid.resolution, beta)):
+        # modes of axis p lead; its boxes follow the earlier boxes, its points the earlier points
+        x = np.moveaxis(np.expand_dims(acc, (p, 2 * p + 1)), 2 * p + 2, 0)
+        term = x.shape[1 : 2 * p + 2] + (length,) + x.shape[2 * p + 3 :]
+        acc = np.zeros(term[:p] + (len(v),) + term[p + 1 :], dtype=complex)
+        mat = _axis_matrix_cached(b, length).T.reshape((2 * b + 1, length) + (1,) * (len(term) - 2 * p - 2))
+        (xr, xi), (mr, mi), (re, im) = (x.real, x.imag), (mat.real, mat.imag), (acc.real, acc.imag)
+        tr, ti, tmp = (np.empty(term) for _ in range(3))
+        for i in range(2 * b + 1):
+            first = int(np.searchsorted(v, abs(i - b)))  # the first box that reaches this mode
+            if first < len(v):
+                np.subtract(np.multiply(mr[i], xr[i], out=tr), np.multiply(mi[i], xi[i], out=tmp), out=tr)
+                np.add(np.multiply(mr[i], xi[i], out=ti), np.multiply(mi[i], xr[i], out=tmp), out=ti)
+                boxes = (slice(None),) * p + (slice(first, None),)
+                re[boxes] += tr
+                im[boxes] += ti
+    return acc
 
 
 def synthesize(spectrum: Spectrum, grid: TorusGrid, method: str = "fft") -> GridFunction:
     """Evaluate ``f(x) = sum_nu c_nu exp(i nu.x)`` on every grid point.
 
     The FFT path folds frequencies modulo the grid size, which reproduces the
-    exact grid values for any even resolution; the direct path evaluates the
-    sum literally and serves as the independent oracle in tests.
+    exact grid values for any even resolution; the direct path, the one-box
+    ``direct_box_sums`` (fixed order, no BLAS), is the independent oracle.
     """
     if grid.dimension != spectrum.dimension:
         raise LacsumError("grid and spectrum dimension mismatch")
     if method == "direct":
-        vals = spectrum.coeffs
-        for p in range(spectrum.dimension):
-            vals = _apply_axis(vals, _axis_matrix_cached(spectrum.bandwidth[p], grid.resolution[p]), p)
-        return GridFunction(grid, vals)
+        vals = direct_box_sums(spectrum, grid, [(b,) for b in spectrum.bandwidth])
+        return GridFunction(grid, _Built(vals.reshape(grid.resolution)))
     if method != "fft":
         raise LacsumError(f"unknown synthesis method {method!r}")
     nu = frequency_mesh(spectrum.bandwidth)
     folded = np.zeros(grid.resolution, dtype=complex)
     bins = tuple(np.mod(v, L) for v, L in zip(nu, grid.resolution))
     np.add.at(folded, bins, spectrum.coeffs * np.where(sum(nu) % 2, -1.0, 1.0))
-    vals = np.fft.ifftn(folded) * grid.npoints
-    return GridFunction(grid, vals)
+    vals = np.fft.ifftn(folded)
+    vals *= grid.npoints  # in place: the same multiply, and no third grid
+    return GridFunction(grid, _Built(vals))
 
 
 def analyze(f: GridFunction, bandwidth: Sequence[int]) -> Spectrum:

@@ -48,9 +48,11 @@ from .spectral import (
     ShellTensor,
     Spectrum,
     TorusGrid,
+    direct_box_sums,
     frequency_mesh,
     grid_l2,
     iter_prefix_slabs,
+    max_modulus,
     plan_prefix_blocks,
     restrict,
     split_lacunary_blocks,
@@ -360,10 +362,12 @@ def gen_test_function(
     elif family == "product_1d":
         if beta <= 0.5:
             raise LacsumError(f"product_1d needs beta > 1/2, got {beta}")
-        coeffs = np.ones(shape, dtype=complex)
+        re, im = 1.0, 0.0  # the line products in split parts: no FMA decides the bits
         for v in frequency_mesh(bw):
-            line = gen.standard_normal(v.shape) + 1j * gen.standard_normal(v.shape)
-            coeffs = coeffs * (line * _decay(v, beta))
+            d = _decay(v, beta)
+            a, b = gen.standard_normal(v.shape) * d, gen.standard_normal(v.shape) * d
+            re, im = re * a - im * b, re * b + im * a
+        coeffs = re + 1j * im
     else:  # weyl_borderline
         if sample is None or sample.dimension != len(bw):
             raise LacsumError("weyl_borderline needs a matching axis sample")
@@ -470,17 +474,15 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         sample = SampleJk(3, (lac_axis,))
         family = make_lacunary_covering(2.0, bw[lac_axis - 1])
         space = JkIndexSpace(sample, (family,), tuple(b + 3 for p, b in enumerate(bw) if p != lac_axis - 1))
-        coeffs = rng.standard_normal(tuple(2 * b + 1 for b in bw)) + 1j * rng.standard_normal(
-            tuple(2 * b + 1 for b in bw)
-        )
-        s = Spectrum(bw, coeffs)
+        shape = tuple(2 * b + 1 for b in bw)
+        s = Spectrum(bw, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         index = [0, 0, 0]
         index[lac_axis - 1] = int(rng.choice(family.terms))
         for p in sample.free_positions:
             index[p] = int(rng.integers(1, bw[p] + 4))
         split = telescope_split(s, space, index)
         reference = restrict(s, index).coeffs
-        dev = max(dev, float(np.max(np.abs(split.reassembled() - reference))))
+        dev = max(dev, max_modulus(split.reassembled() - reference))
     checks["telescope"] = {"cases": cfg.telescope_cases, "max_deviation": dev}
 
     # four-term decomposition reassembly, with a bilinear cross-check
@@ -493,36 +495,30 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         shape = tuple(2 * b + 1 for b in bw)
         g = Spectrum(bw, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         free_axes = (2, 3)
-        index = (
-            int(rng.integers(0, bw[0] + 1)),
-            int(rng.integers(0, bw[1] + 1)),
-            int(rng.integers(0, bw[2] + 1)),
-        )
+        index = tuple(int(rng.integers(0, b + 1)) for b in bw)
         closed = decompose_free_pair(g, index, free_axes, grid, engine="closed")
         dev = max(dev, closed.max_error)
         if case % 5 == 0:
             raw = decompose_free_pair(g, index, free_axes, grid, engine="bilinear")
             for t_c, t_r in zip(closed.terms, raw.terms):
-                cross = max(cross, float(np.max(np.abs(t_c - t_r))))
+                cross = max(cross, max_modulus(t_c - t_r))
     checks["decompose"] = {"cases": cfg.decompose_cases, "max_deviation": dev}
     checks["decompose_bilinear_crosscheck"] = {
         "cases": (cfg.decompose_cases + 4) // 5 if cfg.decompose_cases else 0,
         "max_deviation": cross,
     }
 
-    # shell prefix tensor vs literal direct summation
+    # shell prefix tensor vs literal direct summation, every box n <= (4, 4, 4) at once
     rng = _trial_rng(cfg.seed, 4)
     grid8 = TorusGrid((8, 8, 8))
-    bw4 = (4, 4, 4)
+    engine = np.empty((5, 5, 5) + grid8.resolution, dtype=complex)
     dev = 0.0
     for case in range(cfg.shell_spectra):
-        shape = tuple(2 * b + 1 for b in bw4)
-        s = Spectrum(bw4, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        s = Spectrum((4, 4, 4), rng.standard_normal((9, 9, 9)) + 1j * rng.standard_normal((9, 9, 9)))
         tensor = ShellTensor.from_grid(s, grid8)
         for n in np.ndindex(5, 5, 5):
-            box = Spectrum(n, s.coeffs[tuple(slice(4 - v, 4 + v + 1) for v in n)])
-            direct = synthesize(box, grid8, method="direct").values
-            dev = max(dev, float(np.max(np.abs(tensor.query(n) - direct))))
+            engine[n] = tensor.query(n)
+        dev = max(dev, max_modulus(np.subtract(engine, direct_box_sums(s, grid8, [range(5)] * 3), out=engine)))
     checks["shell_vs_direct"] = {"cases": cfg.shell_spectra * 125, "max_deviation": dev}
 
     # block split partition
@@ -535,10 +531,9 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
             s = Spectrum(bw, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             family = make_lacunary_covering(q, bw[0])
             g1, g2 = split_lacunary_blocks(s, 1, family)
-            dev = max(dev, float(np.max(np.abs(g1.coeffs + g2.coeffs - s.coeffs))))
+            dev = max(dev, max_modulus(g1.coeffs + g2.coeffs - s.coeffs))
             overlap = max(overlap, float(np.max(np.abs(g1.coeffs) * np.abs(g2.coeffs))))
-    cases_blocks = 2 * len(cfg.block_ratios)
-    checks["block_split"] = {"cases": cases_blocks, "max_deviation": max(dev, overlap)}
+    checks["block_split"] = {"cases": 2 * len(cfg.block_ratios), "max_deviation": max(dev, overlap)}
 
     # off-diagonal vanishing of the mixed difference, exhaustive on [0, box]^2
     box = int(cfg.vanishing_box)

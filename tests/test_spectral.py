@@ -22,9 +22,11 @@ from lacsum import (
     synthesize,
 )
 from lacsum.spectral import (
+    _axis_matrix,
     _pair_product,
     _phase_tables,
     _shell_prefixes,
+    direct_box_sums,
     iter_prefix_slabs,
     plan_prefix_blocks,
 )
@@ -106,6 +108,73 @@ def test_fft_matches_direct():
         a = synthesize(s, grid).values
         b = synthesize(s, grid, method="direct").values
         assert np.max(np.abs(a - b)) < 1e-10, (bandwidth, resolution)
+
+
+def left_to_right_sum(coeffs, mats):
+    """The direct path's order in plain Python floats: one axis at a time, each
+    output the sum from (0.0, 0.0) over the modes in ascending order of the
+    terms (mr ar - mi ai, mr ai + mi ar), added left to right."""
+    vals = {k: (z.real, z.imag) for k, z in np.ndenumerate(coeffs)}
+    shape = list(coeffs.shape)
+    for p, m in enumerate(mats):
+        out = {}
+        for k in np.ndindex(*shape[:p], m.shape[0], *shape[p + 1 :]):
+            re = im = 0.0
+            for i in range(shape[p]):
+                mr, mi = float(m[k[p], i].real), float(m[k[p], i].imag)
+                ar, ai = (float(v) for v in vals[k[:p] + (i,) + k[p + 1 :]])
+                re, im = re + (mr * ar - mi * ai), im + (mr * ai + mi * ar)
+            out[k] = (re, im)
+        vals, shape[p] = out, m.shape[0]
+    return np.array([complex(*vals[k]) for k in np.ndindex(*shape)]).reshape(shape)
+
+
+@pytest.mark.parametrize("bandwidth, resolution", [((2, 1, 3), (4, 6, 8)), ((3, 0), (8, 2)), ((0,), (4,))])
+def test_direct_path_is_a_left_to_right_sum_bit_for_bit(bandwidth, resolution):
+    # no BLAS, FMA contraction or pairwise reduction decides the direct path's
+    # bits: they are a fixed-order sum in split real arithmetic
+    s = random_spectrum(np.random.default_rng(11), bandwidth)
+    grid = TorusGrid(resolution)
+    mats = [_axis_matrix(b, grid.axis_coords(p)) for p, b in enumerate(bandwidth)]
+    direct = synthesize(s, grid, method="direct").values
+    assert direct.tobytes() == left_to_right_sum(s.coeffs, mats).tobytes()
+
+
+def test_box_family_equals_one_box_sums_bit_for_bit():
+    # each box of a family skips the modes past its bound, so it keeps the bits
+    # of synthesizing its own coefficients alone; unequal bandwidths, a B = 0
+    # axis and repeated bounds included
+    rng = np.random.default_rng(12)
+    bandwidth, grid = (3, 0, 2), TorusGrid((8, 2, 6))
+    s = random_spectrum(rng, bandwidth)
+    bounds = [(0, 1, 3, 3), (0,), (0, 2)]
+    family = direct_box_sums(s, grid, bounds)
+    assert family.shape == (4, 1, 2) + grid.resolution
+    for v in np.ndindex(*family.shape[:3]):
+        n = tuple(b[i] for b, i in zip(bounds, v))
+        box = Spectrum(n, s.coeffs[tuple(slice(b - m, b + m + 1) for m, b in zip(n, bandwidth))])
+        assert family[v].tobytes() == synthesize(box, grid, method="direct").values.tobytes(), n
+    for bad in ([(1, 0), (0,), (0,)], [(4,), (0,), (0,)], [(), (0,), (0,)], [(0,), (0,)]):
+        with pytest.raises(LacsumError):
+            direct_box_sums(s, grid, bad)
+
+
+def test_synthesis_owns_its_grid_and_copies_a_callers(monkeypatch):
+    # the FFT result is the ifftn output itself, scaled in place and frozen; an
+    # array a caller hands in is copied and stays writable
+    rng = np.random.default_rng(13)
+    coeffs = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    grid = TorusGrid((8, 8))
+    made = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda a: made.append(ifftn(a)) or made[-1])
+    f = synthesize(Spectrum((2, 3), coeffs), grid)
+    assert f.values is made[0] and not f.values.flags.writeable
+    assert not np.shares_memory(f.values, coeffs) and coeffs.flags.writeable
+    values = rng.standard_normal(grid.resolution) + 0j
+    g = lacsum.spectral.GridFunction(grid, values)
+    assert not np.shares_memory(g.values, values) and values.flags.writeable
+    assert not g.values.flags.writeable and np.array_equal(g.values, values)
 
 
 def brute_force_partial_sum(s, n, grid):
